@@ -4,7 +4,6 @@ from __future__ import annotations
 import logging
 import re
 import urllib.robotparser
-from html import unescape
 from html.parser import HTMLParser
 from typing import Callable, Optional
 from urllib.parse import urlparse
@@ -28,7 +27,7 @@ _BLOCK_TAGS = frozenset(
      "tr", "table", "section", "article", "blockquote", "pre", "main", "figure"}
 )
 
-_ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain", "")
+_ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain")
 
 
 class FetchError(Exception):
@@ -43,11 +42,22 @@ class Unusable(Exception):
     """Neither the page nor the snippet yielded any text; skip the result."""
 
 
+class _Covered(Exception):
+    """The closed paragraphs already cover the text the caller will keep."""
+
+
 class _TextExtractor(HTMLParser):
-    def __init__(self) -> None:
+    """Collects normalized paragraphs; with stop_at set, raises _Covered
+    once the closed paragraphs joined reach stop_at characters.  Closed
+    paragraphs never change, so the text so far is a prefix of the full one."""
+
+    def __init__(self, stop_at: Optional[int] = None) -> None:
         super().__init__(convert_charrefs=True)
         self._skip_depth = 0
-        self._paragraphs: list[list[str]] = [[]]
+        self._stop_at = stop_at
+        self._chunks: list[str] = []
+        self._paragraphs: list[str] = []
+        self._length = 0  # len("\n\n".join(self._paragraphs))
 
     def handle_starttag(self, tag: str, attrs) -> None:
         if tag in _SKIP_TAGS:
@@ -70,45 +80,58 @@ class _TextExtractor(HTMLParser):
             if i:
                 self._break_paragraph()
             if piece.strip():
-                self._paragraphs[-1].append(piece)
+                self._chunks.append(piece)
+
+    def _close_paragraph(self) -> None:
+        para = re.sub(r"\s+", " ", " ".join(self._chunks)).strip()
+        self._chunks = []
+        if para:
+            self._length += len(para) + (2 if self._paragraphs else 0)
+            self._paragraphs.append(para)
 
     def _break_paragraph(self) -> None:
-        if self._paragraphs[-1]:
-            self._paragraphs.append([])
+        if self._chunks:
+            self._close_paragraph()
+            if self._stop_at is not None and self._length >= self._stop_at:
+                raise _Covered
 
     def text(self) -> str:
-        paragraphs = []
-        for chunks in self._paragraphs:
-            para = re.sub(r"\s+", " ", " ".join(chunks)).strip()
-            if para:
-                paragraphs.append(para)
-        return "\n\n".join(paragraphs)
+        self._close_paragraph()
+        return "\n\n".join(self._paragraphs)
 
 
-def extract_text(raw: str, min_chars: int = 40) -> str:
+def extract_text(raw: str, min_chars: int = 40, max_chars: Optional[int] = None) -> str:
     """Strip tags, scripts, and boilerplate; collapse whitespace; keep
     paragraph breaks as blank lines.  Plain-text input passes through with
     whitespace normalization.
 
+    With max_chars set, parsing stops as soon as the text is known to reach
+    max(max_chars, min_chars) characters.  The result may then be shorter
+    than the full extraction, but its first max_chars characters and the
+    EmptyExtraction decision are the same.
+
     Raises EmptyExtraction when the result is shorter than min_chars.
     """
-    parser = _TextExtractor()
-    parser.feed(unescape_guard(raw))
-    parser.close()
+    stop_at = None if max_chars is None else max(max_chars, min_chars)
+    parser = _TextExtractor(stop_at)
+    try:
+        parser.feed(raw)
+        parser.close()
+    except _Covered:
+        pass
     text = parser.text()
     if len(text) < min_chars:
         raise EmptyExtraction(f"extracted only {len(text)} characters")
     return text
 
 
-def unescape_guard(raw: str) -> str:
-    # HTMLParser handles entity refs itself; nothing to pre-process today,
-    # but keep the hook so fetch can normalize encodings in one place.
-    return raw
-
-
 class PageReader:
-    """fetch + extract with a snippet fallback when pages are unusable."""
+    """fetch + extract with a snippet fallback when pages are unusable.
+
+    body_char_cap bounds both the kept document body and the extraction
+    work: parsing a page stops once its first body_char_cap characters of
+    text are known.  max_bytes still applies to the whole download.
+    """
 
     def __init__(
         self,
@@ -155,8 +178,7 @@ class PageReader:
             if not 200 <= resp.status_code < 300:
                 raise FetchError(f"HTTP {resp.status_code} for {url}")
             content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()
-            if not any(content_type.startswith(t) for t in _ACCEPTED_CONTENT_TYPES if t) \
-                    and content_type:
+            if content_type and not content_type.startswith(_ACCEPTED_CONTENT_TYPES):
                 raise FetchError(f"unsupported content-type {content_type!r} for {url}")
             chunks, size = [], 0
             for chunk in resp.iter_content(chunk_size=65536):
@@ -172,7 +194,9 @@ class PageReader:
         return body, content_type
 
     def extract_text(self, raw: str) -> str:
-        return extract_text(raw, min_chars=self.min_chars)
+        """Page text whose first body_char_cap characters are exact; parsing
+        stops once they are covered."""
+        return extract_text(raw, min_chars=self.min_chars, max_chars=self.body_char_cap)
 
     def acquire_document(self, result: SearchResultMeta) -> Document:
         """Fetched page body (truncated to the cap), else title + snippet,
@@ -195,10 +219,22 @@ class PageReader:
         parser = self._robots_cache.get(netloc)
         if parser is None:
             parser = urllib.robotparser.RobotFileParser()
-            parser.set_url(f"{urlparse(url).scheme}://{netloc}/robots.txt")
+            # RobotFileParser.read() with a timeout and lenient decoding: 2xx
+            # is parsed, 401/403 disallow all, other 4xx and network errors
+            # allow all; anything else leaves the parser unread, so can_fetch
+            # is False
             try:
-                parser.read()
-            except OSError:
+                resp = requests.get(f"{urlparse(url).scheme}://{netloc}/robots.txt",
+                                    timeout=self.timeout,
+                                    headers={"User-Agent": self.user_agent})
+            except requests.RequestException:
                 parser.allow_all = True
+            else:
+                if 200 <= resp.status_code < 300:
+                    parser.parse(resp.content.decode("utf-8", errors="replace").splitlines())
+                elif resp.status_code in (401, 403):
+                    parser.disallow_all = True
+                elif 400 <= resp.status_code < 500:
+                    parser.allow_all = True
             self._robots_cache[netloc] = parser
         return parser.can_fetch(self.user_agent, url)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 from typing import Any, Callable, Optional
 
@@ -79,6 +80,7 @@ class SearchClient:
         self._timeout = timeout
         self._min_interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
         self._last_call = float("-inf")
+        self._throttle_lock = threading.Lock()
 
     @classmethod
     def from_env(cls, mode: Optional[str] = None, fixture_dir: Optional[str] = None,
@@ -164,10 +166,12 @@ class SearchClient:
         return results
 
     def _throttle(self) -> None:
+        """Reserve the next free call slot under the lock, then sleep until it."""
         if self._min_interval <= 0:
             return
-        now = self._clock()
-        wait = self._last_call + self._min_interval - now
+        with self._throttle_lock:
+            slot = max(self._clock(), self._last_call + self._min_interval)
+            self._last_call = slot
+        wait = slot - self._clock()
         if wait > 0:
             self._sleep(wait)
-        self._last_call = self._clock()

@@ -58,7 +58,9 @@ def http_stub():
     def start(app: Callable) -> str:
         server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         server.app = app  # type: ignore[attr-defined]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # a short poll lets shutdown() return promptly at teardown
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.01}, daemon=True)
         thread.start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_address[1]}"

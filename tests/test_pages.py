@@ -1,5 +1,8 @@
+import threading
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimcheck.model import Acquisition
@@ -52,6 +55,70 @@ class TestExtractText:
         assert extract_text(once, min_chars=0) == once
 
 
+# fragments that exercise every paragraph rule: block tags, skip tags,
+# blank lines inside text, entities, bare '&' and '<', comments, and
+# markup hidden inside a script
+_FRAGMENTS = st.sampled_from([
+    "<p>", "</p>", "<div>", "</div>", "<br>", "<li>", "<nav>", "</nav>", "<style>", "</style>",
+    "<script><p>not text</p></script>", "<!-- a comment -->", "\n\n", "\n \t\n", "\n",
+    "&amp;", "& ", "&", "< ", "<", " a < b ", "x", "word ", "  spaced   out  ",
+    " ", LONG_PARA,
+])
+_HTML = st.lists(st.one_of(_FRAGMENTS, st.text(alphabet="ab \n&<", max_size=12)),
+                 max_size=40).map("".join)
+
+
+def extract_or_none(raw, min_chars, max_chars=None):
+    try:
+        return extract_text(raw, min_chars, max_chars=max_chars)
+    except EmptyExtraction:
+        return None
+
+
+def near_boundaries(text, lo, hi):
+    """Values in [lo, hi] within a few characters of a paragraph boundary
+    or of the end of text, where an off-by-one stop would show."""
+    ends = [i for i in range(len(text)) if text.startswith("\n\n", i)] + [len(text)]
+    near = sorted({e + d for e in ends for d in range(-3, 4) if lo <= e + d <= hi})
+    return st.sampled_from(near) if near else st.integers(lo, hi)
+
+
+class TestEarlyStop:
+    @settings(max_examples=300)
+    @given(_HTML, st.data())
+    def test_capped_prefix_equals_full_prefix(self, raw, data):
+        text = extract_or_none(raw, 0) or ""
+        cap = data.draw(st.integers(1, 200) | near_boundaries(text, 1, 200), label="cap")
+        min_chars = data.draw(st.integers(0, 60) | near_boundaries(text, 0, 60), label="min_chars")
+        full = extract_or_none(raw, min_chars)
+        capped = extract_or_none(raw, min_chars, max_chars=cap)
+        assert (capped is None) == (full is None)
+        if full is not None:
+            assert capped[:cap] == full[:cap]
+
+    def test_parsing_stops_after_the_cap(self):
+        raw = f"<p>{LONG_PARA}</p>\n" * 1000 + "<p>END-MARKER past the cap</p>"
+        cap = 500
+        full = extract_text(raw, max_chars=None)
+        capped = extract_text(raw, max_chars=cap)
+        assert "END-MARKER" in full
+        assert "END-MARKER" not in capped
+        assert cap <= len(capped) < 2 * cap
+        assert capped[:cap] == full[:cap]
+
+    def test_min_chars_above_cap_still_decides_emptiness(self):
+        raw = "<p>one two three</p><p>four five six seven</p>"
+        assert extract_text(raw, min_chars=30, max_chars=5) == extract_text(raw, min_chars=30)
+        with pytest.raises(EmptyExtraction):
+            extract_text(raw, min_chars=60, max_chars=5)
+
+    def test_reader_extraction_is_bounded_by_body_char_cap(self):
+        raw = f"<p>{LONG_PARA}</p>" * 1000 + "<p>END-MARKER</p>"
+        text = PageReader(body_char_cap=500).extract_text(raw)
+        assert "END-MARKER" not in text
+        assert len(text) < 1000
+
+
 class TestFetch:
     def test_200_html(self, http_stub):
         body = f"<html><body><p>{LONG_PARA}</p></body></html>".encode()
@@ -91,6 +158,13 @@ class TestFetch:
         base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "application/pdf"}, b"%PDF"))
         with pytest.raises(FetchError):
             PageReader().fetch(f"{base}/doc.pdf")
+
+    def test_missing_content_type_accepted(self, http_stub):
+        body = f"<p>{LONG_PARA}</p>".encode()
+        base = http_stub(lambda m, p, b, h: (200, {}, body))
+        text, content_type = PageReader().fetch(f"{base}/untyped")
+        assert LONG_PARA in text
+        assert content_type == ""
 
     def test_size_cap_enforced(self, http_stub):
         base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "text/html"}, b"x" * 5000))
@@ -143,3 +217,63 @@ class TestAcquireDocument:
         reader = self.reader({url: f"<p>{LONG_PARA}</p>"})
         doc = reader.acquire_document(make_result(url))
         assert doc.body.strip()
+
+
+class TestRobots:
+    def test_slow_robots_txt_times_out_and_allows(self, http_stub):
+        release = threading.Event()
+        page = f"<p>{LONG_PARA}</p>".encode()
+
+        def app(method, path, body, headers):
+            if path == "/robots.txt":
+                release.wait(5)
+                return 200, {"Content-Type": "text/plain"}, b"User-agent: *\nDisallow: /\n"
+            return 200, {"Content-Type": "text/html"}, page
+
+        base = http_stub(app)
+        reader = PageReader(timeout=0.2, respect_robots=True)
+        start = time.monotonic()
+        try:
+            text, _ = reader.fetch(f"{base}/page")
+        finally:
+            release.set()
+        assert time.monotonic() - start < 2.0
+        assert LONG_PARA in text
+
+    def test_robots_txt_with_invalid_utf8_is_parsed(self, http_stub):
+        robots = b"User-agent: *\nDisallow: /private\n# \xff\xfe not utf-8\n"
+        page = f"<p>{LONG_PARA}</p>".encode()
+
+        def app(method, path, body, headers):
+            if path == "/robots.txt":
+                return 200, {"Content-Type": "text/plain"}, robots
+            return 200, {"Content-Type": "text/html"}, page
+
+        base = http_stub(app)
+        reader = PageReader(respect_robots=True)
+        text, _ = reader.fetch(f"{base}/page")
+        assert LONG_PARA in text
+        with pytest.raises(FetchError, match="robots"):
+            reader.fetch(f"{base}/private/page")
+
+    @pytest.mark.parametrize("status, allowed", [(403, False), (401, False), (404, True),
+                                                 (503, False)])
+    def test_robots_status_decides(self, http_stub, status, allowed):
+        def app(method, path, body, headers):
+            if path == "/robots.txt":
+                return status, {"Content-Type": "text/plain"}, b"User-agent: *\nDisallow: /\n"
+            return 200, {"Content-Type": "text/html"}, f"<p>{LONG_PARA}</p>".encode()
+
+        reader = PageReader(respect_robots=True)
+        url = f"{http_stub(app)}/page"
+        if allowed:
+            assert LONG_PARA in reader.fetch(url)[0]
+        else:
+            with pytest.raises(FetchError, match="robots"):
+                reader.fetch(url)
+
+    def test_unreachable_robots_txt_allows(self):
+        reader = PageReader(respect_robots=True, timeout=1.0,
+                            http_get=lambda url: (f"<p>{LONG_PARA}</p>", "text/html"))
+        text, _ = reader.fetch("http://127.0.0.1:9/page")
+        assert LONG_PARA in text

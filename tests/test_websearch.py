@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -112,6 +115,39 @@ class TestLiveMode:
         client.search(SearchQuery("a"), 1)
         client.search(SearchQuery("b"), 1)
         assert sleeps and sleeps[0] == pytest.approx(0.49)
+
+    def test_rate_limiter_spaces_concurrent_calls(self):
+        stamps = []
+
+        def transport(*args, **kwargs):
+            stamps.append(time.monotonic())
+            return 200, json.dumps({"organic": []})
+
+        client = SearchClient(mode="live", transport=transport, requests_per_second=50)
+        barrier = threading.Barrier(8)
+
+        def worker(i):
+            barrier.wait()
+            for j in range(2):
+                client.search(SearchQuery(f"q{i}-{j}"), 1)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stamps.sort()
+        gaps = [b - a for a, b in zip(stamps, stamps[1:])]
+        assert len(gaps) == 15
+        # unthrottled threads land within a fraction of a millisecond; the
+        # tolerance absorbs a late wake-up of the earlier caller
+        assert min(gaps) >= 0.020 - 0.010
 
     def test_k_must_be_positive(self):
         client = SearchClient(mode="live", requests_per_second=0,
