@@ -13,12 +13,12 @@ from pathlib import Path
 import click
 
 from . import evalkit
-from .llm import AuthError, LlmGateway
+from .llm import LlmGateway
 from .model import BudgetConfig, Claim, Verdict
 from .pages import PageReader
 from .pipeline import Ablation, GatewayFatal, Verifier
 from .trace import EventKind
-from .websearch import SearchClient
+from .websearch import DEFAULT_ENDPOINT, SearchClient
 
 # the spec'd exit-code contract reserves 2 for config/auth errors
 click.exceptions.UsageError.exit_code = 1
@@ -60,20 +60,17 @@ def _build_verifier(mode, fixtures, llm_base_url, llm_api_key,
         raise click.UsageError("--fixtures is required in record/replay mode")
     fixture_root = Path(fixtures) if fixtures else None
     try:
-        gateway = LlmGateway.from_env(
+        gateway = LlmGateway(
             mode=mode,
             base_url=llm_base_url,
             api_key=llm_api_key,
             fixture_dir=str(fixture_root / "llm") if fixture_root else None,
         )
-        search_kwargs = {}
-        if search_endpoint:
-            search_kwargs["endpoint"] = search_endpoint
-        search = SearchClient.from_env(
+        search = SearchClient(
             mode=mode,
+            endpoint=search_endpoint or DEFAULT_ENDPOINT,
             api_key=search_api_key,
             fixture_dir=str(fixture_root / "search") if fixture_root else None,
-            **search_kwargs,
         )
     except ValueError as exc:
         raise SystemExit(_config_error(str(exc)))
@@ -120,7 +117,7 @@ def cmd_verify(claim_text, trace_path, model, temperature, max_queries, max_resu
             config,
             frozenset(Ablation(a) for a in ablations),
         )
-    except (GatewayFatal, AuthError) as exc:
+    except GatewayFatal as exc:
         raise SystemExit(_config_error(str(exc)))
     click.echo(f"verdict: {result.verdict.value}")
     click.echo(f"terminated by: {result.terminated_by.value}")
@@ -168,7 +165,7 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
         try:
             outcome = verifier.verify(labeled.claim, config, ablation_set)
             return labeled, outcome, None
-        except (GatewayFatal, AuthError) as exc:
+        except GatewayFatal as exc:
             return labeled, None, str(exc)
 
     with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:

@@ -1,17 +1,14 @@
-"""Chat-completion gateway: live OpenAI-compatible HTTP backend plus
-deterministic record/replay backends for offline runs and tests."""
+"""Chat-completion gateway: an OpenAI-compatible HTTP client in live,
+record or replay mode (see ``replaystore.RecordedClient``)."""
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-import requests
-
-from .replaystore import FixtureMiss, FixtureStore, StorageError
+from .replaystore import RecordedClient, TransportError, post_json
 
 __all__ = [
     "ChatRequest",
@@ -19,17 +16,11 @@ __all__ = [
     "LlmGateway",
     "TransportError",
     "AuthError",
-    "FixtureMiss",
-    "StorageError",
     "canonical_form",
     "replay_key",
 ]
 
 ROLES = ("system", "user")
-
-
-class TransportError(Exception):
-    """Network failure or HTTP error that survived the retry budget."""
 
 
 class AuthError(Exception):
@@ -72,24 +63,12 @@ def replay_key(req: ChatRequest) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _requests_transport(url: str, headers: dict[str, str], payload: dict[str, Any],
-                        timeout: float) -> tuple[int, str]:
-    try:
-        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(str(exc)) from exc
-    return resp.status_code, resp.text
-
-
-class LlmGateway:
+class LlmGateway(RecordedClient):
     """Uniform complete() over three modes: live, record, replay.
 
-    Replay mode never touches the network.  Live transport retries
-    transient failures (connection errors, HTTP 429/5xx) with exponential
-    backoff before surfacing TransportError.
+    A fixture is the live call's record: the request, the response text
+    and the token usage (absent in older fixtures, replayed as None).
     """
-
-    RETRY_DELAYS = (1.0, 2.0, 4.0)
 
     def __init__(
         self,
@@ -97,59 +76,27 @@ class LlmGateway:
         base_url: Optional[str] = None,
         api_key: Optional[str] = None,
         fixture_dir: Optional[str] = None,
-        transport: Callable[..., tuple[int, str]] = _requests_transport,
+        transport: Callable[..., tuple[int, str]] = post_json,
         sleep: Callable[[float], None] = time.sleep,
         timeout: float = 60.0,
     ) -> None:
-        if mode not in ("live", "record", "replay"):
-            raise ValueError(f"unknown gateway mode: {mode!r}")
+        super().__init__(mode, fixture_dir, transport, sleep, timeout)
         if mode in ("live", "record") and not base_url:
             raise ValueError("base_url required for live/record mode")
-        if mode in ("record", "replay") and not fixture_dir:
-            raise ValueError("fixture_dir required for record/replay mode")
-        self.mode = mode
         self.base_url = (base_url or "").rstrip("/")
         self.api_key = api_key
-        self.store = FixtureStore(fixture_dir) if fixture_dir else None
-        self._transport = transport
-        self._sleep = sleep
-        self._timeout = timeout
-
-    @classmethod
-    def from_env(cls, mode: Optional[str] = None, fixture_dir: Optional[str] = None,
-                 **kwargs: Any) -> "LlmGateway":
-        return cls(
-            mode=mode or os.environ.get("CLAIMCHECK_LLM_MODE", "live"),
-            base_url=kwargs.pop("base_url", None) or os.environ.get("CLAIMCHECK_LLM_BASE_URL"),
-            api_key=kwargs.pop("api_key", None) or os.environ.get("CLAIMCHECK_LLM_API_KEY"),
-            fixture_dir=fixture_dir or os.environ.get("CLAIMCHECK_LLM_FIXTURES"),
-            **kwargs,
-        )
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        if self.mode == "replay":
-            assert self.store is not None
-            record = self.store.get(replay_key(req))
-            if record is None:
-                raise FixtureMiss(
-                    f"no LLM fixture for key {replay_key(req)} "
-                    f"(model={req.model_id}, first message "
-                    f"{req.messages[0][1][:80]!r})"
-                )
-            return ChatResponse(text=record["response_text"])
-        resp = self._complete_live(req)
-        if self.mode == "record":
-            self.record(req, resp)
-        return resp
+        key = replay_key(req)
+        record = self._recorded(
+            key, lambda: self._complete_live(req),
+            lambda: (f"no LLM fixture for key {key} (model={req.model_id}, "
+                     f"first message {req.messages[0][1][:80]!r})"))
+        usage = record.get("usage")
+        return ChatResponse(text=record["response_text"],
+                            usage=tuple(usage) if usage else None)
 
-    def record(self, req: ChatRequest, resp: ChatResponse) -> None:
-        assert self.store is not None
-        self.store.put(replay_key(req), {
-            "request": canonical_form(req),
-            "response_text": resp.text,
-        })
-
-    def _complete_live(self, req: ChatRequest) -> ChatResponse:
+    def _complete_live(self, req: ChatRequest) -> dict[str, Any]:
         url = f"{self.base_url}/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -159,27 +106,16 @@ class LlmGateway:
             "temperature": req.temperature,
             "messages": [{"role": r, "content": c} for r, c in req.messages],
         }
-        last_error: Exception | None = None
-        for attempt in range(1 + len(self.RETRY_DELAYS)):
-            if attempt:
-                self._sleep(self.RETRY_DELAYS[attempt - 1])
-            try:
-                status, body = self._transport(url, headers, payload, self._timeout)
-            except TransportError as exc:
-                last_error = exc
-                continue
-            if status in (401, 403):
-                raise AuthError(f"HTTP {status} from {url}")
-            if status == 429 or status >= 500:
-                last_error = TransportError(f"HTTP {status} from {url}")
-                continue
-            if status >= 400:
-                raise TransportError(f"HTTP {status} from {url}: {body[:200]}")
-            return self._parse_body(body)
-        raise TransportError(f"giving up after retries: {last_error}")
+        status, body = self._post(url, headers, payload)
+        if status in (401, 403):
+            raise AuthError(f"HTTP {status} from {url}")
+        if status >= 400:
+            raise TransportError(f"HTTP {status} from {url}: {body[:200]}")
+        text, usage = self._parse_body(body)
+        return {"request": canonical_form(req), "response_text": text, "usage": usage}
 
     @staticmethod
-    def _parse_body(body: str) -> ChatResponse:
+    def _parse_body(body: str) -> tuple[str, Optional[tuple[int, int]]]:
         try:
             data = json.loads(body)
             text = data["choices"][0]["message"]["content"]
@@ -190,4 +126,4 @@ class LlmGateway:
             u = data["usage"]
             if "prompt_tokens" in u and "completion_tokens" in u:
                 usage = (u["prompt_tokens"], u["completion_tokens"])
-        return ChatResponse(text=text, usage=usage)
+        return text, usage

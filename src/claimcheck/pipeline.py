@@ -16,10 +16,8 @@ from typing import Callable, Optional
 
 from .agents import AgentSuite
 from .llm import AuthError, LlmGateway
-from .llm import TransportError as LlmTransportError
 from .model import (
     BudgetConfig,
-    BudgetExhausted,
     BudgetLedger,
     Claim,
     Document,
@@ -30,6 +28,7 @@ from .model import (
     Verdict,
 )
 from .pages import PageReader, Unusable
+from .replaystore import FixtureMiss, StorageError, TransportError
 from .trace import EventKind, RunTrace
 from .websearch import QuotaError, SearchClient, SearchTransportError
 
@@ -45,7 +44,8 @@ class TerminationReason(Enum):
 
 
 class GatewayFatal(Exception):
-    """Auth/config failure on a gateway; the run cannot continue."""
+    """Auth/config failure on a gateway, or a fixture missing in replay;
+    the run cannot continue."""
 
 
 @dataclass
@@ -115,8 +115,8 @@ class Verifier:
             if not state.sufficient:
                 self._drain_deferred(agents, state)
             verdict = agents.classify(claim, state.evidence)
-        except (AuthError, LlmTransportError) as exc:
-            # the run cannot proceed without a working LLM endpoint
+        except (AuthError, TransportError, FixtureMiss, StorageError) as exc:
+            # the run cannot proceed without a working LLM endpoint or fixtures
             raise GatewayFatal(str(exc)) from exc
         terminated_by = (
             TerminationReason.SUFFICIENT_EVIDENCE
@@ -137,10 +137,9 @@ class Verifier:
                 query = state.pending_queries.popleft()
                 if query.text.lower() in state.issued_query_texts:
                     continue
-                try:
-                    state.ledger = state.ledger.consume()
-                except BudgetExhausted:
+                if state.ledger.remaining == 0:
                     return
+                state.ledger = state.ledger.consume()
                 state.issued_query_texts.add(query.text.lower())
                 results = self._do_search(state, query, config.max_results_per_query)
                 if results and len(results) > 1 and Ablation.RM_SR not in state.ablations:

@@ -1,12 +1,17 @@
-"""Fixture store shared by the LLM and search gateways.
+"""Record/replay and retry layer shared by the LLM and search clients.
 
-One UTF-8 JSON file per key so recorded fixtures stay reviewable in diffs.
+Fixtures are one UTF-8 JSON file per key so they stay reviewable in diffs.
 """
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
+
+import requests
+
+RETRY_DELAYS = (1.0, 2.0, 4.0)
 
 
 class FixtureMiss(Exception):
@@ -15,6 +20,23 @@ class FixtureMiss(Exception):
 
 class StorageError(Exception):
     """The fixture store could not be read or written."""
+
+
+class TransportError(Exception):
+    """Network failure or HTTP error that survived the retry budget."""
+
+    def __init__(self, message: str, saw_429: bool = False) -> None:
+        super().__init__(message)
+        self.saw_429 = saw_429
+
+
+def post_json(url: str, headers: dict[str, str], payload: dict[str, Any],
+              timeout: float) -> tuple[int, str]:
+    try:
+        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
+    except requests.RequestException as exc:
+        raise TransportError(str(exc)) from exc
+    return resp.status_code, resp.text
 
 
 class FixtureStore:
@@ -49,3 +71,60 @@ class FixtureStore:
         if not self.root.exists():
             return []
         return sorted(p.stem for p in self.root.glob("*.json"))
+
+
+class RecordedClient:
+    """Base of the external-call clients, in one of three modes: live,
+    record (live, and store each record) or replay (stored records only,
+    never the network).  Live calls go through ``transport`` with one
+    retry policy: transport errors, HTTP 429 and 5xx are retried after
+    each of RETRY_DELAYS."""
+
+    def __init__(self, mode: str, fixture_dir: Optional[str],
+                 transport: Callable[..., tuple[int, str]],
+                 sleep: Callable[[float], None], timeout: float) -> None:
+        if mode not in ("live", "record", "replay"):
+            raise ValueError(f"unknown mode: {mode!r}")
+        if mode in ("record", "replay") and not fixture_dir:
+            raise ValueError("fixture_dir required for record/replay mode")
+        self.mode = mode
+        self.store = FixtureStore(fixture_dir) if fixture_dir else None
+        self._transport = transport
+        self._sleep = sleep
+        self._timeout = timeout
+
+    def _recorded(self, key: str, live: Callable[[], dict[str, Any]],
+                  miss: Callable[[], str]) -> dict[str, Any]:
+        """The record for ``key``: from the store in replay mode (FixtureMiss
+        with message ``miss()`` when absent), else from ``live()``, stored
+        in record mode."""
+        if self.mode == "replay":
+            record = self.store.get(key)
+            if record is None:
+                raise FixtureMiss(miss())
+            return record
+        record = live()
+        if self.mode == "record":
+            self.store.put(key, record)
+        return record
+
+    def _post(self, url: str, headers: dict[str, str],
+              payload: dict[str, Any]) -> tuple[int, str]:
+        """The first (status, body) that is not a 429 or 5xx; TransportError
+        once the retries run out, with ``saw_429`` set if any attempt got one."""
+        last_error: object = None
+        saw_429 = False
+        for attempt in range(1 + len(RETRY_DELAYS)):
+            if attempt:
+                self._sleep(RETRY_DELAYS[attempt - 1])
+            try:
+                status, body = self._transport(url, headers, payload, self._timeout)
+            except TransportError as exc:
+                last_error = exc
+                continue
+            if status == 429 or status >= 500:
+                saw_429 = saw_429 or status == 429
+                last_error = f"HTTP {status} from {url}"
+                continue
+            return status, body
+        raise TransportError(f"giving up after retries: {last_error}", saw_429=saw_429)

@@ -315,11 +315,15 @@ def test_criterion_6_live_smoke(tmp_path):
     subset = random.Random(0).sample(claims, 20)
     from claimcheck.llm import LlmGateway
     from claimcheck.pages import PageReader
-    from claimcheck.websearch import SearchClient
+    from claimcheck.websearch import DEFAULT_ENDPOINT, SearchClient
 
-    verifier = Verifier(gateway=LlmGateway.from_env(),
-                        search=SearchClient.from_env(),
-                        reader=PageReader(respect_robots=True))
+    env = os.environ
+    verifier = Verifier(
+        gateway=LlmGateway(base_url=env.get("CLAIMCHECK_LLM_BASE_URL"),
+                           api_key=env.get("CLAIMCHECK_LLM_API_KEY")),
+        search=SearchClient(endpoint=env.get("CLAIMCHECK_SEARCH_ENDPOINT", DEFAULT_ENDPOINT),
+                            api_key=env.get("CLAIMCHECK_SEARCH_API_KEY")),
+        reader=PageReader(respect_robots=True))
     preds, golds = [], []
     for labeled in subset:
         outcome = verifier.verify(labeled.claim, BudgetConfig())

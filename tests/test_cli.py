@@ -153,3 +153,26 @@ class TestBench:
     def test_missing_dataset_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "factool_kbqa", "/nonexistent.jsonl"])
         assert result.exit_code == 1
+
+
+class TestMissingFixture:
+    def test_bench_records_missing_fixture_as_claim_error(self, runner, scripted_world,
+                                                          tmp_path):
+        recorded, unrecorded = FIVE_CLAIMS[0][0], FIVE_CLAIMS[1][0]
+        run(runner, ["verify", recorded, "--mode", "record", *scripted_world["flags"]])
+        dataset = factool_file(tmp_path, [(recorded, True), (unrecorded, True)])
+        out = tmp_path / "out"
+        run(runner, ["bench", "factool_kbqa", str(dataset), "--mode", "replay",
+                     "--out", str(out), "--concurrency", "1", *scripted_world["flags"]],
+            expect_exit=3)
+        rows = [json.loads(line)
+                for line in (out / "predictions.jsonl").read_text().splitlines()]
+        assert len(rows) == 2
+        errors = [row["error"] for row in rows if row.get("error")]
+        assert len(errors) == 1 and "no LLM fixture" in errors[0]
+
+    def test_verify_with_empty_fixtures_is_config_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["verify", "some claim", "--mode", "replay",
+                                      "--fixtures", str(tmp_path / "empty")])
+        assert result.exit_code == 2
+        assert "configuration error" in result.output

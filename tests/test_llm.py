@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from claimcheck.llm import (
     AuthError,
     ChatRequest,
-    ChatResponse,
-    FixtureMiss,
     LlmGateway,
     TransportError,
     replay_key,
 )
+from claimcheck.replaystore import FixtureMiss
 
 from conftest import openai_reply
 
@@ -20,6 +19,13 @@ from conftest import openai_reply
 def req(content="hello there", model="m1", temperature=0.5):
     return ChatRequest(model_id=model, temperature=temperature,
                        messages=(("system", "sys"), ("user", content)))
+
+
+def recorder(fixture_dir, text="x"):
+    """A record-mode gateway whose transport always answers ``text``."""
+    body = openai_reply(text)[2].decode()
+    return LlmGateway(mode="record", base_url="http://unused.invalid",
+                      fixture_dir=fixture_dir, transport=lambda *a, **k: (200, body))
 
 
 class TestRequestValidation:
@@ -53,12 +59,24 @@ class TestReplayKey:
 
 class TestReplayMode:
     def test_replay_returns_recorded_text(self, tmp_path):
-        recorder = LlmGateway(mode="record", base_url="http://unused.invalid",
-                              fixture_dir=tmp_path,
-                              transport=lambda *a, **k: (_ for _ in ()).throw(AssertionError))
-        recorder.record(req(), ChatResponse(text="True"))
+        recorder(tmp_path, "True").complete(req())
         replayer = LlmGateway(mode="replay", fixture_dir=tmp_path)
         assert replayer.complete(req()).text == "True"
+
+    def test_replay_returns_recorded_usage(self, tmp_path):
+        recorder(tmp_path).complete(req())
+        (path,) = tmp_path.glob("*.json")
+        assert json.loads(path.read_text())["usage"] == [10, 5]
+        replayer = LlmGateway(mode="replay", fixture_dir=tmp_path)
+        assert replayer.complete(req()).usage == (10, 5)
+
+    def test_fixture_without_usage_replays(self, tmp_path):
+        # the shape fixtures had before usage was recorded
+        record = {"request": {}, "response_text": "old"}
+        (tmp_path / f"{replay_key(req())}.json").write_text(
+            json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        resp = LlmGateway(mode="replay", fixture_dir=tmp_path).complete(req())
+        assert (resp.text, resp.usage) == ("old", None)
 
     def test_unseen_digest_is_fixture_miss(self, tmp_path):
         gateway = LlmGateway(mode="replay", fixture_dir=tmp_path)
@@ -81,20 +99,23 @@ class TestReplayMode:
 
 class TestRecordStore:
     def test_record_then_list_one_entry(self, tmp_path):
-        gateway = LlmGateway(mode="replay", fixture_dir=tmp_path)
-        gateway.record(req(), ChatResponse(text="x"))
+        gateway = recorder(tmp_path)
+        gateway.complete(req())
         assert len(gateway.store.keys()) == 1
 
     def test_record_idempotent(self, tmp_path):
-        gateway = LlmGateway(mode="replay", fixture_dir=tmp_path)
-        gateway.record(req(), ChatResponse(text="x"))
-        gateway.record(req(), ChatResponse(text="x"))
+        gateway = recorder(tmp_path)
+        gateway.complete(req())
+        (path,) = tmp_path.glob("*.json")
+        first = path.read_text()
+        gateway.complete(req())
         assert len(gateway.store.keys()) == 1
+        assert path.read_text() == first
 
     def test_temperature_difference_gives_two_entries(self, tmp_path):
-        gateway = LlmGateway(mode="replay", fixture_dir=tmp_path)
-        gateway.record(req(temperature=0.1), ChatResponse(text="x"))
-        gateway.record(req(temperature=0.9), ChatResponse(text="x"))
+        gateway = recorder(tmp_path)
+        gateway.complete(req(temperature=0.1))
+        gateway.complete(req(temperature=0.9))
         assert len(gateway.store.keys()) == 2
 
 
@@ -145,6 +166,19 @@ class TestLiveTransport:
                              sleep=lambda s: None)
         with pytest.raises(TransportError):
             gateway.complete(req())
+
+    def test_client_error_not_retried(self):
+        attempts = []
+
+        def bad_request(url, headers, payload, timeout):
+            attempts.append(1)
+            return 400, "bad"
+
+        gateway = LlmGateway(mode="live", base_url="http://x.invalid",
+                             transport=bad_request, sleep=lambda s: None)
+        with pytest.raises(TransportError, match="HTTP 400"):
+            gateway.complete(req())
+        assert len(attempts) == 1
 
     def test_auth_error_not_retried(self):
         attempts = []

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from claimcheck.model import SearchQuery, is_valid_http_url
-from claimcheck.replaystore import FixtureMiss
+from claimcheck.replaystore import FixtureMiss, TransportError
 from claimcheck.websearch import (
     QuotaError,
     SearchClient,
@@ -103,6 +103,31 @@ class TestLiveMode:
         client = SearchClient(mode="live", transport=lambda *a, **k: (502, ""),
                               sleep=lambda s: None, requests_per_second=0)
         with pytest.raises(SearchTransportError):
+            client.search(SearchQuery("q"), 1)
+
+    def test_retries_transient_then_succeeds(self):
+        statuses = iter([503, 503, 200])
+        sleeps = []
+        client = SearchClient(
+            mode="live", sleep=sleeps.append, requests_per_second=0,
+            transport=lambda *a, **k: (next(statuses), json.dumps({"organic": [raw(0)]})))
+        assert len(client.search(SearchQuery("q"), 1)) == 1
+        assert sleeps == [1.0, 2.0]
+
+    def test_network_errors_become_transport_error(self):
+        def unreachable(*args, **kwargs):
+            raise TransportError("connection refused")
+
+        client = SearchClient(mode="live", transport=unreachable,
+                              sleep=lambda s: None, requests_per_second=0)
+        with pytest.raises(SearchTransportError):
+            client.search(SearchQuery("q"), 1)
+
+    def test_any_429_in_retries_is_quota_error(self):
+        statuses = iter([429, 503, 503, 503])
+        client = SearchClient(mode="live", transport=lambda *a, **k: (next(statuses), ""),
+                              sleep=lambda s: None, requests_per_second=0)
+        with pytest.raises(QuotaError):
             client.search(SearchQuery("q"), 1)
 
     def test_rate_limiter_spaces_calls(self):
