@@ -11,6 +11,7 @@ from urllib.parse import urlparse
 import requests
 
 from .model import Acquisition, Document, SearchResultMeta
+from .replaystore import ThreadSession
 
 log = logging.getLogger(__name__)
 
@@ -131,6 +132,10 @@ class PageReader:
     body_char_cap bounds both the kept document body and the extraction
     work: parsing a page stops once its first body_char_cap characters of
     text are known.  max_bytes still applies to the whole download.
+
+    Pages and robots.txt go over one keep-alive session per thread.  A
+    response dropped before its body is read closes its connection, so no
+    connection goes back to the pool with unread bytes.
     """
 
     def __init__(
@@ -153,6 +158,7 @@ class PageReader:
         self.respect_robots = respect_robots
         self._http_get = http_get or self._requests_get
         self._robots_cache: dict[str, urllib.robotparser.RobotFileParser] = {}
+        self._sessions = ThreadSession(max_redirects)
 
     def fetch(self, url: str) -> tuple[str, str]:
         """Return (decoded body, content-type); raises FetchError otherwise."""
@@ -161,10 +167,8 @@ class PageReader:
         return self._http_get(url)
 
     def _requests_get(self, url: str) -> tuple[str, str]:
-        session = requests.Session()
-        session.max_redirects = self.max_redirects
         try:
-            resp = session.get(
+            resp = self._sessions.session.get(
                 url,
                 timeout=self.timeout,
                 headers={"User-Agent": self.user_agent},
@@ -224,9 +228,9 @@ class PageReader:
             # allow all; anything else leaves the parser unread, so can_fetch
             # is False
             try:
-                resp = requests.get(f"{urlparse(url).scheme}://{netloc}/robots.txt",
-                                    timeout=self.timeout,
-                                    headers={"User-Agent": self.user_agent})
+                resp = self._sessions.session.get(
+                    f"{urlparse(url).scheme}://{netloc}/robots.txt",
+                    timeout=self.timeout, headers={"User-Agent": self.user_agent})
             except requests.RequestException:
                 parser.allow_all = True
             else:

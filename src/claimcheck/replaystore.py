@@ -1,11 +1,14 @@
-"""Record/replay and retry layer shared by the LLM and search clients.
+"""Record/replay and retry layer shared by the LLM and search clients,
+and the keep-alive HTTP sessions of every external call.
 
 Fixtures are one UTF-8 JSON file per key so they stay reviewable in diffs.
 """
 from __future__ import annotations
 
 import json
+import threading
 import time
+from http.cookiejar import DefaultCookiePolicy
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -30,10 +33,28 @@ class TransportError(Exception):
         self.saw_429 = saw_429
 
 
+class ThreadSession(threading.local):
+    """One pooled keep-alive ``requests.Session`` per thread: threading.local
+    runs ``__init__`` again, with the same arguments, in each thread that
+    reads ``.session``.  Its jar stores no cookie, so every call starts
+    without cookies as a fresh session would; cookies set inside one
+    redirect chain still apply to it, since they live in the request's own
+    jar."""
+
+    def __init__(self, max_redirects: int = requests.models.DEFAULT_REDIRECT_LIMIT) -> None:
+        self.session = requests.Session()
+        self.session.max_redirects = max_redirects
+        # no allowed domain: the policy refuses every cookie
+        self.session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
+
+
+_POST_SESSIONS = ThreadSession()
+
+
 def post_json(url: str, headers: dict[str, str], payload: dict[str, Any],
               timeout: float) -> tuple[int, str]:
     try:
-        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
+        resp = _POST_SESSIONS.session.post(url, headers=headers, json=payload, timeout=timeout)
     except requests.RequestException as exc:
         raise TransportError(str(exc)) from exc
     return resp.status_code, resp.text

@@ -3,6 +3,7 @@ in-memory search/page fakes for exercising the pipeline offline."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -35,12 +36,16 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length") or 0)
         body = self.rfile.read(length) if length else b""
         status, headers, payload = handler(self.command, self.path, body, dict(self.headers))
-        self.send_response(status)
-        for key, value in headers.items():
-            self.send_header(key, value)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        try:
+            self.send_response(status)
+            for key, value in headers.items():
+                self.send_header(key, value)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            # the client closed the connection first; there is no one to answer
+            self.close_connection = True
 
     do_GET = _respond
     do_POST = _respond
@@ -49,26 +54,70 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def http_stub():
-    """Start stub servers handled by app(method, path, body, headers) ->
-    (status, headers, bytes); yields a factory returning base URLs."""
-    servers: list[ThreadingHTTPServer] = []
+class _KeepAliveStubHandler(_StubHandler):
+    """HTTP/1.1: the connection stays open for the client's next request."""
 
-    def start(app: Callable) -> str:
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-        server.app = app  # type: ignore[attr-defined]
+    protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle on, the second
+    # waits for the client's delayed ACK
+    disable_nagle_algorithm = True
+
+
+class StubServer(ThreadingHTTPServer):
+    """A stub server that counts and keeps the connections it accepts."""
+
+    def __init__(self, app: Callable, handler: type) -> None:
+        super().__init__(("127.0.0.1", 0), handler)
+        self.app = app
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.accepted: list[socket.socket] = []
+
+    @property
+    def connections(self) -> int:
+        return len(self.accepted)
+
+    def process_request(self, request, client_address) -> None:
+        self.accepted.append(request)  # runs on the serving thread only
+        super().process_request(request, client_address)
+
+    def stop(self) -> None:
+        self.shutdown()
+        self.server_close()
+        # end idle keep-alive connections too, so no client pool keeps one
+        # to a port that a later server may get
+        for conn in self.accepted:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+
+@pytest.fixture
+def stub_servers():
+    """Start StubServers handled by app(method, path, body, headers) ->
+    (status, headers, bytes); yields a factory start(app, keep_alive=False).
+    Without keep_alive the server speaks HTTP/1.0 and closes the
+    connection after every response."""
+    servers: list[StubServer] = []
+
+    def start(app: Callable, keep_alive: bool = False) -> StubServer:
+        server = StubServer(app, _KeepAliveStubHandler if keep_alive else _StubHandler)
         # a short poll lets shutdown() return promptly at teardown
         thread = threading.Thread(target=server.serve_forever,
                                   kwargs={"poll_interval": 0.01}, daemon=True)
         thread.start()
         servers.append(server)
-        return f"http://127.0.0.1:{server.server_address[1]}"
+        return server
 
     yield start
     for server in servers:
-        server.shutdown()
-        server.server_close()
+        server.stop()
+
+
+@pytest.fixture
+def http_stub(stub_servers):
+    """Like stub_servers, but the factory returns the HTTP/1.0 server's base URL."""
+    return lambda app: stub_servers(app).url
 
 
 def openai_reply(text: str) -> tuple[int, dict, bytes]:
