@@ -6,6 +6,7 @@ dataset failure above the error-rate threshold.
 from __future__ import annotations
 
 import json
+import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -19,6 +20,8 @@ from .pages import PageReader
 from .pipeline import Ablation, GatewayFatal, Verifier
 from .trace import EventKind
 from .websearch import DEFAULT_ENDPOINT, SearchClient
+
+log = logging.getLogger(__name__)
 
 # the spec'd exit-code contract reserves 2 for config/auth errors
 click.exceptions.UsageError.exit_code = 1
@@ -167,6 +170,9 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
             return labeled, outcome, None
         except GatewayFatal as exc:
             return labeled, None, str(exc)
+        except Exception as exc:  # one failed claim must not lose the others' rows
+            log.exception("claim %s failed", labeled.claim.id)
+            return labeled, None, f"{type(exc).__name__}: {exc}"
 
     with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
         outcomes = list(pool.map(run_one, claims))

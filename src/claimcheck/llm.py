@@ -121,6 +121,10 @@ class LlmGateway(RecordedClient):
             text = data["choices"][0]["message"]["content"]
         except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
+        if not isinstance(text, str):
+            # e.g. a refusal, which some providers send as "content": null
+            raise TransportError(
+                f"malformed completion response: content is {type(text).__name__}, not str")
         usage = None
         if isinstance(data.get("usage"), dict):
             u = data["usage"]

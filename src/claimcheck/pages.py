@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import logging
 import re
+import threading
 import urllib.robotparser
 from html.parser import HTMLParser
 from typing import Callable, Optional
@@ -27,6 +28,31 @@ _BLOCK_TAGS = frozenset(
     {"p", "div", "br", "li", "ul", "ol", "h1", "h2", "h3", "h4", "h5", "h6",
      "tr", "table", "section", "article", "blockquote", "pre", "main", "figure"}
 )
+
+# Markup inside a skipped element that HTMLParser would tokenize one token
+# at a time, matched at regex speed instead.  Text is dropped there, and a
+# block tag breaks no paragraph once none is open, so only skip tags and
+# script/style bodies change state.  The grammar is conservative: ASCII tag
+# names, start tags with whitespace-separated attributes whose quoted values
+# hold no '<' or '>', end tags with no attributes.  Anything else ('<!',
+# '<?', a comment, an unusual tag) ends the match, and HTMLParser sees it as
+# before.  An unquoted value may hold '/', as HTMLParser reads it: <a b=c/>
+# is a start tag, not a self-closing one.
+_WS = r"[ \t\n\r\f]"
+_SKIP_NAME = r"(?:%s)(?![a-zA-Z0-9-])" % "|".join(sorted(_SKIP_TAGS))
+_ATTRS = (r"""(?:%s+[a-zA-Z_:][-a-zA-Z0-9_:.]*"""
+          r"""(?:%s*=%s*(?:"[^"<>]*"|'[^'<>]*'|[-a-zA-Z0-9_:.#%%&+,;?!@~()/]+))?)*%s*"""
+          % (_WS, _WS, _WS, _WS))
+# text and tags that are not skip tags
+_PLAIN_RUN = re.compile(
+    r"(?:[^<]+|<(?!{0})[a-zA-Z][a-zA-Z0-9-]*{1}/?>|</(?!{0})[a-zA-Z][a-zA-Z0-9-]*{2}*>)*"
+    .format(_SKIP_NAME, _ATTRS, _WS), re.ASCII | re.IGNORECASE)
+# one skip tag: groups (end tag name, start tag name, "/" when self-closing)
+_SKIP_TAG = re.compile(r"</({0}){1}*>|<({0}){2}(/?)>".format(_SKIP_NAME, _WS, _ATTRS),
+                       re.ASCII | re.IGNORECASE)
+# HTMLParser's end of a script or style body (HTMLParser.set_cdata_mode)
+_CDATA_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
+              for tag in HTMLParser.CDATA_CONTENT_ELEMENTS}
 
 _ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain")
 
@@ -59,6 +85,41 @@ class _TextExtractor(HTMLParser):
         self._chunks: list[str] = []
         self._paragraphs: list[str] = []
         self._length = 0  # len("\n\n".join(self._paragraphs))
+
+    def parse_starttag(self, i: int) -> int:
+        return self._skip_run(super().parse_starttag(i))
+
+    def parse_endtag(self, i: int) -> int:
+        return self._skip_run(super().parse_endtag(i))
+
+    def _skip_run(self, k: int) -> int:
+        """Where HTMLParser resumes after the tag that ended at k: inside a
+        skipped element with no paragraph open, past all markup up to the
+        element's end (or the first token outside the grammar of _SKIP_TAG
+        and _PLAIN_RUN), keeping _skip_depth as the handlers would."""
+        if k < 0 or not self._skip_depth or self._chunks or self.cdata_elem:
+            return k
+        rawdata = self.rawdata
+        while True:
+            k = _PLAIN_RUN.match(rawdata, k).end()
+            tag = _SKIP_TAG.match(rawdata, k)
+            if tag is None:
+                return k
+            end_name, name, self_closing = tag.groups()
+            k = tag.end()
+            if end_name:
+                self._skip_depth -= 1
+                if not self._skip_depth:
+                    return k
+            elif self_closing:
+                pass
+            elif name.lower() in _CDATA_END:
+                body_end = _CDATA_END[name.lower()].search(rawdata, k)
+                if body_end is None:
+                    return tag.start()
+                k = body_end.end()
+            else:
+                self._skip_depth += 1
 
     def handle_starttag(self, tag: str, attrs) -> None:
         if tag in _SKIP_TAGS:
@@ -158,6 +219,8 @@ class PageReader:
         self.respect_robots = respect_robots
         self._http_get = http_get or self._requests_get
         self._robots_cache: dict[str, urllib.robotparser.RobotFileParser] = {}
+        self._robots_locks: dict[str, threading.Lock] = {}
+        self._robots_locks_guard = threading.Lock()
         self._sessions = ThreadSession(max_redirects)
 
     def fetch(self, url: str) -> tuple[str, str]:
@@ -220,25 +283,31 @@ class PageReader:
 
     def _robots_allowed(self, url: str) -> bool:
         netloc = urlparse(url).netloc
-        parser = self._robots_cache.get(netloc)
-        if parser is None:
-            parser = urllib.robotparser.RobotFileParser()
-            # RobotFileParser.read() with a timeout and lenient decoding: 2xx
-            # is parsed, 401/403 disallow all, other 4xx and network errors
-            # allow all; anything else leaves the parser unread, so can_fetch
-            # is False
-            try:
-                resp = self._sessions.session.get(
-                    f"{urlparse(url).scheme}://{netloc}/robots.txt",
-                    timeout=self.timeout, headers={"User-Agent": self.user_agent})
-            except requests.RequestException:
-                parser.allow_all = True
-            else:
-                if 200 <= resp.status_code < 300:
-                    parser.parse(resp.content.decode("utf-8", errors="replace").splitlines())
-                elif resp.status_code in (401, 403):
-                    parser.disallow_all = True
-                elif 400 <= resp.status_code < 500:
-                    parser.allow_all = True
-            self._robots_cache[netloc] = parser
+        with self._robots_locks_guard:
+            lock = self._robots_locks.setdefault(netloc, threading.Lock())
+        # one request per host; threads reaching other hosts do not wait
+        with lock:
+            parser = self._robots_cache.get(netloc)
+            if parser is None:
+                parser = self._read_robots(f"{urlparse(url).scheme}://{netloc}/robots.txt")
+                self._robots_cache[netloc] = parser
         return parser.can_fetch(self.user_agent, url)
+
+    def _read_robots(self, robots_url: str) -> urllib.robotparser.RobotFileParser:
+        """RobotFileParser.read() with a timeout and lenient decoding: 2xx is
+        parsed, 401/403 disallow all, other 4xx and network errors allow
+        all; anything else leaves the parser unread, so can_fetch is False."""
+        parser = urllib.robotparser.RobotFileParser()
+        try:
+            resp = self._sessions.session.get(
+                robots_url, timeout=self.timeout, headers={"User-Agent": self.user_agent})
+        except requests.RequestException:
+            parser.allow_all = True
+        else:
+            if 200 <= resp.status_code < 300:
+                parser.parse(resp.content.decode("utf-8", errors="replace").splitlines())
+            elif resp.status_code in (401, 403):
+                parser.disallow_all = True
+            elif 400 <= resp.status_code < 500:
+                parser.allow_all = True
+        return parser

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from claimcheck.cli import main
+from claimcheck.pipeline import Verifier
 
 from conftest import scripted_llm_app, serper_stub_app, standard_llm_rules
 
@@ -82,6 +83,16 @@ class TestVerify:
         events = [json.loads(line) for line in trace_path.read_text().splitlines()]
         assert sum(1 for e in events if e["kind"] == "search_call") <= 1
 
+    def test_null_completion_content_is_config_error(self, runner, http_stub):
+        # a refusal can come back as {"content": null}
+        body = json.dumps({"choices": [{"message": {"role": "assistant", "content": None}}]})
+        llm_base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "application/json"},
+                                                  body.encode()))
+        result = runner.invoke(main, ["verify", "some claim", "--llm-base-url", llm_base,
+                                      "--search-endpoint", "http://127.0.0.1:9"])
+        assert result.exit_code == 2, result.output
+        assert "malformed completion response" in result.output
+
     def test_trace_file_ends_with_verdict(self, runner, scripted_world, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         run(runner, ["verify", "water boils at 100 C", "--mode", "record",
@@ -149,6 +160,31 @@ class TestBench:
         out = self.bench(runner, scripted_world, tmp_path, "record", extra=("--limit", "2"))
         rows = (out / "predictions.jsonl").read_text().splitlines()
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("n_claims, expect_exit", [(5, 3), (11, 0)])
+    def test_unexpected_claim_error_is_an_error_row(self, runner, scripted_world, tmp_path,
+                                                   monkeypatch, n_claims, expect_exit):
+        claims = [(f"{text} (variant {i})", label)
+                  for i, (text, label) in enumerate(FIVE_CLAIMS * 3)][:n_claims]
+        verify = Verifier.verify
+
+        def failing_verify(self, claim, *args, **kwargs):
+            if claim.id == "c1":
+                raise RuntimeError("claim blew up")
+            return verify(self, claim, *args, **kwargs)
+
+        monkeypatch.setattr(Verifier, "verify", failing_verify)
+        out = tmp_path / "out"
+        run(runner, ["bench", "factool_kbqa", str(factool_file(tmp_path, claims)),
+                     "--mode", "record", "--out", str(out), "--concurrency", "2",
+                     *scripted_world["flags"]], expect_exit=expect_exit)
+        rows = [json.loads(line)
+                for line in (out / "predictions.jsonl").read_text().splitlines()]
+        assert [row["id"] for row in rows] == [f"c{i}" for i in range(n_claims)]
+        assert [row.get("error") for row in rows if row.get("error")] == [
+            "RuntimeError: claim blew up"]
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert (metrics["n_claims"], metrics["n_errors"]) == (n_claims, 1)
 
     def test_missing_dataset_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "factool_kbqa", "/nonexistent.jsonl"])

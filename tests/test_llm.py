@@ -180,6 +180,15 @@ class TestLiveTransport:
             gateway.complete(req())
         assert len(attempts) == 1
 
+    @pytest.mark.parametrize("content", [None, 42, ["a"]])
+    def test_non_string_content_is_malformed(self, content):
+        # a refusal can come back as {"content": null}
+        body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
+        gateway = LlmGateway(mode="live", base_url="http://x.invalid",
+                             transport=lambda *a, **k: (200, body), sleep=lambda s: None)
+        with pytest.raises(TransportError, match="malformed completion response"):
+            gateway.complete(req())
+
     def test_auth_error_not_retried(self):
         attempts = []
 

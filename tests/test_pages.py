@@ -1,10 +1,14 @@
+import sys
 import threading
 import time
+from html.parser import HTMLParser
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from claimcheck import pages
 from claimcheck.model import Acquisition
 from claimcheck.pages import EmptyExtraction, FetchError, PageReader, Unusable, extract_text
 
@@ -57,14 +61,38 @@ class TestExtractText:
 
 # fragments that exercise every paragraph rule: block tags, skip tags,
 # blank lines inside text, entities, bare '&' and '<', comments, and
-# markup hidden inside a script
+# markup hidden inside a script; then the tokenizer's corner cases inside
+# skipped elements: attributes (quoted '>' and skip tags, unquoted values,
+# no space between them), self-closing and odd-case skip tags, nested skip
+# tags of other names, declarations, processing instructions, CDATA,
+# comments holding skip tags, and tags cut off at the end of the input
 _FRAGMENTS = st.sampled_from([
     "<p>", "</p>", "<div>", "</div>", "<br>", "<li>", "<nav>", "</nav>", "<style>", "</style>",
     "<script><p>not text</p></script>", "<!-- a comment -->", "\n\n", "\n \t\n", "\n",
     "&amp;", "& ", "&", "< ", "<", " a < b ", "x", "word ", "  spaced   out  ",
-    " ", LONG_PARA,
+    " ", LONG_PARA,
+    '<a href="/x" class=\'y z\'>', "<div id=main>", '<a title="a>b">', '<a title="<nav>">',
+    "<span data-x='</nav>'>", "<a href=/x/y>", "<a b=c/>", "<nav a=b/>", '<nav a="b"/>',
+    '<a b="c"d="e">', '<nav a="x"b="y">', "<li\tclass=item\n>", "<a =x>", "<a b==c>",
+    "<nav/>", "<nav />", "<NAV>", "</Footer>", "<footer>", "<header class=site>", "</header>",
+    "<Div>", "</P >", "<nav\x0b>", "<div\xa0a=b>", '<div title="\u00e9t\u00e9">',
+    "</nav foo>", "</ nav>", "<aside>", "</aside>", "<form>", "</form>", "<navbar>", "<nav-x>",
+    "open text<nav><div>", "<header><nav><li>x</li></nav>", "<script/>", "<style a=b/>",
+    "<script>w('<nav>'); w('</footer>')</script>", "<style>p{}</nav></STYLE >",
+    "<!DOCTYPE html>", "<?x?>", "<![CDATA[x]]>", "<!-- <nav> -->", "<!-- </header> --!>",
+    "<!bogus>", '<div class="x', "<nav", "</nav", "<a href=", "<script>unclosed",
 ])
-_HTML = st.lists(st.one_of(_FRAGMENTS, st.text(alphabet="ab \n&<", max_size=12)),
+# whole skipped elements, nested, around other fragments, closed in several
+# spellings or not at all, so that text often follows the end of one
+_SKIPPED = st.recursive(
+    _FRAGMENTS,
+    lambda inner: st.builds(
+        lambda name, body, end: f"<{name}>{body}{end.format(name)}",
+        st.sampled_from(["nav", "NAV", "header", "footer", "head", "script", "Style"]),
+        st.lists(inner, max_size=6).map("".join),
+        st.sampled_from(["</{}>", "</{}>", "</{} >", "</STYLE>", "</script>", ""])),
+    max_leaves=12)
+_HTML = st.lists(st.one_of(_FRAGMENTS, _SKIPPED, st.text(alphabet="ab \n&<", max_size=12)),
                  max_size=40).map("".join)
 
 
@@ -117,6 +145,68 @@ class TestEarlyStop:
         text = PageReader(body_char_cap=500).extract_text(raw)
         assert "END-MARKER" not in text
         assert len(text) < 1000
+
+
+class _StockTokenizer(pages._TextExtractor):
+    """The extractor's handlers on HTMLParser's own tag parsing, which
+    tokenizes every tag one by one: the reference for the skip run."""
+
+    parse_starttag = HTMLParser.parse_starttag
+    parse_endtag = HTMLParser.parse_endtag
+
+
+def reference_extract_or_none(raw, min_chars, max_chars=None):
+    with mock.patch.object(pages, "_TextExtractor", _StockTokenizer):
+        return extract_or_none(raw, min_chars, max_chars)
+
+
+NAV_LINKS = "".join(f'<li class="nav-item"><a href="/w/{i}">link {i}</a></li>' for i in range(500))
+BOILERPLATE_PAGE = (
+    "<!DOCTYPE html><html><head><title>T</title><style>.a{margin:0}</style>"
+    f"<script>var s = '<nav>';</script><nav><ul>{NAV_LINKS}</ul></nav></head>"
+    f"<body><header class=\"site\"><nav><ul>{NAV_LINKS}</ul></nav><!-- </header> -->"
+    f"<form action=/s><input name=q/><button>Go</button></form></header>"
+    f"<main><article><h1>Title</h1><p>{LONG_PARA}</p><p>Second {LONG_PARA}</p></article></main>"
+    f"<footer><aside><nav><ul>{NAV_LINKS}</ul></nav></aside></footer></body></html>"
+)
+
+
+class TestSkipRun:
+    """Markup inside skipped elements is matched at regex speed; the text
+    and the EmptyExtraction decision stay those of the stock tokenizer."""
+
+    @settings(max_examples=400)
+    @given(_HTML, st.sampled_from([None, 1, 12, 40, 200]), st.integers(0, 60))
+    # corners random input seldom reaches: an unquoted value ending in '/'
+    # (a start tag, not a self-closing one), a self-closing skip tag, and a
+    # script/style end spelled other than the literal lowercase tag
+    @example(f"<header><nav a=b/></header>{LONG_PARA}", None, 40)
+    @example(f"<header><nav/><nav /></header>{LONG_PARA}", None, 40)
+    @example(f"<nav><style>a</STYLE >b</nav>{LONG_PARA}<style>c</style>", None, 40)
+    @example(f"<nav><script>a</script\n></nav>{LONG_PARA}<script>c</script>", None, 40)
+    def test_same_as_stock_tokenizer(self, raw, cap, min_chars):
+        assert (extract_or_none(raw, min_chars, cap)
+                == reference_extract_or_none(raw, min_chars, cap))
+
+    @pytest.mark.parametrize("cap", [None, 100, 12_000])
+    def test_boilerplate_page_same_as_stock_tokenizer(self, cap):
+        text = extract_or_none(BOILERPLATE_PAGE, 40, cap)
+        assert text == reference_extract_or_none(BOILERPLATE_PAGE, 40, cap)
+        assert text.startswith("Title\n\n" + LONG_PARA)
+        assert "link" not in text and "Go" not in text
+
+    def test_boilerplate_tags_skip_the_handlers(self):
+        seen = []
+
+        class Counting(pages._TextExtractor):
+            def handle_starttag(self, tag, attrs):
+                seen.append(tag)
+                super().handle_starttag(tag, attrs)
+
+        with mock.patch.object(pages, "_TextExtractor", Counting):
+            extract_text(BOILERPLATE_PAGE)
+        # 3 x 1001 nav-list start tags without the skip run
+        assert len(seen) < 40, seen
 
 
 class TestFetch:
@@ -277,3 +367,66 @@ class TestRobots:
                             http_get=lambda url: (f"<p>{LONG_PARA}</p>", "text/html"))
         text, _ = reader.fetch("http://127.0.0.1:9/page")
         assert LONG_PARA in text
+
+    def test_robots_txt_fetched_once_per_host_under_concurrency(self, http_stub):
+        robots_requests = []
+
+        def app(method, path, body, headers):
+            if path == "/robots.txt":
+                robots_requests.append(path)
+                time.sleep(0.1)  # every thread reaches the host before it answers
+                return 200, {"Content-Type": "text/plain"}, b"User-agent: *\nAllow: /\n"
+            return 200, {"Content-Type": "text/html"}, f"<p>{LONG_PARA}</p>".encode()
+
+        base = http_stub(app)
+        reader = PageReader(respect_robots=True)
+        start = threading.Barrier(4)
+        errors = []
+
+        def work(t):
+            try:
+                start.wait(5)
+                for i in range(4):
+                    assert LONG_PARA in reader.fetch(f"{base}/page/{t}/{i}")[0]
+            except BaseException as exc:  # reported by the test thread
+                errors.append(exc)
+
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert len(robots_requests) == 1
+
+    def test_slow_robots_txt_does_not_hold_up_other_hosts(self, http_stub):
+        release = threading.Event()
+        page = f"<p>{LONG_PARA}</p>".encode()
+
+        def slow_app(method, path, body, headers):
+            if path == "/robots.txt":
+                release.wait(5)
+            return 200, {"Content-Type": "text/html"}, page
+
+        def fast_app(method, path, body, headers):
+            return 200, {"Content-Type": "text/html"}, page
+
+        slow, fast = http_stub(slow_app), http_stub(fast_app)
+        reader = PageReader(respect_robots=True)
+        stuck = threading.Thread(target=reader.fetch, args=(f"{slow}/page",))
+        stuck.start()
+        try:
+            time.sleep(0.05)  # the slow host's robots.txt request is in flight
+            begin = time.monotonic()
+            assert LONG_PARA in reader.fetch(f"{fast}/page")[0]
+            assert time.monotonic() - begin < 2.0
+        finally:
+            release.set()
+            stuck.join(timeout=10)
+        assert not stuck.is_alive()
