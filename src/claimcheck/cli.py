@@ -18,7 +18,6 @@ from .llm import LlmGateway
 from .model import BudgetConfig, Claim, Verdict
 from .pages import PageReader
 from .pipeline import Ablation, GatewayFatal, Verifier
-from .trace import EventKind
 from .websearch import DEFAULT_ENDPOINT, SearchClient
 
 log = logging.getLogger(__name__)

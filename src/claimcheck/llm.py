@@ -87,10 +87,9 @@ class LlmGateway(RecordedClient):
         self.api_key = api_key
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        key = replay_key(req)
         record = self._recorded(
-            key, lambda: self._complete_live(req),
-            lambda: (f"no LLM fixture for key {key} (model={req.model_id}, "
+            lambda: replay_key(req), lambda: self._complete_live(req),
+            lambda: (f"no LLM fixture for key {replay_key(req)} (model={req.model_id}, "
                      f"first message {req.messages[0][1][:80]!r})"))
         usage = record.get("usage")
         return ChatResponse(text=record["response_text"],

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 from urllib.parse import urlparse
 
 EMPTY_EVIDENCE_MARKER = "NO EVIDENCE COLLECTED YET"
@@ -45,7 +44,6 @@ def url_dedupe_key(url: str) -> str:
 class Claim:
     text: str
     id: str = ""
-    gold_label: Optional[Verdict] = None
 
     def __post_init__(self) -> None:
         if not self.text.strip():

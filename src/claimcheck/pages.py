@@ -4,6 +4,7 @@ from __future__ import annotations
 import logging
 import re
 import threading
+import time
 import urllib.robotparser
 from html.parser import HTMLParser
 from typing import Callable, Optional
@@ -12,7 +13,7 @@ from urllib.parse import urlparse
 import requests
 
 from .model import Acquisition, Document, SearchResultMeta
-from .replaystore import ThreadSession
+from .replaystore import ThreadSession, TransportError, read_body
 
 log = logging.getLogger(__name__)
 
@@ -50,9 +51,24 @@ _PLAIN_RUN = re.compile(
 # one skip tag: groups (end tag name, start tag name, "/" when self-closing)
 _SKIP_TAG = re.compile(r"</({0}){1}*>|<({0}){2}(/?)>".format(_SKIP_NAME, _WS, _ATTRS),
                        re.ASCII | re.IGNORECASE)
+# Outside skipped elements, text and the tags that change no state (inline
+# tags such as <a>, <b>, <em>, <span>) are matched the same way, one piece
+# of text and one tag at a time, so that each piece still goes to
+# handle_data.  Text holds no '&', so HTMLParser still converts charrefs;
+# tag names exclude skip and block tags, whose handlers act, and every
+# element some Python version's HTMLParser reads as raw text or plaintext.
+_NOT_INLINE = r"(?:%s)(?![a-zA-Z0-9-])" % "|".join(sorted(
+    _SKIP_TAGS | _BLOCK_TAGS | {"title", "textarea", "plaintext", "xmp", "noembed", "noframes"}))
+# groups: (text before the tag)
+_INLINE_RUN = re.compile(
+    r"([^<&]*)(?:<(?!{0})[a-zA-Z][a-zA-Z0-9-]*{1}/?>|</(?!{0})[a-zA-Z][a-zA-Z0-9-]*{2}*>)"
+    .format(_NOT_INLINE, _ATTRS, _WS), re.ASCII | re.IGNORECASE)
 # HTMLParser's end of a script or style body (HTMLParser.set_cdata_mode)
 _CDATA_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
               for tag in HTMLParser.CDATA_CONTENT_ELEMENTS}
+
+_BLANK_LINE = re.compile(r"\n[ \t]*\n")
+_SPACES = re.compile(r"\s+")
 
 _ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain")
 
@@ -96,11 +112,13 @@ class _TextExtractor(HTMLParser):
         """Where HTMLParser resumes after the tag that ended at k: inside a
         skipped element with no paragraph open, past all markup up to the
         element's end (or the first token outside the grammar of _SKIP_TAG
-        and _PLAIN_RUN), keeping _skip_depth as the handlers would."""
-        if k < 0 or not self._skip_depth or self._chunks or self.cdata_elem:
+        and _PLAIN_RUN), keeping _skip_depth as the handlers would; outside
+        one, past text and inline tags (_INLINE_RUN), passing each piece of
+        text to handle_data as HTMLParser would."""
+        if k < 0 or self.cdata_elem or (self._skip_depth and self._chunks):
             return k
         rawdata = self.rawdata
-        while True:
+        while self._skip_depth:
             k = _PLAIN_RUN.match(rawdata, k).end()
             tag = _SKIP_TAG.match(rawdata, k)
             if tag is None:
@@ -109,8 +127,6 @@ class _TextExtractor(HTMLParser):
             k = tag.end()
             if end_name:
                 self._skip_depth -= 1
-                if not self._skip_depth:
-                    return k
             elif self_closing:
                 pass
             elif name.lower() in _CDATA_END:
@@ -120,6 +136,12 @@ class _TextExtractor(HTMLParser):
                 k = body_end.end()
             else:
                 self._skip_depth += 1
+        handle_data = self.handle_data
+        while run := _INLINE_RUN.match(rawdata, k):
+            if run.end(1) > k:
+                handle_data(run[1])
+            k = run.end()
+        return k
 
     def handle_starttag(self, tag: str, attrs) -> None:
         if tag in _SKIP_TAGS:
@@ -137,7 +159,7 @@ class _TextExtractor(HTMLParser):
         if self._skip_depth or not data.strip():
             return
         # blank lines in text content are paragraph breaks in their own right
-        pieces = re.split(r"\n[ \t]*\n", data)
+        pieces = _BLANK_LINE.split(data)
         for i, piece in enumerate(pieces):
             if i:
                 self._break_paragraph()
@@ -145,7 +167,7 @@ class _TextExtractor(HTMLParser):
                 self._chunks.append(piece)
 
     def _close_paragraph(self) -> None:
-        para = re.sub(r"\s+", " ", " ".join(self._chunks)).strip()
+        para = _SPACES.sub(" ", " ".join(self._chunks)).strip()
         self._chunks = []
         if para:
             self._length += len(para) + (2 if self._paragraphs else 0)
@@ -230,6 +252,7 @@ class PageReader:
         return self._http_get(url)
 
     def _requests_get(self, url: str) -> tuple[str, str]:
+        deadline = time.monotonic() + self.timeout
         try:
             resp = self._sessions.session.get(
                 url,
@@ -247,17 +270,15 @@ class PageReader:
             content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()
             if content_type and not content_type.startswith(_ACCEPTED_CONTENT_TYPES):
                 raise FetchError(f"unsupported content-type {content_type!r} for {url}")
-            chunks, size = [], 0
-            for chunk in resp.iter_content(chunk_size=65536):
-                size += len(chunk)
-                if size > self.max_bytes:
-                    raise FetchError(f"body over {self.max_bytes} bytes for {url}")
-                chunks.append(chunk)
+            try:
+                raw = read_body(resp, deadline, self.max_bytes)
+            except TransportError as exc:
+                raise FetchError(f"{exc} for {url}") from exc
             encoding = resp.encoding or "utf-8"
         try:
-            body = b"".join(chunks).decode(encoding, errors="replace")
+            body = raw.decode(encoding, errors="replace")
         except LookupError:
-            body = b"".join(chunks).decode("utf-8", errors="replace")
+            body = raw.decode("utf-8", errors="replace")
         return body, content_type
 
     def extract_text(self, raw: str) -> str:

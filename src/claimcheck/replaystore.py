@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 import requests
+import urllib3
 
 RETRY_DELAYS = (1.0, 2.0, 4.0)
 
@@ -48,16 +49,43 @@ class ThreadSession(threading.local):
         self.session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
 
 
+def read_body(resp: requests.Response, deadline: float,
+              max_bytes: Optional[int] = None) -> bytes:
+    """The body of a streamed response, content encoding undone, read one
+    socket read at a time so that a server sending it slowly cannot hold
+    the call past ``deadline`` (a ``time.monotonic()`` value): a requests
+    timeout bounds each read, not their sum.  TransportError when the
+    deadline passes, the body grows over ``max_bytes`` or a read fails."""
+    chunks, size = [], 0
+    try:
+        while chunk := resp.raw.read1(65536, decode_content=True):
+            size += len(chunk)
+            if max_bytes is not None and size > max_bytes:
+                raise TransportError(f"body over {max_bytes} bytes")
+            if time.monotonic() > deadline:
+                raise TransportError("body not complete within the timeout")
+            chunks.append(chunk)
+    except urllib3.exceptions.HTTPError as exc:
+        raise TransportError(f"body read failed: {exc}") from exc
+    return b"".join(chunks)
+
+
 _POST_SESSIONS = ThreadSession()
 
 
 def post_json(url: str, headers: dict[str, str], payload: dict[str, Any],
               timeout: float) -> tuple[int, str]:
+    """(status, body text) of one POST; TransportError once the body is
+    still arriving ``timeout`` seconds after the call began."""
+    deadline = time.monotonic() + timeout
     try:
-        resp = _POST_SESSIONS.session.post(url, headers=headers, json=payload, timeout=timeout)
+        resp = _POST_SESSIONS.session.post(url, headers=headers, json=payload,
+                                           timeout=timeout, stream=True)
     except requests.RequestException as exc:
         raise TransportError(str(exc)) from exc
-    return resp.status_code, resp.text
+    with resp:
+        body = read_body(resp, deadline)
+    return resp.status_code, body.decode(resp.encoding or "utf-8", errors="replace")
 
 
 class FixtureStore:
@@ -69,11 +97,11 @@ class FixtureStore:
 
     def get(self, key: str) -> Optional[dict[str, Any]]:
         path = self._path(key)
-        if not path.exists():
-            return None
         try:
             return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise StorageError(f"unreadable fixture {path}: {exc}") from exc
 
     def put(self, key: str, record: dict[str, Any]) -> None:
@@ -81,11 +109,14 @@ class FixtureStore:
         path = self._path(key)
         payload = json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         try:
-            if path.exists() and path.read_text(encoding="utf-8") == payload:
-                return
+            try:
+                if path.read_text(encoding="utf-8") == payload:
+                    return
+            except FileNotFoundError:
+                pass
             self.root.mkdir(parents=True, exist_ok=True)
             path.write_text(payload, encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise StorageError(f"cannot write fixture {path}: {exc}") from exc
 
     def keys(self) -> list[str]:
@@ -114,19 +145,19 @@ class RecordedClient:
         self._sleep = sleep
         self._timeout = timeout
 
-    def _recorded(self, key: str, live: Callable[[], dict[str, Any]],
+    def _recorded(self, key: Callable[[], str], live: Callable[[], dict[str, Any]],
                   miss: Callable[[], str]) -> dict[str, Any]:
-        """The record for ``key``: from the store in replay mode (FixtureMiss
+        """The record for ``key()``: from the store in replay mode (FixtureMiss
         with message ``miss()`` when absent), else from ``live()``, stored
-        in record mode."""
+        in record mode.  Live mode never computes the key."""
         if self.mode == "replay":
-            record = self.store.get(key)
+            record = self.store.get(key())
             if record is None:
                 raise FixtureMiss(miss())
             return record
         record = live()
         if self.mode == "record":
-            self.store.put(key, record)
+            self.store.put(key(), record)
         return record
 
     def _post(self, url: str, headers: dict[str, str],

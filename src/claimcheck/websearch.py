@@ -44,7 +44,6 @@ class SearchClient(RecordedClient):
         endpoint: str = DEFAULT_ENDPOINT,
         api_key: Optional[str] = None,
         fixture_dir: Optional[str] = None,
-        locale: str = "en",
         requests_per_second: float = 5.0,
         transport: Callable[..., tuple[int, str]] = post_json,
         sleep: Callable[[float], None] = time.sleep,
@@ -54,7 +53,6 @@ class SearchClient(RecordedClient):
         super().__init__(mode, fixture_dir, transport, sleep, timeout)
         self.endpoint = endpoint
         self.api_key = api_key
-        self.locale = locale
         self._clock = clock
         self._min_interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
         self._last_call = float("-inf")
@@ -64,7 +62,7 @@ class SearchClient(RecordedClient):
         if k < 1:
             raise ValueError("k must be >= 1")
         record = self._recorded(
-            search_fixture_key(query.text, k),
+            lambda: search_fixture_key(query.text, k),
             lambda: {"query": query.text, "k": k, "results": self._search_live(query, k)},
             lambda: f"no search fixture for query {query.text!r} (k={k})")
         return self._parse_results(record["results"], query, k)
@@ -74,7 +72,7 @@ class SearchClient(RecordedClient):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["X-API-KEY"] = self.api_key
-        payload = {"q": query.text, "num": k, "hl": self.locale}
+        payload = {"q": query.text, "num": k, "hl": "en"}
         try:
             status, body = self._post(self.endpoint, headers, payload)
         except TransportError as exc:

@@ -120,6 +120,56 @@ def http_stub(stub_servers):
     return lambda app: stub_servers(app).url
 
 
+@pytest.fixture
+def drip_server():
+    """Start raw HTTP servers that answer every request with its status
+    line and headers at once, then the body one byte every ``interval``
+    seconds; yields a factory start(body, interval) -> base URL."""
+    stop = threading.Event()
+    threads: list[threading.Thread] = []
+    listeners: list[socket.socket] = []
+
+    def answer(conn: socket.socket, body: bytes, interval: float) -> None:
+        with conn:
+            try:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(65536) or b"\r\n\r\n"
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+                             b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body))
+                for i in range(len(body)):
+                    if stop.wait(interval):
+                        return
+                    conn.sendall(body[i:i + 1])
+            except OSError:  # the client gave up on the body
+                pass
+
+    def serve(listener: socket.socket, body: bytes, interval: float) -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # closed at teardown
+                return
+            thread = threading.Thread(target=answer, args=(conn, body, interval), daemon=True)
+            thread.start()
+            threads.append(thread)
+
+    def start(body: bytes, interval: float) -> str:
+        listener = socket.create_server(("127.0.0.1", 0))
+        listeners.append(listener)
+        thread = threading.Thread(target=serve, args=(listener, body, interval), daemon=True)
+        thread.start()
+        threads.append(thread)
+        return f"http://127.0.0.1:{listener.getsockname()[1]}"
+
+    yield start
+    stop.set()
+    for listener in listeners:
+        listener.close()
+    for thread in threads:
+        thread.join(timeout=5)
+
+
 def openai_reply(text: str) -> tuple[int, dict, bytes]:
     body = json.dumps({
         "choices": [{"message": {"role": "assistant", "content": text}}],

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from claimcheck import llm
 from claimcheck.llm import (
     AuthError,
     ChatRequest,
@@ -132,6 +133,14 @@ class TestLiveTransport:
         live_text = recorder.complete(req()).text
         replayer = LlmGateway(mode="replay", fixture_dir=tmp_path)
         assert replayer.complete(req()).text == live_text == reply_text
+
+    def test_live_call_computes_no_replay_key(self, http_stub, monkeypatch):
+        def no_key(req):
+            raise AssertionError("replay_key computed in live mode")
+
+        monkeypatch.setattr(llm, "replay_key", no_key)
+        gateway = LlmGateway(mode="live", base_url=http_stub(lambda *a: openai_reply("ok")))
+        assert gateway.complete(req()).text == "ok"
 
     def test_auth_header_and_usage(self, http_stub):
         seen = {}

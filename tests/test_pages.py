@@ -65,7 +65,11 @@ class TestExtractText:
 # skipped elements: attributes (quoted '>' and skip tags, unquoted values,
 # no space between them), self-closing and odd-case skip tags, nested skip
 # tags of other names, declarations, processing instructions, CDATA,
-# comments holding skip tags, and tags cut off at the end of the input
+# comments holding skip tags, and tags cut off at the end of the input;
+# then the corners of the inline run outside skipped elements: inline tags
+# in odd spellings, self-closing ones, entities in attribute values and in
+# text, elements some Python versions read as raw text, and text right
+# before a block tag
 _FRAGMENTS = st.sampled_from([
     "<p>", "</p>", "<div>", "</div>", "<br>", "<li>", "<nav>", "</nav>", "<style>", "</style>",
     "<script><p>not text</p></script>", "<!-- a comment -->", "\n\n", "\n \t\n", "\n",
@@ -81,6 +85,9 @@ _FRAGMENTS = st.sampled_from([
     "<script>w('<nav>'); w('</footer>')</script>", "<style>p{}</nav></STYLE >",
     "<!DOCTYPE html>", "<?x?>", "<![CDATA[x]]>", "<!-- <nav> -->", "<!-- </header> --!>",
     "<!bogus>", '<div class="x', "<nav", "</nav", "<a href=", "<script>unclosed",
+    "<b>", "</b>", "</b >", "<EM>", "</em>", "<img src=x/>", "<span/>", '<a href="?a=1&amp;b=2">',
+    "</a>", "<title>", "</title>", "<textarea>", "</textarea>", "text</p>", "more text<div>",
+    "fish &amp; chips ", "AT&T<b>", "a&b", "<i>x</i>y<i>z</i>",
 ])
 # whole skipped elements, nested, around other fragments, closed in several
 # spellings or not at all, so that text often follows the end of one
@@ -184,6 +191,8 @@ class TestSkipRun:
     @example(f"<header><nav/><nav /></header>{LONG_PARA}", None, 40)
     @example(f"<nav><style>a</STYLE >b</nav>{LONG_PARA}<style>c</style>", None, 40)
     @example(f"<nav><script>a</script\n></nav>{LONG_PARA}<script>c</script>", None, 40)
+    # entities in text between inline tags, which HTMLParser converts
+    @example(f"<p>x<b>fish &amp; chips</b> AT&T <em>y</em> {LONG_PARA}</p>", None, 40)
     def test_same_as_stock_tokenizer(self, raw, cap, min_chars):
         assert (extract_or_none(raw, min_chars, cap)
                 == reference_extract_or_none(raw, min_chars, cap))
@@ -207,6 +216,37 @@ class TestSkipRun:
             extract_text(BOILERPLATE_PAGE)
         # 3 x 1001 nav-list start tags without the skip run
         assert len(seen) < 40, seen
+
+
+ARTICLE_PAGE = "<html><body><main><article><h1>Title</h1>" + "".join(
+    "<p>" + " ".join(f"word{i} <b>bold</b> <em>em</em> <a href=/w/{i}>link &amp; more</a>"
+                     for i in range(25)) + "</p>\n"
+    for _ in range(4)) + "</article></main></body></html>"
+
+
+class TestInlineRun:
+    """Text and inline tags outside skipped elements are matched at regex
+    speed; the text stays that of the stock tokenizer."""
+
+    @pytest.mark.parametrize("cap", [None, 100, 12_000])
+    def test_article_page_same_as_stock_tokenizer(self, cap):
+        text = extract_or_none(ARTICLE_PAGE, 40, cap)
+        assert text == reference_extract_or_none(ARTICLE_PAGE, 40, cap)
+        assert text.startswith("Title\n\nword0 bold em link & more word1 bold")
+
+    def test_inline_tags_skip_the_handlers(self):
+        seen = []
+
+        class Counting(pages._TextExtractor):
+            def handle_starttag(self, tag, attrs):
+                seen.append(tag)
+                super().handle_starttag(tag, attrs)
+
+        assert sum(ARTICLE_PAGE.count(tag) for tag in ("<b>", "<em>", "<a ")) == 300
+        with mock.patch.object(pages, "_TextExtractor", Counting):
+            extract_text(ARTICLE_PAGE)
+        # 300 inline start tags and 9 others without the inline run
+        assert len(seen) < 20, seen
 
 
 class TestFetch:
@@ -255,6 +295,19 @@ class TestFetch:
         text, content_type = PageReader().fetch(f"{base}/untyped")
         assert LONG_PARA in text
         assert content_type == ""
+
+    def test_slow_drip_body_is_bounded_by_the_timeout(self, drip_server):
+        # 50 bytes at one every 0.1 s: 5 s of body against a 0.5 s timeout
+        base = drip_server(b"<p>" + b"x" * 43 + b"</p>", interval=0.1)
+        start = time.monotonic()
+        with pytest.raises(FetchError, match="timeout"):
+            PageReader(timeout=0.5).fetch(f"{base}/page")
+        assert time.monotonic() - start < 1.5
+
+    def test_stalled_body_is_fetch_error(self, drip_server):
+        base = drip_server(f"<p>{LONG_PARA}</p>".encode(), interval=5.0)
+        with pytest.raises(FetchError):
+            PageReader(timeout=0.3).fetch(f"{base}/page")
 
     def test_size_cap_enforced(self, http_stub):
         base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "text/html"}, b"x" * 5000))

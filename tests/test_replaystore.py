@@ -1,0 +1,63 @@
+import json
+import time
+
+import pytest
+
+from claimcheck.replaystore import FixtureStore, StorageError, TransportError, post_json
+
+
+class TestPostJson:
+    def test_slow_drip_body_is_bounded_by_the_timeout(self, drip_server):
+        # 50 bytes at one every 0.1 s: 5 s of body against a 0.5 s timeout
+        base = drip_server(json.dumps({"text": "x" * 38}).encode(), interval=0.1)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="timeout"):
+            post_json(f"{base}/v1/chat/completions", {}, {"q": 1}, timeout=0.5)
+        assert time.monotonic() - start < 1.5
+
+    def test_stalled_body_is_transport_error(self, drip_server):
+        base = drip_server(b'{"organic": []}', interval=5.0)
+        with pytest.raises(TransportError):
+            post_json(f"{base}/search", {}, {"q": 1}, timeout=0.3)
+
+    def test_whole_body_is_returned(self, http_stub):
+        body = json.dumps({"text": "été " * 10_000}).encode()
+        base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "application/json"}, body))
+        assert post_json(f"{base}/v1", {}, {"q": 1}, timeout=5.0) == (200, body.decode())
+
+
+class TestFixtureStore:
+    def test_missing_key_is_none(self, tmp_path):
+        assert FixtureStore(tmp_path / "absent").get("k") is None
+
+    def test_put_then_get(self, tmp_path):
+        store = FixtureStore(tmp_path / "new")
+        store.put("k", {"a": [1, "é"]})
+        store.put("k", {"a": [1, "é"]})
+        assert store.get("k") == {"a": [1, "é"]}
+        assert store.keys() == ["k"]
+
+    def test_malformed_fixture_is_storage_error(self, tmp_path):
+        (tmp_path / "k.json").write_text("{not json", encoding="utf-8")
+        with pytest.raises(StorageError):
+            FixtureStore(tmp_path).get("k")
+
+    def test_fixture_that_is_not_utf8_is_storage_error(self, tmp_path):
+        (tmp_path / "k.json").write_bytes(b"\xff\xfe{}")
+        with pytest.raises(StorageError):
+            FixtureStore(tmp_path).get("k")
+        with pytest.raises(StorageError):
+            FixtureStore(tmp_path).put("k", {})
+
+    def test_unreadable_fixture_is_storage_error(self, tmp_path):
+        (tmp_path / "k.json").mkdir()
+        with pytest.raises(StorageError):
+            FixtureStore(tmp_path).get("k")
+        with pytest.raises(StorageError):
+            FixtureStore(tmp_path).put("k", {})
+
+    def test_unwritable_root_is_storage_error(self, tmp_path):
+        root = tmp_path / "file"
+        root.write_text("", encoding="utf-8")
+        with pytest.raises(StorageError):
+            FixtureStore(root).put("k", {})
