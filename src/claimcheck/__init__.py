@@ -4,8 +4,6 @@ from .agents import AgentSuite, HelpfulnessJudgment, load_prompts
 from .llm import ChatRequest, ChatResponse, LlmGateway
 from .model import (
     BudgetConfig,
-    BudgetExhausted,
-    BudgetLedger,
     Claim,
     Document,
     EvidenceItem,
@@ -25,8 +23,6 @@ __all__ = [
     "Ablation",
     "AgentSuite",
     "BudgetConfig",
-    "BudgetExhausted",
-    "BudgetLedger",
     "ChatRequest",
     "ChatResponse",
     "Claim",

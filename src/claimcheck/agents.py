@@ -20,7 +20,6 @@ from .model import (
     Claim,
     Document,
     EvidenceSet,
-    QueryOrigin,
     SearchQuery,
     SearchResultMeta,
     Verdict,
@@ -220,7 +219,7 @@ class AgentSuite:
         if fallback:
             texts = [claim.text]
         self._log("initial_query_gen", n_queries=len(texts), fallback=fallback)
-        return [SearchQuery(t, QueryOrigin.INITIAL) for t in texts]
+        return [SearchQuery(t) for t in texts]
 
     def search_rank(self, query: SearchQuery,
                     results: Sequence["SearchResultMeta"]) -> list["SearchResultMeta"]:
@@ -309,4 +308,4 @@ class AgentSuite:
         texts = [t for t in parse_query_list(reply) if t.lower() not in issued]
         texts = texts[:remaining_budget]
         self._log("additional_query_gen", n_queries=len(texts), fallback=not texts)
-        return [SearchQuery(t, QueryOrigin.ADDITIONAL) for t in texts]
+        return [SearchQuery(t) for t in texts]

@@ -58,7 +58,6 @@ class LengthMismatch(Exception):
 class LabeledClaim:
     claim: Claim
     gold: Verdict
-    dataset: DatasetKind
 
 
 def _read_records(path: str | Path) -> list[dict]:
@@ -117,7 +116,7 @@ def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[Lab
         if j not in keep:
             continue
         claim_id = str(records[i].get("id", f"{kind.value}-{i:04d}"))
-        out.append(LabeledClaim(Claim(text=text, id=claim_id), gold, kind))
+        out.append(LabeledClaim(Claim(text=text, id=claim_id), gold))
     if not out:
         raise EmptyDataset(f"{path} yielded no claims after preprocessing")
     return out

@@ -15,16 +15,11 @@ __all__ = [
     "ChatResponse",
     "LlmGateway",
     "TransportError",
-    "AuthError",
     "canonical_form",
     "replay_key",
 ]
 
 ROLES = ("system", "user")
-
-
-class AuthError(Exception):
-    """HTTP 401/403; not retryable."""
 
 
 @dataclass(frozen=True)
@@ -105,12 +100,7 @@ class LlmGateway(RecordedClient):
             "temperature": req.temperature,
             "messages": [{"role": r, "content": c} for r, c in req.messages],
         }
-        status, body = self._post(url, headers, payload)
-        if status in (401, 403):
-            raise AuthError(f"HTTP {status} from {url}")
-        if status >= 400:
-            raise TransportError(f"HTTP {status} from {url}: {body[:200]}")
-        text, usage = self._parse_body(body)
+        text, usage = self._parse_body(self._post(url, headers, payload))
         return {"request": canonical_form(req), "response_text": text, "usage": usage}
 
     @staticmethod

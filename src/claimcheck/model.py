@@ -1,7 +1,7 @@
-"""Shared domain types: claims, queries, search results, evidence, budgets."""
+"""Shared domain types: claims, queries, search results, evidence, budget config."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from urllib.parse import urlparse
 
@@ -14,11 +14,6 @@ class Verdict(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class QueryOrigin(Enum):
-    INITIAL = "initial"
-    ADDITIONAL = "additional"
 
 
 class Acquisition(Enum):
@@ -54,7 +49,6 @@ class Claim:
 @dataclass(frozen=True)
 class SearchQuery:
     text: str
-    origin: QueryOrigin = QueryOrigin.INITIAL
 
     def __post_init__(self) -> None:
         if not self.text.strip():
@@ -150,10 +144,6 @@ class EvidenceSet:
         return f"1. {first.note} (source: {first.source_url})"[:char_budget]
 
 
-class BudgetExhausted(Exception):
-    """No search-query budget remains; stop searching and classify."""
-
-
 @dataclass(frozen=True)
 class BudgetConfig:
     max_search_queries: int = 4
@@ -168,25 +158,3 @@ class BudgetConfig:
             raise ValueError("max_results_per_query must be >= 1")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-
-
-@dataclass(frozen=True)
-class BudgetLedger:
-    config: BudgetConfig
-    queries_issued: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.queries_issued <= self.config.max_search_queries:
-            raise ValueError("queries_issued out of range")
-
-    @property
-    def remaining(self) -> int:
-        return self.config.max_search_queries - self.queries_issued
-
-    def consume(self) -> "BudgetLedger":
-        """One unit of search budget; raises BudgetExhausted at the cap."""
-        if self.queries_issued >= self.config.max_search_queries:
-            raise BudgetExhausted(
-                f"search budget of {self.config.max_search_queries} exhausted"
-            )
-        return BudgetLedger(self.config, self.queries_issued + 1)

@@ -227,7 +227,6 @@ class PageReader:
         max_redirects: int = 5,
         max_bytes: int = 2_000_000,
         body_char_cap: int = 12_000,
-        min_chars: int = 40,
         user_agent: str = "claimcheck/0.1 (+https://example.invalid/claimcheck)",
         respect_robots: bool = False,
         http_get: Optional[Callable[[str], tuple[str, str]]] = None,
@@ -236,7 +235,6 @@ class PageReader:
         self.max_redirects = max_redirects
         self.max_bytes = max_bytes
         self.body_char_cap = body_char_cap
-        self.min_chars = min_chars
         self.user_agent = user_agent
         self.respect_robots = respect_robots
         self._http_get = http_get or self._requests_get
@@ -284,7 +282,7 @@ class PageReader:
     def extract_text(self, raw: str) -> str:
         """Page text whose first body_char_cap characters are exact; parsing
         stops once they are covered."""
-        return extract_text(raw, min_chars=self.min_chars, max_chars=self.body_char_cap)
+        return extract_text(raw, max_chars=self.body_char_cap)
 
     def acquire_document(self, result: SearchResultMeta) -> Document:
         """Fetched page body (truncated to the cap), else title + snippet,

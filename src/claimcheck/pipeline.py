@@ -15,10 +15,9 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .agents import AgentSuite
-from .llm import AuthError, LlmGateway
+from .llm import LlmGateway
 from .model import (
     BudgetConfig,
-    BudgetLedger,
     Claim,
     Document,
     EvidenceItem,
@@ -30,7 +29,7 @@ from .model import (
 from .pages import PageReader, Unusable
 from .replaystore import FixtureMiss, StorageError, TransportError
 from .trace import EventKind, RunTrace
-from .websearch import QuotaError, SearchClient, SearchTransportError
+from .websearch import SearchClient
 
 
 class Ablation(Enum):
@@ -44,7 +43,7 @@ class TerminationReason(Enum):
 
 
 class GatewayFatal(Exception):
-    """Auth/config failure on a gateway, or a fixture missing in replay;
+    """An agent's LLM call failed, or a fixture is missing or unreadable;
     the run cannot continue."""
 
 
@@ -52,7 +51,7 @@ class GatewayFatal(Exception):
 class PipelineState:
     claim: Claim
     trace: RunTrace
-    ledger: BudgetLedger
+    queries_issued: int = 0
     ablations: frozenset[Ablation] = frozenset()
     evidence: EvidenceSet = field(default_factory=EvidenceSet)
     pending_queries: deque[SearchQuery] = field(default_factory=deque)
@@ -103,20 +102,16 @@ class Verifier:
         config = config or BudgetConfig()
         trace = RunTrace(self.clock)
         agents = self._agent_factory(config, trace)
-        state = PipelineState(
-            claim=claim,
-            trace=trace,
-            ledger=BudgetLedger(config),
-            ablations=frozenset(ablations),
-        )
+        state = PipelineState(claim=claim, trace=trace, ablations=frozenset(ablations))
         try:
             state.pending_queries.extend(agents.initial_query_gen(claim))
             self._search_loop(agents, state, config)
             if not state.sufficient:
                 self._drain_deferred(agents, state)
             verdict = agents.classify(claim, state.evidence)
-        except (AuthError, TransportError, FixtureMiss, StorageError) as exc:
-            # the run cannot proceed without a working LLM endpoint or fixtures
+        except (TransportError, FixtureMiss, StorageError) as exc:
+            # _do_search already caught search failures: this is an agent's
+            # LLM call or the fixtures, and the run cannot proceed without them
             raise GatewayFatal(str(exc)) from exc
         terminated_by = (
             TerminationReason.SUFFICIENT_EVIDENCE
@@ -137,9 +132,9 @@ class Verifier:
                 query = state.pending_queries.popleft()
                 if query.text.lower() in state.issued_query_texts:
                     continue
-                if state.ledger.remaining == 0:
+                if state.queries_issued >= config.max_search_queries:
                     return
-                state.ledger = state.ledger.consume()
+                state.queries_issued += 1
                 state.issued_query_texts.add(query.text.lower())
                 results = self._do_search(state, query, config.max_results_per_query)
                 if results and len(results) > 1 and Ablation.RM_SR not in state.ablations:
@@ -148,11 +143,11 @@ class Verifier:
                     self._process_result(agents, state, result)
                     if state.sufficient:
                         return
-            if state.sufficient or state.ledger.remaining == 0:
+            remaining = config.max_search_queries - state.queries_issued
+            if state.sufficient or remaining == 0:
                 return
             extra = agents.additional_query_gen(
-                state.claim, state.evidence,
-                state.issued_query_texts, state.ledger.remaining,
+                state.claim, state.evidence, state.issued_query_texts, remaining,
             )
             if not extra:
                 return
@@ -165,7 +160,7 @@ class Verifier:
             state.trace.log(EventKind.SEARCH_CALL, query=query.text,
                             k=k, n_results=len(results))
             return results
-        except (SearchTransportError, QuotaError) as exc:
+        except TransportError as exc:
             state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
                             n_results=0, error=str(exc))
             return []
@@ -205,7 +200,7 @@ class Verifier:
             note=judgment.note,
             source_url=doc.meta.url,
             source_title=doc.meta.title,
-            added_at_step=state.ledger.queries_issued,
+            added_at_step=state.queries_issued,
         )
         state.evidence, added = state.evidence.add(item)
         state.trace.log(EventKind.EVIDENCE_ADDED, url=doc.meta.url, added=added)

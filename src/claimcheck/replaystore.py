@@ -27,11 +27,8 @@ class StorageError(Exception):
 
 
 class TransportError(Exception):
-    """Network failure or HTTP error that survived the retry budget."""
-
-    def __init__(self, message: str, saw_429: bool = False) -> None:
-        super().__init__(message)
-        self.saw_429 = saw_429
+    """A live call failed: network error, retries exhausted, an HTTP 4xx,
+    or a malformed body.  Whether that ends the run is up to the caller."""
 
 
 class ThreadSession(threading.local):
@@ -160,12 +157,10 @@ class RecordedClient:
             self.store.put(key(), record)
         return record
 
-    def _post(self, url: str, headers: dict[str, str],
-              payload: dict[str, Any]) -> tuple[int, str]:
-        """The first (status, body) that is not a 429 or 5xx; TransportError
-        once the retries run out, with ``saw_429`` set if any attempt got one."""
+    def _post(self, url: str, headers: dict[str, str], payload: dict[str, Any]) -> str:
+        """The body of the first answer that is not a 429 or 5xx;
+        TransportError for any other HTTP error, or once the retries run out."""
         last_error: object = None
-        saw_429 = False
         for attempt in range(1 + len(RETRY_DELAYS)):
             if attempt:
                 self._sleep(RETRY_DELAYS[attempt - 1])
@@ -175,8 +170,9 @@ class RecordedClient:
                 last_error = exc
                 continue
             if status == 429 or status >= 500:
-                saw_429 = saw_429 or status == 429
                 last_error = f"HTTP {status} from {url}"
                 continue
-            return status, body
-        raise TransportError(f"giving up after retries: {last_error}", saw_429=saw_429)
+            if status >= 400:
+                raise TransportError(f"HTTP {status} from {url}: {body[:200]}")
+            return body
+        raise TransportError(f"giving up after retries: {last_error}")

@@ -11,19 +11,11 @@ from typing import Any, Callable, Optional
 from .model import SearchQuery, SearchResultMeta, is_valid_http_url
 from .replaystore import RecordedClient, TransportError, post_json
 
-__all__ = ["SearchClient", "SearchTransportError", "QuotaError", "search_fixture_key"]
+__all__ = ["SearchClient", "search_fixture_key"]
 
 log = logging.getLogger(__name__)
 
 DEFAULT_ENDPOINT = "https://google.serper.dev/search"
-
-
-class SearchTransportError(Exception):
-    """Network failure or HTTP error that survived the retry budget."""
-
-
-class QuotaError(Exception):
-    """Provider 429 beyond the retry budget."""
 
 
 def search_fixture_key(query_text: str, k: int) -> str:
@@ -73,18 +65,11 @@ class SearchClient(RecordedClient):
         if self.api_key:
             headers["X-API-KEY"] = self.api_key
         payload = {"q": query.text, "num": k, "hl": "en"}
-        try:
-            status, body = self._post(self.endpoint, headers, payload)
-        except TransportError as exc:
-            if exc.saw_429:
-                raise QuotaError(f"rate-limited beyond retry budget: {exc}") from exc
-            raise SearchTransportError(str(exc)) from exc
-        if status >= 400:
-            raise SearchTransportError(f"HTTP {status} from {self.endpoint}: {body[:200]}")
+        body = self._post(self.endpoint, headers, payload)
         try:
             data = json.loads(body)
         except json.JSONDecodeError as exc:
-            raise SearchTransportError(f"malformed search response: {exc}") from exc
+            raise TransportError(f"malformed search response: {exc}") from exc
         organic = data.get("organic", [])
         return organic if isinstance(organic, list) else []
 

@@ -18,7 +18,6 @@ from claimcheck.model import (
     Claim,
     Document,
     EvidenceSet,
-    QueryOrigin,
     SearchQuery,
     SearchResultMeta,
     Verdict,
@@ -274,7 +273,7 @@ class FakeGateway:
 def make_result(url: str, title: str = "t", snippet: str = "s",
                 query: str = "q") -> SearchResultMeta:
     return SearchResultMeta(title=title, url=url, snippet=snippet,
-                            source_query=SearchQuery(query, QueryOrigin.INITIAL))
+                            source_query=SearchQuery(query))
 
 
 def make_doc(url: str, body: str = "some sufficiently long page body text",
@@ -329,7 +328,7 @@ class ScriptedAgents:
         verdict: Callable | Verdict = Verdict.TRUE,
         additional: Callable | list[str] | None = None,
     ) -> None:
-        self.initial = initial or ["q1"]
+        self.initial = initial if initial is not None else ["q1"]
         self.rank = rank
         self.scc = scc
         self.helpful = helpful if helpful is not None else HelpfulnessJudgment(True, "a note")
@@ -345,7 +344,7 @@ class ScriptedAgents:
 
     def initial_query_gen(self, claim: Claim) -> list[SearchQuery]:
         self.calls["initial_query_gen"] += 1
-        return [SearchQuery(t, QueryOrigin.INITIAL) for t in self.initial]
+        return [SearchQuery(t) for t in self.initial]
 
     def search_rank(self, query, results):
         self.calls["search_rank"] += 1
@@ -377,7 +376,7 @@ class ScriptedAgents:
         texts = self._value(self.additional, claim, evidence)
         issued = {t.lower() for t in issued_texts}
         texts = [t for t in texts if t.lower() not in issued][:remaining_budget]
-        return [SearchQuery(t, QueryOrigin.ADDITIONAL) for t in texts]
+        return [SearchQuery(t) for t in texts]
 
     def total_llm_like_calls(self) -> int:
         return sum(self.calls.values())

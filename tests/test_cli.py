@@ -93,6 +93,20 @@ class TestVerify:
         assert result.exit_code == 2, result.output
         assert "malformed completion response" in result.output
 
+    def test_llm_auth_failure_is_config_error(self, runner, http_stub):
+        seen = []
+
+        def denied(method, path, body, headers):
+            seen.append(path)
+            return 401, {"Content-Type": "application/json"}, b'{"error": "bad key"}'
+
+        result = runner.invoke(main, ["verify", "some claim", "--llm-base-url", http_stub(denied),
+                                      "--search-endpoint", "http://127.0.0.1:9"])
+        assert result.exit_code == 2, result.output
+        assert "configuration error:" in result.output
+        assert "HTTP 401" in result.output
+        assert len(seen) == 1
+
     def test_trace_file_ends_with_verdict(self, runner, scripted_world, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         run(runner, ["verify", "water boils at 100 C", "--mode", "record",

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from claimcheck.llm import ChatRequest, LlmGateway
-from claimcheck.model import QueryOrigin, SearchQuery
+from claimcheck.model import SearchQuery
 from claimcheck.pages import FetchError, PageReader
 from claimcheck.websearch import SearchClient
 
@@ -42,7 +42,7 @@ def run_calls(llm_url: str, search_url: str, page_url: str, threads: int, calls:
         try:
             for i in range(calls):
                 gateway.complete(ask(i))
-                search.search(SearchQuery(f"thread {t} query {i}", QueryOrigin.INITIAL), 1)
+                search.search(SearchQuery(f"thread {t} query {i}"), 1)
                 reader.fetch(f"{page_url}/page/{t}/{i}")
         except BaseException as exc:  # reported by the test thread
             errors.append(exc)

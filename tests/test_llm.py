@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from claimcheck import llm
 from claimcheck.llm import (
-    AuthError,
     ChatRequest,
     LlmGateway,
     TransportError,
@@ -207,7 +206,7 @@ class TestLiveTransport:
 
         gateway = LlmGateway(mode="live", base_url="http://x.invalid",
                              transport=denied, sleep=lambda s: None)
-        with pytest.raises(AuthError):
+        with pytest.raises(TransportError, match="HTTP 401"):
             gateway.complete(req())
         assert len(attempts) == 1
 

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from claimcheck.model import (
     EMPTY_EVIDENCE_MARKER,
     BudgetConfig,
-    BudgetExhausted,
-    BudgetLedger,
     Claim,
     EvidenceItem,
     EvidenceSet,
@@ -119,35 +117,6 @@ class TestEvidenceRender:
 
 
 class TestBudget:
-    def test_consume_increments(self):
-        ledger = BudgetLedger(BudgetConfig())
-        assert ledger.consume().queries_issued == 1
-
-    def test_exhausted_at_cap(self):
-        ledger = BudgetLedger(BudgetConfig(), queries_issued=4)
-        with pytest.raises(BudgetExhausted):
-            ledger.consume()
-
-    def test_four_successes_then_exhausted(self):
-        ledger = BudgetLedger(BudgetConfig())
-        for _ in range(4):
-            ledger = ledger.consume()
-        assert ledger.remaining == 0
-        with pytest.raises(BudgetExhausted):
-            ledger.consume()
-
-    @given(st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=6))
-    def test_successes_are_min_of_n_and_cap(self, n, cap):
-        ledger = BudgetLedger(BudgetConfig(max_search_queries=cap))
-        successes = 0
-        for _ in range(n):
-            try:
-                ledger = ledger.consume()
-                successes += 1
-            except BudgetExhausted:
-                pass
-        assert successes == min(n, cap)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BudgetConfig(max_search_queries=0)

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from claimcheck.agents import HelpfulnessJudgment
 from claimcheck.model import BudgetConfig, Claim, Verdict
 from claimcheck.pipeline import Ablation, TerminationReason, Verifier
+from claimcheck.replaystore import TransportError
 from claimcheck.trace import EventKind
+from claimcheck.websearch import SearchClient
 
 from conftest import FakeReader, FakeSearch, ScriptedAgents, make_result
 
@@ -224,8 +228,7 @@ class TestBudgetAndQueries:
 
             def search(self, query, k):
                 self.calls += 1
-                from claimcheck.websearch import SearchTransportError
-                raise SearchTransportError("boom")
+                raise TransportError("boom")
 
         agents = ScriptedAgents(initial=["q1", "q2"])
         search = ExplodingSearch()
@@ -234,6 +237,36 @@ class TestBudgetAndQueries:
         report = verifier.verify(CLAIM, BudgetConfig())
         assert search.calls == 2
         assert report.trace.completed
+
+    def test_live_search_client_failure_is_nonfatal(self):
+        attempts = []
+
+        def rate_limited(url, headers, payload, timeout):
+            attempts.append(payload["q"])
+            return 429, ""
+
+        search = SearchClient(mode="live", transport=rate_limited,
+                              sleep=lambda s: None, requests_per_second=0)
+        verifier = Verifier(agent_factory=lambda c, t: ScriptedAgents(initial=["q1"]),
+                            search=search, reader=FakeReader(), clock=lambda: 0.0)
+        report = verifier.verify(CLAIM, BudgetConfig())
+        assert attempts == ["q1"] * 4
+        assert report.trace.count(EventKind.VERDICT) == 1
+        (event,) = report.trace.of_kind(EventKind.SEARCH_CALL)
+        assert event.payload["n_results"] == 0
+        assert "HTTP 429" in event.payload["error"]
+
+    @given(n=st.integers(min_value=0, max_value=12), cap=st.integers(min_value=1, max_value=6))
+    def test_searches_are_min_of_queries_and_cap(self, n, cap):
+        queries = [f"q{i}" for i in range(n)]
+        agents = ScriptedAgents(initial=queries, helpful=HelpfulnessJudgment(False))
+        worlds = {}
+        for q in queries:
+            worlds |= world(q, 1)
+        verifier, search, _ = build(agents, worlds)
+        report = verifier.verify(CLAIM, BudgetConfig(max_search_queries=cap))
+        assert len(search.calls) == min(n, cap)
+        assert report.trace.count(EventKind.SEARCH_CALL) == min(n, cap)
 
 
 class TestAblations:
@@ -271,12 +304,11 @@ class TestTraceContract:
         assert report.trace.completed
 
     def test_gateway_fatal_on_auth_error(self):
-        from claimcheck.llm import AuthError
         from claimcheck.pipeline import GatewayFatal
 
         class AuthFailingAgents(ScriptedAgents):
             def initial_query_gen(self, claim):
-                raise AuthError("401")
+                raise TransportError("HTTP 401 from http://llm.invalid/chat/completions")
 
         verifier, _, _ = build(AuthFailingAgents(), {})
         with pytest.raises(GatewayFatal):

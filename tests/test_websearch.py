@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from claimcheck.model import SearchQuery, is_valid_http_url
 from claimcheck.replaystore import FixtureMiss, TransportError
-from claimcheck.websearch import (
-    QuotaError,
-    SearchClient,
-    SearchTransportError,
-    search_fixture_key,
-)
+from claimcheck.websearch import SearchClient, search_fixture_key
 
 
 def fixture_client(tmp_path, results, query="q", k=2):
@@ -94,15 +89,23 @@ class TestLiveMode:
         assert replayer.search(SearchQuery("q"), 2) == live
 
     def test_quota_error_after_retries(self):
-        client = SearchClient(mode="live", transport=lambda *a, **k: (429, ""),
-                              sleep=lambda s: None, requests_per_second=0)
-        with pytest.raises(QuotaError):
+        attempts, sleeps = [], []
+
+        def rate_limited(*args, **kwargs):
+            attempts.append(1)
+            return 429, ""
+
+        client = SearchClient(mode="live", transport=rate_limited,
+                              sleep=sleeps.append, requests_per_second=0)
+        with pytest.raises(TransportError, match="HTTP 429"):
             client.search(SearchQuery("q"), 1)
+        assert len(attempts) == 4
+        assert sleeps == [1.0, 2.0, 4.0]
 
     def test_server_errors_become_transport_error(self):
         client = SearchClient(mode="live", transport=lambda *a, **k: (502, ""),
                               sleep=lambda s: None, requests_per_second=0)
-        with pytest.raises(SearchTransportError):
+        with pytest.raises(TransportError, match="HTTP 502"):
             client.search(SearchQuery("q"), 1)
 
     def test_retries_transient_then_succeeds(self):
@@ -120,15 +123,23 @@ class TestLiveMode:
 
         client = SearchClient(mode="live", transport=unreachable,
                               sleep=lambda s: None, requests_per_second=0)
-        with pytest.raises(SearchTransportError):
+        with pytest.raises(TransportError, match="connection refused"):
             client.search(SearchQuery("q"), 1)
 
     def test_any_429_in_retries_is_quota_error(self):
         statuses = iter([429, 503, 503, 503])
-        client = SearchClient(mode="live", transport=lambda *a, **k: (next(statuses), ""),
-                              sleep=lambda s: None, requests_per_second=0)
-        with pytest.raises(QuotaError):
+        attempts, sleeps = [], []
+
+        def transport(*args, **kwargs):
+            attempts.append(1)
+            return next(statuses), ""
+
+        client = SearchClient(mode="live", transport=transport,
+                              sleep=sleeps.append, requests_per_second=0)
+        with pytest.raises(TransportError, match="HTTP 503"):
             client.search(SearchQuery("q"), 1)
+        assert len(attempts) == 4
+        assert sleeps == [1.0, 2.0, 4.0]
 
     def test_rate_limiter_spaces_calls(self):
         sleeps = []
