@@ -4,16 +4,13 @@ from __future__ import annotations
 import logging
 import re
 import threading
-import time
 import urllib.robotparser
 from html.parser import HTMLParser
 from typing import Callable, Optional
 from urllib.parse import urlparse
 
-import requests
-
 from .model import Acquisition, Document, SearchResultMeta
-from .replaystore import ThreadSession, TransportError, read_body
+from .replaystore import TransportError, open_url
 
 log = logging.getLogger(__name__)
 
@@ -216,9 +213,9 @@ class PageReader:
     work: parsing a page stops once its first body_char_cap characters of
     text are known.  max_bytes still applies to the whole download.
 
-    Pages and robots.txt go over one keep-alive session per thread.  A
-    response dropped before its body is read closes its connection, so no
-    connection goes back to the pool with unread bytes.
+    Pages and robots.txt go over ``replaystore.open_url``: one keep-alive
+    connection per host and thread, closed when a response is dropped
+    before its body is read.
     """
 
     def __init__(
@@ -237,11 +234,10 @@ class PageReader:
         self.body_char_cap = body_char_cap
         self.user_agent = user_agent
         self.respect_robots = respect_robots
-        self._http_get = http_get or self._requests_get
+        self._http_get = http_get or self._get
         self._robots_cache: dict[str, urllib.robotparser.RobotFileParser] = {}
         self._robots_locks: dict[str, threading.Lock] = {}
         self._robots_locks_guard = threading.Lock()
-        self._sessions = ThreadSession(max_redirects)
 
     def fetch(self, url: str) -> tuple[str, str]:
         """Return (decoded body, content-type); raises FetchError otherwise."""
@@ -249,35 +245,18 @@ class PageReader:
             raise FetchError(f"disallowed by robots.txt: {url}")
         return self._http_get(url)
 
-    def _requests_get(self, url: str) -> tuple[str, str]:
-        deadline = time.monotonic() + self.timeout
+    def _get(self, url: str) -> tuple[str, str]:
         try:
-            resp = self._sessions.session.get(
-                url,
-                timeout=self.timeout,
-                headers={"User-Agent": self.user_agent},
-                stream=True,
-            )
-        except requests.TooManyRedirects as exc:
-            raise FetchError(f"redirect chain too long for {url}") from exc
-        except requests.RequestException as exc:
-            raise FetchError(f"fetch failed for {url}: {exc}") from exc
-        with resp:
-            if not 200 <= resp.status_code < 300:
-                raise FetchError(f"HTTP {resp.status_code} for {url}")
-            content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()
-            if content_type and not content_type.startswith(_ACCEPTED_CONTENT_TYPES):
-                raise FetchError(f"unsupported content-type {content_type!r} for {url}")
-            try:
-                raw = read_body(resp, deadline, self.max_bytes)
-            except TransportError as exc:
-                raise FetchError(f"{exc} for {url}") from exc
-            encoding = resp.encoding or "utf-8"
-        try:
-            body = raw.decode(encoding, errors="replace")
-        except LookupError:
-            body = raw.decode("utf-8", errors="replace")
-        return body, content_type
+            with open_url("GET", url, {"User-Agent": self.user_agent}, timeout=self.timeout,
+                          max_redirects=self.max_redirects) as resp:
+                if not 200 <= resp.status < 300:
+                    raise FetchError(f"HTTP {resp.status} for {url}")
+                content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()
+                if content_type and not content_type.startswith(_ACCEPTED_CONTENT_TYPES):
+                    raise FetchError(f"unsupported content-type {content_type!r} for {url}")
+                return resp.text(self.max_bytes), content_type
+        except TransportError as exc:
+            raise FetchError(str(exc)) from exc
 
     def extract_text(self, raw: str) -> str:
         """Page text whose first body_char_cap characters are exact; parsing
@@ -318,15 +297,16 @@ class PageReader:
         all; anything else leaves the parser unread, so can_fetch is False."""
         parser = urllib.robotparser.RobotFileParser()
         try:
-            resp = self._sessions.session.get(
-                robots_url, timeout=self.timeout, headers={"User-Agent": self.user_agent})
-        except requests.RequestException:
+            with open_url("GET", robots_url, {"User-Agent": self.user_agent},
+                          timeout=self.timeout, max_redirects=self.max_redirects) as resp:
+                # read every body, so the connection stays open for the pages
+                body = resp.read()
+                if 200 <= resp.status < 300:
+                    parser.parse(body.decode("utf-8", errors="replace").splitlines())
+                elif resp.status in (401, 403):
+                    parser.disallow_all = True
+                elif 400 <= resp.status < 500:
+                    parser.allow_all = True
+        except TransportError:
             parser.allow_all = True
-        else:
-            if 200 <= resp.status_code < 300:
-                parser.parse(resp.content.decode("utf-8", errors="replace").splitlines())
-            elif resp.status_code in (401, 403):
-                parser.disallow_all = True
-            elif 400 <= resp.status_code < 500:
-                parser.allow_all = True
         return parser

@@ -1,21 +1,38 @@
 """Record/replay and retry layer shared by the LLM and search clients,
-and the keep-alive HTTP sessions of every external call.
+and the HTTP transport of every external call.
 
 Fixtures are one UTF-8 JSON file per key so they stay reviewable in diffs.
 """
 from __future__ import annotations
 
+import base64
+import functools
+import http.client
 import json
+import os
+import select
+import ssl
 import threading
 import time
-from http.cookiejar import DefaultCookiePolicy
+import zlib
+from http.cookiejar import CookieJar
 from pathlib import Path
 from typing import Any, Callable, Optional
+from urllib.parse import SplitResult, quote, unquote, urljoin, urlsplit
+from urllib.request import Request, proxy_bypass
 
-import requests
-import urllib3
+import certifi
 
 RETRY_DELAYS = (1.0, 2.0, 4.0)
+
+_REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
+# characters a URL's path and query keep as they are: requests' requote_uri
+# set, so existing %XX escapes stay and everything else is percent-encoded
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+_DEFAULT_HEADERS = {"Accept": "*/*", "Accept-Encoding": "gzip, deflate",
+                    "User-Agent": "claimcheck/0.1"}
+# hosts a thread keeps an idle connection to; the least recently used goes first
+_MAX_HOSTS = 10
 
 
 class FixtureMiss(Exception):
@@ -31,58 +48,267 @@ class TransportError(Exception):
     or a malformed body.  Whether that ends the run is up to the caller."""
 
 
-class ThreadSession(threading.local):
-    """One pooled keep-alive ``requests.Session`` per thread: threading.local
-    runs ``__init__`` again, with the same arguments, in each thread that
-    reads ``.session``.  Its jar stores no cookie, so every call starts
-    without cookies as a fresh session would; cookies set inside one
-    redirect chain still apply to it, since they live in the request's own
-    jar."""
+class _OpenConnections(dict):
+    """One thread's keep-alive connections, one per (scheme, host, port,
+    proxy), least recently used first; closed when the thread ends."""
 
-    def __init__(self, max_redirects: int = requests.models.DEFAULT_REDIRECT_LIMIT) -> None:
-        self.session = requests.Session()
-        self.session.max_redirects = max_redirects
-        # no allowed domain: the policy refuses every cookie
-        self.session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
+    def __del__(self) -> None:
+        for conn in self.values():
+            conn.close()
 
 
-def read_body(resp: requests.Response, deadline: float,
-              max_bytes: Optional[int] = None) -> bytes:
-    """The body of a streamed response, content encoding undone, read one
-    socket read at a time so that a server sending it slowly cannot hold
-    the call past ``deadline`` (a ``time.monotonic()`` value): a requests
-    timeout bounds each read, not their sum.  TransportError when the
-    deadline passes, the body grows over ``max_bytes`` or a read fails."""
-    chunks, size = [], 0
+class _Connections(threading.local):
+    """threading.local runs ``__init__`` again in each thread that reads
+    ``.by_origin``, and drops that thread's value when the thread ends."""
+
+    def __init__(self) -> None:
+        self.by_origin = _OpenConnections()
+
+
+_CONNECTIONS = _Connections()
+
+
+@functools.lru_cache(maxsize=4)
+def _ssl_context(ca_bundle: str) -> ssl.SSLContext:
+    """A verifying context (CERT_REQUIRED, hostname checked) trusting ca_bundle."""
+    if os.path.isdir(ca_bundle):
+        return ssl.create_default_context(capath=ca_bundle)
+    return ssl.create_default_context(cafile=ca_bundle)
+
+
+def _open_connection(scheme: str, host: str, port: int, via: Optional[SplitResult],
+                     timeout: float) -> http.client.HTTPConnection:
+    """A connection not yet opened: to the host itself, or to the proxy
+    ``via``, through a CONNECT tunnel for an https URL."""
+    if via is not None and (via.scheme != "http" or not via.hostname):
+        raise ValueError(f"unsupported proxy {via.geturl()!r}")
+    address = (host, port) if via is None else (via.hostname, via.port or 80)
+    if scheme == "http":
+        return http.client.HTTPConnection(*address, timeout=timeout)
+    conn = http.client.HTTPSConnection(
+        *address, timeout=timeout,
+        context=_ssl_context(os.environ.get("REQUESTS_CA_BUNDLE")
+                             or os.environ.get("CURL_CA_BUNDLE") or certifi.where()))
+    if via is not None:
+        conn.set_tunnel(host, port, _proxy_auth(via))
+    return conn
+
+
+def _proxy_auth(via: SplitResult) -> dict[str, str]:
+    """Proxy-Authorization for the credentials in a proxy URL, if any."""
+    if via.username is None:
+        return {}
+    user_pass = f"{unquote(via.username)}:{unquote(via.password or '')}"
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(user_pass.encode()).decode()}
+
+
+def _env_proxy(scheme: str) -> str:
+    """The proxy URL that the environment names for scheme, with
+    getproxies()'s precedence: <scheme>_proxy, else <SCHEME>_PROXY (not
+    HTTP_PROXY in a CGI request), then the same for all_proxy; "" when
+    none.  getproxies() itself decodes the whole environment twice per
+    call, which costs more than a loopback request."""
+    for name in (f"{scheme}_proxy", "all_proxy"):
+        value = os.environ.get(name)
+        if value is None and not (name == "http_proxy" and "REQUEST_METHOD" in os.environ):
+            value = os.environ.get(name.upper())
+        if value:
+            return value
+    return ""
+
+
+def _dropped(sock) -> bool:
+    """Whether the peer closed an idle connection: it is readable (EOF, or
+    bytes no request asked for) before a request is sent, as urllib3 checks."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _send(method: str, url: str, headers: dict[str, str], body: Optional[bytes],
+          timeout: float) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+    """Send one request over this thread's connection to the URL's origin
+    (replacing it first if the peer has closed it) and read the response
+    head.  ValueError for a URL that is not http(s)."""
+    parts = urlsplit(url)
+    scheme = parts.scheme.lower()
+    host = parts.hostname or ""
+    if scheme not in ("http", "https") or not host:
+        raise ValueError(f"not an http(s) URL: {url!r}")
+    if not host.isascii():
+        host = host.encode("idna").decode("ascii")
+    port = parts.port or (443 if scheme == "https" else 80)
+    target = quote(parts.path or "/", safe=_URL_SAFE)
+    if parts.query:
+        target += "?" + quote(parts.query, safe=_URL_SAFE)
+    proxy = _env_proxy(scheme)
+    via = None
+    if proxy and not proxy_bypass(host):
+        via = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        if scheme == "http":
+            # the proxy gets the absolute-form target and the credentials
+            netloc = f"[{host}]" if ":" in host else host
+            target = f"http://{netloc}{f':{parts.port}' if parts.port else ''}{target}"
+            headers = {**headers, **_proxy_auth(via)}
+    pool = _CONNECTIONS.by_origin
+    key = (scheme, host, port, via)
+    conn = pool.pop(key, None)
+    if conn is None:
+        conn = _open_connection(scheme, host, port, via, timeout)
+    elif conn.sock is not None and _dropped(conn.sock):
+        conn.close()
+    pool[key] = conn
+    if len(pool) > _MAX_HOSTS:
+        pool.pop(next(iter(pool))).close()
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
     try:
-        while chunk := resp.raw.read1(65536, decode_content=True):
-            size += len(chunk)
-            if max_bytes is not None and size > max_bytes:
-                raise TransportError(f"body over {max_bytes} bytes")
-            if time.monotonic() > deadline:
-                raise TransportError("body not complete within the timeout")
-            chunks.append(chunk)
-    except urllib3.exceptions.HTTPError as exc:
-        raise TransportError(f"body read failed: {exc}") from exc
-    return b"".join(chunks)
+        conn.request(method, target, body, headers)
+        return conn, conn.getresponse()
+    except BaseException:
+        conn.close()
+        raise
 
 
-_POST_SESSIONS = ThreadSession()
+def _charset(content_type: str) -> str:
+    """requests' rule: the charset parameter, else ISO-8859-1 for text
+    types and UTF-8 for everything else."""
+    kind, *params = content_type.split(";")
+    charset = None
+    for param in params:
+        name, eq, value = param.partition("=")
+        if eq and name.strip("\"' ").lower() == "charset":
+            charset = value.strip("\"' ")
+    if charset is not None:
+        return charset
+    return "ISO-8859-1" if "text" in kind else "utf-8"
+
+
+class Response:
+    """An HTTP response whose body is still unread.  Leaving its ``with``
+    block keeps the connection for the thread's next call to the same
+    origin only if the body was read to the end; otherwise it closes it,
+    so no unread bytes are taken for the next response."""
+
+    def __init__(self, url: str, conn: http.client.HTTPConnection,
+                 raw: http.client.HTTPResponse, deadline: float) -> None:
+        self.url = url
+        self.status = raw.status
+        self.headers = raw.headers
+        self._conn = conn
+        self._raw = raw
+        self._deadline = deadline
+        self._complete = False
+
+    def __enter__(self) -> "Response":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if not self._complete:
+            self._raw.close()
+            self._conn.close()
+
+    def read(self, max_bytes: Optional[int] = None) -> bytes:
+        """The body, gzip or deflate encoding undone, read one socket read at
+        a time so that a server sending it slowly cannot hold the call past
+        the deadline: the socket timeout bounds each read, not their sum.
+        TransportError when the deadline passes, the decoded body grows
+        over ``max_bytes`` or a read fails."""
+        encoding = self.headers.get("Content-Encoding", "").strip().lower()
+        inflate = (zlib.decompressobj(16 + zlib.MAX_WBITS) if encoding in ("gzip", "x-gzip")
+                   else zlib.decompressobj() if encoding == "deflate" else None)
+        chunks, size = [], 0
+        try:
+            while chunk := self._raw.read1(65536):
+                if inflate is not None:
+                    # at most one byte over the cap: enough to reject the body
+                    chunk = inflate.decompress(chunk, 0 if max_bytes is None
+                                               else max_bytes - size + 1)
+                size += len(chunk)
+                if max_bytes is not None and size > max_bytes:
+                    raise TransportError(f"body over {max_bytes} bytes for {self.url}")
+                if time.monotonic() > self._deadline:
+                    raise TransportError(f"body not complete within the timeout for {self.url}")
+                chunks.append(chunk)
+            if self._raw.length:
+                raise TransportError(f"body incomplete when the connection closed for {self.url}")
+            if inflate is not None:
+                chunks.append(inflate.flush())
+                if max_bytes is not None and size + len(chunks[-1]) > max_bytes:
+                    raise TransportError(f"body over {max_bytes} bytes for {self.url}")
+        except (OSError, http.client.HTTPException, zlib.error) as exc:
+            raise TransportError(f"body read failed for {self.url}: {exc}") from exc
+        self._raw.close()
+        self._complete = True
+        return b"".join(chunks)
+
+    def text(self, max_bytes: Optional[int] = None) -> str:
+        """read(), decoded by the Content-Type charset rule of requests; an
+        unknown charset decodes as UTF-8."""
+        raw = self.read(max_bytes)
+        try:
+            return raw.decode(_charset(self.headers.get("Content-Type", "")), errors="replace")
+        except LookupError:
+            return raw.decode("utf-8", errors="replace")
+
+
+def open_url(method: str, url: str, headers: dict[str, str], body: Optional[bytes] = None,
+             *, timeout: float, max_redirects: int = 0) -> Response:
+    """Send one request over the calling thread's keep-alive connection to
+    the URL's origin, through the proxy that the environment names for it
+    (HTTP_PROXY, HTTPS_PROXY, ALL_PROXY, NO_PROXY).  A GET follows up to
+    ``max_redirects`` redirects; a cookie one hop sets is sent on the later
+    hops of that chain and never after it.  ``timeout`` bounds the connect
+    and each read, and the whole body read (see Response.read).
+    TransportError for a malformed URL, a failed connection or request, or
+    a redirect chain that is too long."""
+    deadline = time.monotonic() + timeout
+    headers = {**_DEFAULT_HEADERS, **headers}
+    first_url = url
+    jar: Optional[CookieJar] = None
+    for _ in range(max_redirects + 1):
+        hop_headers = headers
+        if jar is not None:
+            request = Request(url)
+            jar.add_cookie_header(request)
+            if request.has_header("Cookie"):
+                hop_headers = {**headers, "Cookie": request.get_header("Cookie")}
+        try:
+            resp = Response(url, *_send(method, url, hop_headers, body, timeout), deadline)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            raise TransportError(f"{method} {url} failed: {exc}") from exc
+        location = resp.headers.get("Location")
+        if method != "GET" or resp.status not in _REDIRECT_STATUSES or not location:
+            return resp
+        with resp:
+            if resp.headers.get("Set-Cookie"):
+                if jar is None:
+                    jar = CookieJar()
+                jar.extract_cookies(resp._raw, Request(url))
+            try:
+                resp.read(65536)
+            except TransportError:
+                pass  # the redirect's body is dropped with its connection
+        try:
+            # http.client decodes header values as ISO-8859-1
+            location = location.encode("latin-1").decode("utf-8")
+        except UnicodeError:
+            pass
+        url = urljoin(url, location)
+    raise TransportError(f"redirect chain too long for {first_url}")
 
 
 def post_json(url: str, headers: dict[str, str], payload: dict[str, Any],
               timeout: float) -> tuple[int, str]:
     """(status, body text) of one POST; TransportError once the body is
     still arriving ``timeout`` seconds after the call began."""
-    deadline = time.monotonic() + timeout
-    try:
-        resp = _POST_SESSIONS.session.post(url, headers=headers, json=payload,
-                                           timeout=timeout, stream=True)
-    except requests.RequestException as exc:
-        raise TransportError(str(exc)) from exc
-    with resp:
-        body = read_body(resp, deadline)
-    return resp.status_code, body.decode(resp.encoding or "utf-8", errors="replace")
+    body = json.dumps(payload).encode("utf-8")
+    with open_url("POST", url, {"Content-Type": "application/json", **headers}, body,
+                  timeout=timeout) as resp:
+        return resp.status, resp.text()
 
 
 class FixtureStore:

@@ -94,12 +94,13 @@ class SearchClient(RecordedClient):
         return results
 
     def _throttle(self) -> None:
-        """Reserve the next free call slot under the lock, then sleep until it."""
+        """Wait, holding the lock, until min_interval has passed since the
+        last call was let through.  The time of this call is read after the
+        sleep, so a sleep that overruns pushes the next call back with it."""
         if self._min_interval <= 0:
             return
         with self._throttle_lock:
-            slot = max(self._clock(), self._last_call + self._min_interval)
-            self._last_call = slot
-        wait = slot - self._clock()
-        if wait > 0:
-            self._sleep(wait)
+            wait = self._last_call + self._min_interval - self._clock()
+            if wait > 0:
+                self._sleep(wait)
+            self._last_call = self._clock()

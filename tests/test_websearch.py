@@ -152,6 +152,25 @@ class TestLiveMode:
         client.search(SearchQuery("b"), 1)
         assert sleeps and sleeps[0] == pytest.approx(0.49)
 
+    def test_late_wakeup_pushes_the_next_call_back(self):
+        now = [0.0]
+        sent = []
+
+        def transport(*args, **kwargs):
+            sent.append(now[0])
+            return 200, json.dumps({"organic": []})
+
+        def sleep(seconds):
+            # the first caller to sleep wakes up 0.3 s late, the next on time
+            now[0] += seconds + (0.3 if not sent[1:] else 0.0)
+
+        client = SearchClient(mode="live", transport=transport, sleep=sleep,
+                              clock=lambda: now[0], requests_per_second=2.0)
+        for query in ("a", "b", "c"):
+            client.search(SearchQuery(query), 1)
+        assert sent == pytest.approx([0.0, 0.8, 1.3])
+        assert min(b - a for a, b in zip(sent, sent[1:])) >= 0.5
+
     def test_rate_limiter_spaces_concurrent_calls(self):
         stamps = []
 
