@@ -29,10 +29,11 @@ BENCH_ERROR_RATE_THRESHOLD = 0.1
 
 _COMMON_OPTIONS = [
     click.option("--model", default="gpt-4.1", show_default=True, help="Chat model identifier."),
-    click.option("--temperature", default=1.0, show_default=True, type=float),
-    click.option("--max-queries", default=4, show_default=True, type=int,
+    click.option("--temperature", default=1.0, show_default=True,
+                 type=click.FloatRange(min=0)),
+    click.option("--max-queries", default=4, show_default=True, type=click.IntRange(min=1),
                  help="Global search-query budget per claim."),
-    click.option("--max-results", default=2, show_default=True, type=int,
+    click.option("--max-results", default=2, show_default=True, type=click.IntRange(min=1),
                  help="Search results requested per query."),
     click.option("--mode", default="live", show_default=True,
                  type=click.Choice(["live", "record", "replay"]),

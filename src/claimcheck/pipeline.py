@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -69,7 +70,15 @@ class VerdictReport:
 
 
 class Verifier:
-    """Wires agents, search, and page reading into the verification loop."""
+    """Wires agents, search, and page reading into the verification loop.
+
+    With a live gateway, a query's result pages are fetched on a thread
+    pool as soon as the search returns, while the ranking and the earlier
+    results' agent calls wait on the LLM; they are still read in ranked
+    order.  A claim that stops mid-query has fetched up to k-1 pages it
+    never reads.  Replayed LLM calls leave no wait to hide a fetch behind,
+    and a record run fetches only what it reads, so neither prefetches.
+    """
 
     def __init__(
         self,
@@ -92,6 +101,10 @@ class Verifier:
         self.search = search
         self.reader = reader
         self.clock = clock
+        # long-lived, so its threads keep their keep-alive connections; they
+        # end when the Verifier is dropped
+        self._prefetch_pool = (ThreadPoolExecutor(thread_name_prefix="claimcheck-prefetch")
+                               if gateway is not None and gateway.mode == "live" else None)
 
     def verify(
         self,
@@ -137,12 +150,21 @@ class Verifier:
                 state.queries_issued += 1
                 state.issued_query_texts.add(query.text.lower())
                 results = self._do_search(state, query, config.max_results_per_query)
-                if results and len(results) > 1 and Ablation.RM_SR not in state.ablations:
-                    results = agents.search_rank(query, results)
-                for result in results:
-                    self._process_result(agents, state, result)
-                    if state.sufficient:
-                        return
+                # keyed by id(result): `results` keeps every key's object alive
+                prefetches = self._prefetch(results)
+                try:
+                    ranked = results
+                    if len(results) > 1 and Ablation.RM_SR not in state.ablations:
+                        ranked = agents.search_rank(query, results)
+                    for result in ranked:
+                        self._process_result(agents, state, result,
+                                             prefetches.pop(id(result), None))
+                        if state.sufficient:
+                            return
+                finally:
+                    # cancel the unread prefetches not started and wait for the
+                    # running ones, so that no fetch outlives its claim
+                    wait([f for f in prefetches.values() if not f.cancel()])
             remaining = config.max_search_queries - state.queries_issued
             if state.sufficient or remaining == 0:
                 return
@@ -165,12 +187,26 @@ class Verifier:
                             n_results=0, error=str(exc))
             return []
 
+    # -- page prefetch (live mode) ----------------------------------------
+
+    def _prefetch(self, results: list[SearchResultMeta]) -> dict[int, Future]:
+        """id(result) -> the result's document being acquired on the pool;
+        empty unless the gateway is live."""
+        if self._prefetch_pool is None:
+            return {}
+        return {id(result): self._prefetch_pool.submit(self.reader.acquire_document, result)
+                for result in results}
+
     # -- per-result scenario dispatch ------------------------------------
 
     def _process_result(self, agents: AgentSuite, state: PipelineState,
-                        result: SearchResultMeta) -> None:
+                        result: SearchResultMeta, prefetch: Optional[Future]) -> None:
         try:
-            doc = self.reader.acquire_document(result)
+            # a prefetch that has not started (the pool is busy) is fetched here
+            if prefetch is None or prefetch.cancel():
+                doc = self.reader.acquire_document(result)
+            else:
+                doc = prefetch.result()
         except Unusable as exc:
             state.trace.log(EventKind.SCENARIO_DECISION, url=result.url,
                             scenario="unusable", detail=str(exc))

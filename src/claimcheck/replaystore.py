@@ -8,6 +8,7 @@ from __future__ import annotations
 import base64
 import functools
 import http.client
+import io
 import json
 import os
 import select
@@ -127,11 +128,52 @@ def _dropped(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+class _DeadlineReader(io.RawIOBase):
+    """The socket as ``http.client.HTTPResponse`` reads it (through
+    ``makefile``), each read waiting no longer than the time left before
+    the deadline, so that a server sending the status line, headers or
+    body slowly cannot hold the call past it: a socket timeout alone
+    bounds each read, not their sum."""
+
+    def __init__(self, sock, deadline: float) -> None:
+        self._sock = sock
+        # a reference to the socket as makefile() counts it: closing the
+        # connection early leaves the socket open until the body is read
+        self._io = sock.makefile("rb", buffering=0)
+        self._deadline = deadline
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> Optional[int]:
+        left = self._deadline - time.monotonic()
+        try:
+            if left <= 0:
+                raise TimeoutError
+            self._sock.settimeout(left)
+            return self._io.readinto(buffer)
+        except TimeoutError:
+            raise TimeoutError("response not complete within the timeout") from None
+
+    def close(self) -> None:
+        self._io.close()
+        super().close()
+
+
+class _DeadlineResponse(http.client.HTTPResponse):
+    def __init__(self, sock, *args, deadline: float, **kwargs) -> None:
+        super().__init__(_DeadlineReader(sock, deadline), *args, **kwargs)
+
+
 def _send(method: str, url: str, headers: dict[str, str], body: Optional[bytes],
-          timeout: float) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+          deadline: float) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
     """Send one request over this thread's connection to the URL's origin
     (replacing it first if the peer has closed it) and read the response
-    head.  ValueError for a URL that is not http(s)."""
+    head, all before ``deadline`` (time.monotonic()).  ValueError for a
+    URL that is not http(s), TimeoutError once the deadline passes."""
     parts = urlsplit(url)
     scheme = parts.scheme.lower()
     host = parts.hostname or ""
@@ -152,6 +194,9 @@ def _send(method: str, url: str, headers: dict[str, str], body: Optional[bytes],
             netloc = f"[{host}]" if ":" in host else host
             target = f"http://{netloc}{f':{parts.port}' if parts.port else ''}{target}"
             headers = {**headers, **_proxy_auth(via)}
+    timeout = deadline - time.monotonic()
+    if timeout <= 0:
+        raise TimeoutError("response not complete within the timeout")
     pool = _CONNECTIONS.by_origin
     key = (scheme, host, port, via)
     conn = pool.pop(key, None)
@@ -165,6 +210,8 @@ def _send(method: str, url: str, headers: dict[str, str], body: Optional[bytes],
     conn.timeout = timeout
     if conn.sock is not None:
         conn.sock.settimeout(timeout)
+    # read this response (and a proxy's answer to CONNECT) against the deadline
+    conn.response_class = functools.partial(_DeadlineResponse, deadline=deadline)
     try:
         conn.request(method, target, body, headers)
         return conn, conn.getresponse()
@@ -194,13 +241,12 @@ class Response:
     so no unread bytes are taken for the next response."""
 
     def __init__(self, url: str, conn: http.client.HTTPConnection,
-                 raw: http.client.HTTPResponse, deadline: float) -> None:
+                 raw: http.client.HTTPResponse) -> None:
         self.url = url
         self.status = raw.status
         self.headers = raw.headers
         self._conn = conn
         self._raw = raw
-        self._deadline = deadline
         self._complete = False
 
     def __enter__(self) -> "Response":
@@ -212,11 +258,9 @@ class Response:
             self._conn.close()
 
     def read(self, max_bytes: Optional[int] = None) -> bytes:
-        """The body, gzip or deflate encoding undone, read one socket read at
-        a time so that a server sending it slowly cannot hold the call past
-        the deadline: the socket timeout bounds each read, not their sum.
-        TransportError when the deadline passes, the decoded body grows
-        over ``max_bytes`` or a read fails."""
+        """The body, gzip or deflate encoding undone.  TransportError when
+        the call's deadline passes, the decoded body grows over
+        ``max_bytes`` or a read fails."""
         encoding = self.headers.get("Content-Encoding", "").strip().lower()
         inflate = (zlib.decompressobj(16 + zlib.MAX_WBITS) if encoding in ("gzip", "x-gzip")
                    else zlib.decompressobj() if encoding == "deflate" else None)
@@ -230,8 +274,6 @@ class Response:
                 size += len(chunk)
                 if max_bytes is not None and size > max_bytes:
                     raise TransportError(f"body over {max_bytes} bytes for {self.url}")
-                if time.monotonic() > self._deadline:
-                    raise TransportError(f"body not complete within the timeout for {self.url}")
                 chunks.append(chunk)
             if self._raw.length:
                 raise TransportError(f"body incomplete when the connection closed for {self.url}")
@@ -262,9 +304,10 @@ def open_url(method: str, url: str, headers: dict[str, str], body: Optional[byte
     (HTTP_PROXY, HTTPS_PROXY, ALL_PROXY, NO_PROXY).  A GET follows up to
     ``max_redirects`` redirects; a cookie one hop sets is sent on the later
     hops of that chain and never after it.  ``timeout`` bounds the connect
-    and each read, and the whole body read (see Response.read).
-    TransportError for a malformed URL, a failed connection or request, or
-    a redirect chain that is too long."""
+    and each read, and the whole call: its redirects, the response head
+    and the body (see Response.read) end within ``timeout`` seconds.
+    TransportError for a malformed URL, a failed connection or request,
+    the timeout, or a redirect chain that is too long."""
     deadline = time.monotonic() + timeout
     headers = {**_DEFAULT_HEADERS, **headers}
     first_url = url
@@ -277,7 +320,7 @@ def open_url(method: str, url: str, headers: dict[str, str], body: Optional[byte
             if request.has_header("Cookie"):
                 hop_headers = {**headers, "Cookie": request.get_header("Cookie")}
         try:
-            resp = Response(url, *_send(method, url, hop_headers, body, timeout), deadline)
+            resp = Response(url, *_send(method, url, hop_headers, body, deadline))
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"{method} {url} failed: {exc}") from exc
         location = resp.headers.get("Location")
@@ -303,8 +346,8 @@ def open_url(method: str, url: str, headers: dict[str, str], body: Optional[byte
 
 def post_json(url: str, headers: dict[str, str], payload: dict[str, Any],
               timeout: float) -> tuple[int, str]:
-    """(status, body text) of one POST; TransportError once the body is
-    still arriving ``timeout`` seconds after the call began."""
+    """(status, body text) of one POST; TransportError once the response
+    is still arriving ``timeout`` seconds after the call began."""
     body = json.dumps(payload).encode("utf-8")
     with open_url("POST", url, {"Content-Type": "application/json", **headers}, body,
                   timeout=timeout) as resp:

@@ -123,19 +123,24 @@ def http_stub(stub_servers):
 def drip_server():
     """Start raw HTTP servers that answer every request with its status
     line and headers at once, then the body one byte every ``interval``
-    seconds; yields a factory start(body, interval) -> base URL."""
+    seconds; yields a factory start(body, interval, slow_head=False) ->
+    base URL.  With slow_head, the status line and headers drip too."""
     stop = threading.Event()
     threads: list[threading.Thread] = []
     listeners: list[socket.socket] = []
 
-    def answer(conn: socket.socket, body: bytes, interval: float) -> None:
+    def answer(conn: socket.socket, body: bytes, interval: float, slow_head: bool) -> None:
         with conn:
             try:
                 request = b""
                 while b"\r\n\r\n" not in request:
                     request += conn.recv(65536) or b"\r\n\r\n"
-                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
-                             b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body))
+                head = (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+                        b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body))
+                if slow_head:
+                    body = head + body
+                else:
+                    conn.sendall(head)
                 for i in range(len(body)):
                     if stop.wait(interval):
                         return
@@ -143,20 +148,21 @@ def drip_server():
             except OSError:  # the client gave up on the body
                 pass
 
-    def serve(listener: socket.socket, body: bytes, interval: float) -> None:
+    def serve(listener: socket.socket, *answer_args) -> None:
         while not stop.is_set():
             try:
                 conn, _ = listener.accept()
             except OSError:  # closed at teardown
                 return
-            thread = threading.Thread(target=answer, args=(conn, body, interval), daemon=True)
+            thread = threading.Thread(target=answer, args=(conn, *answer_args), daemon=True)
             thread.start()
             threads.append(thread)
 
-    def start(body: bytes, interval: float) -> str:
+    def start(body: bytes, interval: float, slow_head: bool = False) -> str:
         listener = socket.create_server(("127.0.0.1", 0))
         listeners.append(listener)
-        thread = threading.Thread(target=serve, args=(listener, body, interval), daemon=True)
+        thread = threading.Thread(target=serve, args=(listener, body, interval, slow_head),
+                                  daemon=True)
         thread.start()
         threads.append(thread)
         return f"http://127.0.0.1:{listener.getsockname()[1]}"
@@ -164,6 +170,10 @@ def drip_server():
     yield start
     stop.set()
     for listener in listeners:
+        try:
+            listener.shutdown(socket.SHUT_RDWR)  # close() alone does not wake accept()
+        except OSError:
+            pass
         listener.close()
     for thread in threads:
         thread.join(timeout=5)

@@ -226,3 +226,20 @@ class TestMissingFixture:
                                       "--fixtures", str(tmp_path / "empty")])
         assert result.exit_code == 2
         assert "configuration error" in result.output
+
+
+class TestBudgetOptions:
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    @pytest.mark.parametrize("option, value", [("--max-results", "0"),
+                                               ("--max-queries", "0"),
+                                               ("--temperature", "-1")])
+    def test_out_of_range_value_is_usage_error(self, runner, tmp_path, command,
+                                               option, value):
+        args = (["verify", "some claim"] if command == "verify" else
+                ["bench", "factool_kbqa", str(factool_file(tmp_path, [("a claim", True)]))])
+        result = runner.invoke(main, [*args, option, value, "--mode", "replay",
+                                      "--fixtures", str(tmp_path / "fx")])
+        assert result.exit_code == 1
+        # click's one-line usage error, not a traceback from BudgetConfig
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{option}'" in result.output

@@ -304,6 +304,14 @@ class TestFetch:
             PageReader(timeout=0.5).fetch(f"{base}/page")
         assert time.monotonic() - start < 1.5
 
+    def test_slow_drip_head_is_bounded_by_the_timeout(self, drip_server):
+        # ~90 bytes of status line and headers at one every 0.1 s
+        base = drip_server(f"<p>{LONG_PARA}</p>".encode(), interval=0.1, slow_head=True)
+        start = time.monotonic()
+        with pytest.raises(FetchError, match="timeout"):
+            PageReader(timeout=0.5).fetch(f"{base}/page")
+        assert time.monotonic() - start < 1.5
+
     def test_stalled_body_is_fetch_error(self, drip_server):
         base = drip_server(f"<p>{LONG_PARA}</p>".encode(), interval=5.0)
         with pytest.raises(FetchError):

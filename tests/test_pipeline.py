@@ -1,15 +1,30 @@
+import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from claimcheck.agents import HelpfulnessJudgment
+from claimcheck.llm import LlmGateway
 from claimcheck.model import BudgetConfig, Claim, Verdict
+from claimcheck.pages import PageReader
 from claimcheck.pipeline import Ablation, TerminationReason, Verifier
 from claimcheck.replaystore import TransportError
 from claimcheck.trace import EventKind
 from claimcheck.websearch import SearchClient
 
-from conftest import FakeReader, FakeSearch, ScriptedAgents, make_result
+from conftest import (
+    FakeReader,
+    FakeSearch,
+    ScriptedAgents,
+    make_result,
+    scripted_llm_app,
+    serper_stub_app,
+    standard_llm_rules,
+)
 
 CLAIM = Claim(text="X was founded in 1998")
 
@@ -325,3 +340,152 @@ class TestTraceContract:
         verifier, _, _ = build(DeadEndpointAgents(initial=["q1"]), {})
         with pytest.raises(GatewayFatal):
             verifier.verify(CLAIM, BudgetConfig())
+
+
+# ---------------------------------------------------------------------------
+# page prefetch: live gateways over the stub servers
+
+
+PAGE = "<p>" + "A page about the claim, long enough to be kept as text. " * 3 + "</p>"
+
+
+def llm_rules(n_results: int, sufficient: bool = True, rank=None) -> list:
+    """standard_llm_rules, with evidence never sufficient unless `sufficient`
+    and the ranker's reply replaced by `rank` (a reply or a callable) when given."""
+    replies = {"Is this evidence sufficient": "YES, that settles it." if sufficient
+               else "NO, more is needed."}
+    if rank:
+        replies["Sort the results"] = rank
+    return [(needle, replies.get(needle, reply))
+            for needle, reply in standard_llm_rules(n_results)]
+
+
+class Pages:
+    """PageReader's http_get: serves PAGE and records (url, thread) per
+    fetch; hooks[i] runs first for the page of result i."""
+
+    def __init__(self, hooks=None) -> None:
+        self.hooks = hooks or {}
+        self.fetches: list[tuple[str, threading.Thread]] = []
+        self._lock = threading.Lock()
+
+    def __call__(self, url: str) -> tuple[str, str]:
+        with self._lock:
+            self.fetches.append((url, threading.current_thread()))
+        hook = self.hooks.get(int(url.rsplit("/", 1)[1]))
+        if hook is not None:
+            hook()
+        return PAGE, "text/html"
+
+    def urls(self) -> list[str]:
+        return [url for url, _ in self.fetches]
+
+
+def stub_verifier(http_stub, tmp_path, mode, rules, pages, search_app):
+    """The pipeline as the CLI builds it for `mode`, over stub LLM and
+    search servers (in replay, the fixtures of an earlier record run)."""
+    fixtures = tmp_path / "fixtures"
+    stored = mode != "live"
+    gateway = LlmGateway(mode=mode, base_url=http_stub(scripted_llm_app(rules)), api_key="k",
+                         fixture_dir=str(fixtures / "llm") if stored else None)
+    search = SearchClient(mode=mode, endpoint=http_stub(search_app), api_key="k",
+                          fixture_dir=str(fixtures / "search") if stored else None,
+                          requests_per_second=0)
+    return Verifier(gateway=gateway, search=search, reader=PageReader(http_get=pages),
+                    clock=lambda: 0.0)
+
+
+def fetched_events(report) -> list[str]:
+    return [e.payload["url"] for e in report.trace.of_kind(EventKind.FETCH)]
+
+
+class TestPrefetch:
+    @pytest.mark.parametrize("sufficient", [True, False])
+    def test_live_run_decides_as_record_run(self, http_stub, tmp_path, sufficient):
+        rules = llm_rules(3, sufficient=sufficient, rank="[3, 1, 2]")
+        reports = {}
+        for mode in ("record", "live"):
+            verifier = stub_verifier(http_stub, tmp_path, mode, rules, Pages(),
+                                     serper_stub_app(3))
+            reports[mode] = verifier.verify(CLAIM, BudgetConfig(max_results_per_query=3))
+        record, live = reports["record"], reports["live"]
+        assert live.verdict is record.verdict
+        assert live.terminated_by is record.terminated_by
+        assert list(live.evidence) == list(record.evidence)
+        assert (live.trace.to_jsonl(normalize_timestamps=True)
+                == record.trace.to_jsonl(normalize_timestamps=True))
+        assert len(fetched_events(live)) == (1 if sufficient else 3)
+
+    def test_replay_fetches_only_the_pages_it_reads(self, http_stub, tmp_path):
+        config = BudgetConfig(max_results_per_query=3)
+        record_pages, replay_pages, live_pages = Pages(), Pages(), Pages()
+        stub_verifier(http_stub, tmp_path, "record", llm_rules(3), record_pages,
+                      serper_stub_app(3)).verify(CLAIM, config)
+        report = stub_verifier(http_stub, tmp_path, "replay", llm_rules(3), replay_pages,
+                               serper_stub_app(3)).verify(CLAIM, config)
+        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+        assert replay_pages.urls() == record_pages.urls() == fetched_events(report)
+        assert len(fetched_events(report)) == 1
+        # live mode pays for the two pages after the decisive one
+        stub_verifier(http_stub, tmp_path, "live", llm_rules(3), live_pages,
+                      serper_stub_app(3)).verify(CLAIM, config)
+        assert len(live_pages.urls()) == 3
+
+    def test_running_prefetch_ends_before_verify_returns(self, http_stub, tmp_path):
+        started, finished = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            time.sleep(0.2)
+            finished.set()
+
+        # the decisive first page is read only once the second one is being fetched
+        pages = Pages({0: lambda: started.wait(5), 1: slow})
+        verifier = stub_verifier(http_stub, tmp_path, "live", llm_rules(2), pages,
+                                 serper_stub_app(2))
+        report = verifier.verify(CLAIM, BudgetConfig())
+        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+        assert len(fetched_events(report)) == 1
+        assert finished.is_set()
+
+    def test_prefetch_not_started_is_fetched_inline(self, http_stub, tmp_path):
+        held, released = threading.Event(), threading.Event()
+
+        def hold():
+            held.set()
+            released.wait(5)
+
+        def rank(messages):
+            held.wait(5)
+            return "[2, 1]"
+
+        # the pool's one thread is held by the first result's page until the
+        # second result, ranked first, has been read
+        pages = Pages({0: hold, 1: released.set})
+        verifier = stub_verifier(http_stub, tmp_path, "live",
+                                 llm_rules(2, sufficient=False, rank=rank), pages,
+                                 serper_stub_app(2))
+        verifier._prefetch_pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            report = verifier.verify(CLAIM, BudgetConfig())
+        finally:
+            verifier._prefetch_pool.shutdown()
+        first, second = fetched_events(report)
+        assert first.endswith("/1") and second.endswith("/0")
+        threads = dict(pages.fetches)
+        assert len(threads) == len(pages.fetches) == 2
+        assert threads[first] is threading.current_thread()
+        assert threads[second] is not threading.current_thread()
+
+    @pytest.mark.parametrize("mode", ["record", "live"])
+    def test_same_url_twice_is_fetched_twice(self, http_stub, tmp_path, mode):
+        def search_app(method, path, body, headers):
+            result = {"title": "Same page", "link": "http://127.0.0.1:9/same/0",
+                      "snippet": "the same page, listed twice"}
+            return 200, {}, json.dumps({"organic": [result, result]}).encode()
+
+        pages = Pages()
+        verifier = stub_verifier(http_stub, tmp_path, mode, llm_rules(2, sufficient=False),
+                                 pages, search_app)
+        report = verifier.verify(CLAIM, BudgetConfig())
+        assert pages.urls() == fetched_events(report) == ["http://127.0.0.1:9/same/0"] * 2

@@ -15,6 +15,14 @@ class TestPostJson:
             post_json(f"{base}/v1/chat/completions", {}, {"q": 1}, timeout=0.5)
         assert time.monotonic() - start < 1.5
 
+    def test_slow_drip_head_is_bounded_by_the_timeout(self, drip_server):
+        # ~90 bytes of status line and headers at one every 0.1 s
+        base = drip_server(b'{"organic": []}', interval=0.1, slow_head=True)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="timeout"):
+            post_json(f"{base}/search", {}, {"q": 1}, timeout=0.5)
+        assert time.monotonic() - start < 1.5
+
     def test_stalled_body_is_transport_error(self, drip_server):
         base = drip_server(b'{"organic": []}', interval=5.0)
         with pytest.raises(TransportError):
