@@ -57,8 +57,10 @@ def _common_options(fn):
     return fn
 
 
-def _build_verifier(mode, fixtures, llm_base_url, llm_api_key,
-                    search_endpoint, search_api_key) -> Verifier:
+def _build(model, temperature, max_queries, max_results, mode, fixtures, ablations,
+           llm_base_url, llm_api_key, search_endpoint,
+           search_api_key) -> tuple[Verifier, BudgetConfig, frozenset[Ablation]]:
+    """The verifier, budget and ablations that the common options name."""
     if mode in ("record", "replay") and not fixtures:
         raise click.UsageError("--fixtures is required in record/replay mode")
     fixture_root = Path(fixtures) if fixtures else None
@@ -78,21 +80,15 @@ def _build_verifier(mode, fixtures, llm_base_url, llm_api_key,
     except ValueError as exc:
         raise SystemExit(_config_error(str(exc)))
     reader = PageReader(respect_robots=(mode != "replay"))
-    return Verifier(gateway=gateway, search=search, reader=reader)
+    config = BudgetConfig(max_search_queries=max_queries, max_results_per_query=max_results,
+                          model_id=model, temperature=temperature)
+    return (Verifier(gateway=gateway, search=search, reader=reader), config,
+            frozenset(Ablation(a) for a in ablations))
 
 
 def _config_error(message: str) -> int:
     click.echo(f"configuration error: {message}", err=True)
     return 2
-
-
-def _budget(model, temperature, max_queries, max_results) -> BudgetConfig:
-    return BudgetConfig(
-        max_search_queries=max_queries,
-        max_results_per_query=max_results,
-        model_id=model,
-        temperature=temperature,
-    )
 
 
 @click.group()
@@ -105,21 +101,13 @@ def main() -> None:
 @_common_options
 @click.option("--trace", "trace_path", default=None, type=click.Path(dir_okay=False),
               help="Write the run trace as JSONL to this file.")
-def cmd_verify(claim_text, trace_path, model, temperature, max_queries, max_results,
-               mode, fixtures, ablations, llm_base_url, llm_api_key,
-               search_endpoint, search_api_key) -> None:
+def cmd_verify(claim_text, trace_path, **options) -> None:
     """Verify one claim and print the verdict with its evidence."""
     if not claim_text.strip():
         raise click.UsageError("claim text must be non-empty")
-    verifier = _build_verifier(mode, fixtures, llm_base_url, llm_api_key,
-                               search_endpoint, search_api_key)
-    config = _budget(model, temperature, max_queries, max_results)
+    verifier, config, ablations = _build(**options)
     try:
-        result = verifier.verify(
-            Claim(text=claim_text),
-            config,
-            frozenset(Ablation(a) for a in ablations),
-        )
+        result = verifier.verify(Claim(text=claim_text), config, ablations)
     except GatewayFatal as exc:
         raise SystemExit(_config_error(str(exc)))
     click.echo(f"verdict: {result.verdict.value}")
@@ -141,16 +129,16 @@ def cmd_verify(claim_text, trace_path, model, temperature, max_queries, max_resu
 @_common_options
 @click.option("--seed", default=0, show_default=True, type=int,
               help="Seed for dataset subsampling.")
-@click.option("--limit", default=None, type=int, help="Verify only the first N claims.")
-@click.option("--concurrency", default=4, show_default=True, type=int,
+@click.option("--limit", default=None, type=click.IntRange(min=1),
+              help="Verify only the first N claims.")
+@click.option("--concurrency", default=4, show_default=True, type=click.IntRange(min=1),
               help="Claims verified in parallel.")
 @click.option("--out", "out_dir", default="bench-out", show_default=True,
               type=click.Path(file_okay=False))
 @click.option("--trace-dir", default=None, type=click.Path(file_okay=False),
               help="Write one trace JSONL per claim into this directory.")
 def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, trace_dir,
-              model, temperature, max_queries, max_results, mode, fixtures, ablations,
-              llm_base_url, llm_api_key, search_endpoint, search_api_key) -> None:
+              **options) -> None:
     """Run verification over a dataset and write predictions and metrics."""
     kind = evalkit.DatasetKind(dataset_kind)
     try:
@@ -159,14 +147,11 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
         raise SystemExit(_config_error(f"cannot load {dataset_path}: {exc}"))
     if limit is not None:
         claims = claims[:limit]
-    verifier = _build_verifier(mode, fixtures, llm_base_url, llm_api_key,
-                               search_endpoint, search_api_key)
-    config = _budget(model, temperature, max_queries, max_results)
-    ablation_set = frozenset(Ablation(a) for a in ablations)
+    verifier, config, ablations = _build(**options)
 
     def run_one(labeled):
         try:
-            outcome = verifier.verify(labeled.claim, config, ablation_set)
+            outcome = verifier.verify(labeled.claim, config, ablations)
             return labeled, outcome, None
         except GatewayFatal as exc:
             return labeled, None, str(exc)
@@ -174,7 +159,7 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
             log.exception("claim %s failed", labeled.claim.id)
             return labeled, None, f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
         outcomes = list(pool.map(run_one, claims))
 
     out = Path(out_dir)
@@ -211,7 +196,7 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
         "n_claims": len(outcomes),
         "n_scored": len(preds),
         "n_errors": errored,
-        "ablations": sorted(a.value for a in ablation_set),
+        "ablations": sorted(a.value for a in ablations),
         **rep.to_dict(),
     }
     (out / "metrics.json").write_text(

@@ -92,9 +92,7 @@ class LlmGateway(RecordedClient):
 
     def _complete_live(self, req: ChatRequest) -> dict[str, Any]:
         url = f"{self.base_url}/chat/completions"
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         payload = {
             "model": req.model_id,
             "temperature": req.temperature,
@@ -104,11 +102,10 @@ class LlmGateway(RecordedClient):
         return {"request": canonical_form(req), "response_text": text, "usage": usage}
 
     @staticmethod
-    def _parse_body(body: str) -> tuple[str, Optional[tuple[int, int]]]:
+    def _parse_body(data: dict[str, Any]) -> tuple[str, Optional[tuple[int, int]]]:
         try:
-            data = json.loads(body)
             text = data["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
         if not isinstance(text, str):
             # e.g. a refusal, which some providers send as "content": null

@@ -61,7 +61,6 @@ class SearchResultMeta:
     title: str
     url: str
     snippet: str
-    source_query: SearchQuery
 
     def __post_init__(self) -> None:
         if not is_valid_http_url(self.url):
@@ -84,15 +83,12 @@ class EvidenceItem:
     note: str
     source_url: str
     source_title: str = ""
-    added_at_step: int = 0
 
     def __post_init__(self) -> None:
         if not self.note.strip():
             raise ValueError("evidence note must be non-empty")
         if not is_valid_http_url(self.source_url):
             raise ValueError(f"invalid evidence source url: {self.source_url!r}")
-        if self.added_at_step < 0:
-            raise ValueError("added_at_step must be >= 0")
 
 
 @dataclass(frozen=True)

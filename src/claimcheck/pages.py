@@ -10,11 +10,11 @@ from typing import Callable, Optional
 from urllib.parse import urlparse
 
 from .model import Acquisition, Document, SearchResultMeta
-from .replaystore import TransportError, open_url
+from .replaystore import USER_AGENT, TransportError, open_url
 
 log = logging.getLogger(__name__)
 
-__all__ = ["PageReader", "FetchError", "EmptyExtraction", "Unusable", "extract_text"]
+__all__ = ["PageReader", "EmptyExtraction", "Unusable", "extract_text"]
 
 # tags whose content is boilerplate or invisible, never page text
 _SKIP_TAGS = frozenset(
@@ -68,10 +68,6 @@ _BLANK_LINE = re.compile(r"\n[ \t]*\n")
 _SPACES = re.compile(r"\s+")
 
 _ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain")
-
-
-class FetchError(Exception):
-    """Page could not be fetched (timeout, HTTP error, too large, wrong type)."""
 
 
 class EmptyExtraction(Exception):
@@ -215,7 +211,7 @@ class PageReader:
 
     Pages and robots.txt go over ``replaystore.open_url``: one keep-alive
     connection per host and thread, closed when a response is dropped
-    before its body is read.
+    before its body is read, with the transport's User-Agent.
     """
 
     def __init__(
@@ -224,7 +220,6 @@ class PageReader:
         max_redirects: int = 5,
         max_bytes: int = 2_000_000,
         body_char_cap: int = 12_000,
-        user_agent: str = "claimcheck/0.1 (+https://example.invalid/claimcheck)",
         respect_robots: bool = False,
         http_get: Optional[Callable[[str], tuple[str, str]]] = None,
     ) -> None:
@@ -232,7 +227,6 @@ class PageReader:
         self.max_redirects = max_redirects
         self.max_bytes = max_bytes
         self.body_char_cap = body_char_cap
-        self.user_agent = user_agent
         self.respect_robots = respect_robots
         self._http_get = http_get or self._get
         self._robots_cache: dict[str, urllib.robotparser.RobotFileParser] = {}
@@ -240,23 +234,22 @@ class PageReader:
         self._robots_locks_guard = threading.Lock()
 
     def fetch(self, url: str) -> tuple[str, str]:
-        """Return (decoded body, content-type); raises FetchError otherwise."""
+        """Return (decoded body, content-type).  TransportError for a page
+        that robots.txt disallows, a non-2xx status, an unsupported content
+        type or a failed transfer."""
         if self.respect_robots and not self._robots_allowed(url):
-            raise FetchError(f"disallowed by robots.txt: {url}")
+            raise TransportError(f"disallowed by robots.txt: {url}")
         return self._http_get(url)
 
     def _get(self, url: str) -> tuple[str, str]:
-        try:
-            with open_url("GET", url, {"User-Agent": self.user_agent}, timeout=self.timeout,
-                          max_redirects=self.max_redirects) as resp:
-                if not 200 <= resp.status < 300:
-                    raise FetchError(f"HTTP {resp.status} for {url}")
-                content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()
-                if content_type and not content_type.startswith(_ACCEPTED_CONTENT_TYPES):
-                    raise FetchError(f"unsupported content-type {content_type!r} for {url}")
-                return resp.text(self.max_bytes), content_type
-        except TransportError as exc:
-            raise FetchError(str(exc)) from exc
+        with open_url("GET", url, {}, timeout=self.timeout,
+                      max_redirects=self.max_redirects) as resp:
+            if not 200 <= resp.status < 300:
+                raise TransportError(f"HTTP {resp.status} for {url}")
+            content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()
+            if content_type and not content_type.startswith(_ACCEPTED_CONTENT_TYPES):
+                raise TransportError(f"unsupported content-type {content_type!r} for {url}")
+            return resp.text(self.max_bytes), content_type
 
     def extract_text(self, raw: str) -> str:
         """Page text whose first body_char_cap characters are exact; parsing
@@ -271,7 +264,7 @@ class PageReader:
             body = self.extract_text(raw)
             return Document(meta=result, body=body[: self.body_char_cap],
                             acquisition=Acquisition.FETCHED_PAGE)
-        except (FetchError, EmptyExtraction) as exc:
+        except (TransportError, EmptyExtraction) as exc:
             log.debug("falling back to snippet for %s: %s", result.url, exc)
         if result.snippet.strip():
             body = f"{result.title}\n{result.snippet}".strip()
@@ -289,7 +282,7 @@ class PageReader:
             if parser is None:
                 parser = self._read_robots(f"{urlparse(url).scheme}://{netloc}/robots.txt")
                 self._robots_cache[netloc] = parser
-        return parser.can_fetch(self.user_agent, url)
+        return parser.can_fetch(USER_AGENT, url)
 
     def _read_robots(self, robots_url: str) -> urllib.robotparser.RobotFileParser:
         """RobotFileParser.read() with a timeout and lenient decoding: 2xx is
@@ -297,8 +290,8 @@ class PageReader:
         all; anything else leaves the parser unread, so can_fetch is False."""
         parser = urllib.robotparser.RobotFileParser()
         try:
-            with open_url("GET", robots_url, {"User-Agent": self.user_agent},
-                          timeout=self.timeout, max_redirects=self.max_redirects) as resp:
+            with open_url("GET", robots_url, {}, timeout=self.timeout,
+                          max_redirects=self.max_redirects) as resp:
                 # read every body, so the connection stays open for the pages
                 body = resp.read()
                 if 200 <= resp.status < 300:

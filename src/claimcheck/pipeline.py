@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .agents import AgentSuite
+from .agents import AgentSuite, load_prompts
 from .llm import LlmGateway
 from .model import (
     BudgetConfig,
@@ -52,7 +52,6 @@ class GatewayFatal(Exception):
 class PipelineState:
     claim: Claim
     trace: RunTrace
-    queries_issued: int = 0
     ablations: frozenset[Ablation] = frozenset()
     evidence: EvidenceSet = field(default_factory=EvidenceSet)
     pending_queries: deque[SearchQuery] = field(default_factory=deque)
@@ -83,20 +82,19 @@ class Verifier:
     def __init__(
         self,
         gateway: Optional[LlmGateway] = None,
-        search: Optional[SearchClient] = None,
-        reader: Optional[PageReader] = None,
-        prompts: Optional[dict] = None,
+        *,
+        search: SearchClient,
+        reader: PageReader,
         agent_factory: Optional[Callable[[BudgetConfig, RunTrace], AgentSuite]] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
         if agent_factory is None:
             if gateway is None:
                 raise ValueError("either a gateway or an agent_factory is required")
+            prompts = load_prompts()  # once, shared by every claim's agents
             agent_factory = lambda config, trace: AgentSuite(  # noqa: E731
                 gateway, config, prompts=prompts, trace=trace
             )
-        if search is None or reader is None:
-            raise ValueError("search client and page reader are required")
         self._agent_factory = agent_factory
         self.search = search
         self.reader = reader
@@ -145,9 +143,8 @@ class Verifier:
                 query = state.pending_queries.popleft()
                 if query.text.lower() in state.issued_query_texts:
                     continue
-                if state.queries_issued >= config.max_search_queries:
+                if len(state.issued_query_texts) >= config.max_search_queries:
                     return
-                state.queries_issued += 1
                 state.issued_query_texts.add(query.text.lower())
                 results = self._do_search(state, query, config.max_results_per_query)
                 # keyed by id(result): `results` keeps every key's object alive
@@ -165,7 +162,7 @@ class Verifier:
                     # cancel the unread prefetches not started and wait for the
                     # running ones, so that no fetch outlives its claim
                     wait([f for f in prefetches.values() if not f.cancel()])
-            remaining = config.max_search_queries - state.queries_issued
+            remaining = config.max_search_queries - len(state.issued_query_texts)
             if state.sufficient or remaining == 0:
                 return
             extra = agents.additional_query_gen(
@@ -232,12 +229,8 @@ class Verifier:
         if not judgment.helpful:
             state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url, scenario="c")
             return
-        item = EvidenceItem(
-            note=judgment.note,
-            source_url=doc.meta.url,
-            source_title=doc.meta.title,
-            added_at_step=state.queries_issued,
-        )
+        item = EvidenceItem(note=judgment.note, source_url=doc.meta.url,
+                            source_title=doc.meta.title)
         state.evidence, added = state.evidence.add(item)
         state.trace.log(EventKind.EVIDENCE_ADDED, url=doc.meta.url, added=added)
         if not added:

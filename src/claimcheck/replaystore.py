@@ -30,8 +30,8 @@ _REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 # characters a URL's path and query keep as they are: requests' requote_uri
 # set, so existing %XX escapes stay and everything else is percent-encoded
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
-_DEFAULT_HEADERS = {"Accept": "*/*", "Accept-Encoding": "gzip, deflate",
-                    "User-Agent": "claimcheck/0.1"}
+USER_AGENT = "claimcheck/0.1"
+_DEFAULT_HEADERS = {"Accept": "*/*", "Accept-Encoding": "gzip, deflate", "User-Agent": USER_AGENT}
 # hosts a thread keeps an idle connection to; the least recently used goes first
 _MAX_HOSTS = 10
 
@@ -220,18 +220,25 @@ def _send(method: str, url: str, headers: dict[str, str], body: Optional[bytes],
         raise
 
 
-def _charset(content_type: str) -> str:
-    """requests' rule: the charset parameter, else ISO-8859-1 for text
-    types and UTF-8 for everything else."""
+def _decode(raw: bytes, content_type: str) -> str:
+    """The charset parameter of content_type (UTF-8 when unknown); without
+    one, UTF-8, except that a text type whose bytes are not valid UTF-8
+    decodes as ISO-8859-1."""
     kind, *params = content_type.split(";")
     charset = None
     for param in params:
         name, eq, value = param.partition("=")
         if eq and name.strip("\"' ").lower() == "charset":
             charset = value.strip("\"' ")
-    if charset is not None:
-        return charset
-    return "ISO-8859-1" if "text" in kind else "utf-8"
+    if charset is None and "text" in kind:
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return raw.decode("ISO-8859-1")
+    try:
+        return raw.decode(charset or "utf-8", errors="replace")
+    except LookupError:
+        return raw.decode("utf-8", errors="replace")
 
 
 class Response:
@@ -288,13 +295,8 @@ class Response:
         return b"".join(chunks)
 
     def text(self, max_bytes: Optional[int] = None) -> str:
-        """read(), decoded by the Content-Type charset rule of requests; an
-        unknown charset decodes as UTF-8."""
-        raw = self.read(max_bytes)
-        try:
-            return raw.decode(_charset(self.headers.get("Content-Type", "")), errors="replace")
-        except LookupError:
-            return raw.decode("utf-8", errors="replace")
+        """read(), decoded by the Content-Type charset (see _decode)."""
+        return _decode(self.read(max_bytes), self.headers.get("Content-Type", ""))
 
 
 def open_url(method: str, url: str, headers: dict[str, str], body: Optional[bytes] = None,
@@ -426,9 +428,11 @@ class RecordedClient:
             self.store.put(key(), record)
         return record
 
-    def _post(self, url: str, headers: dict[str, str], payload: dict[str, Any]) -> str:
-        """The body of the first answer that is not a 429 or 5xx;
-        TransportError for any other HTTP error, or once the retries run out."""
+    def _post(self, url: str, headers: dict[str, str],
+              payload: dict[str, Any]) -> dict[str, Any]:
+        """The JSON object in the body of the first answer that is not a 429
+        or 5xx; TransportError for any other HTTP error, a body that is not
+        a JSON object, or once the retries run out."""
         last_error: object = None
         for attempt in range(1 + len(RETRY_DELAYS)):
             if attempt:
@@ -443,5 +447,11 @@ class RecordedClient:
                 continue
             if status >= 400:
                 raise TransportError(f"HTTP {status} from {url}: {body[:200]}")
-            return body
+            try:
+                data = json.loads(body)
+            except ValueError as exc:
+                raise TransportError(f"malformed response from {url}: {exc}") from exc
+            if not isinstance(data, dict):
+                raise TransportError(f"malformed response from {url}: not a JSON object")
+            return data
         raise TransportError(f"giving up after retries: {last_error}")

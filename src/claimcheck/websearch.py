@@ -9,7 +9,7 @@ import time
 from typing import Any, Callable, Optional
 
 from .model import SearchQuery, SearchResultMeta, is_valid_http_url
-from .replaystore import RecordedClient, TransportError, post_json
+from .replaystore import RecordedClient, post_json
 
 __all__ = ["SearchClient", "search_fixture_key"]
 
@@ -57,24 +57,16 @@ class SearchClient(RecordedClient):
             lambda: search_fixture_key(query.text, k),
             lambda: {"query": query.text, "k": k, "results": self._search_live(query, k)},
             lambda: f"no search fixture for query {query.text!r} (k={k})")
-        return self._parse_results(record["results"], query, k)
+        return self._parse_results(record["results"], k)
 
     def _search_live(self, query: SearchQuery, k: int) -> list[dict[str, Any]]:
         self._throttle()
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["X-API-KEY"] = self.api_key
-        payload = {"q": query.text, "num": k, "hl": "en"}
-        body = self._post(self.endpoint, headers, payload)
-        try:
-            data = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise TransportError(f"malformed search response: {exc}") from exc
+        headers = {"X-API-KEY": self.api_key} if self.api_key else {}
+        data = self._post(self.endpoint, headers, {"q": query.text, "num": k, "hl": "en"})
         organic = data.get("organic", [])
         return organic if isinstance(organic, list) else []
 
-    def _parse_results(self, raw: list[dict[str, Any]], query: SearchQuery,
-                       k: int) -> list[SearchResultMeta]:
+    def _parse_results(self, raw: list[dict[str, Any]], k: int) -> list[SearchResultMeta]:
         results: list[SearchResultMeta] = []
         for entry in raw:
             if len(results) >= k:
@@ -89,7 +81,6 @@ class SearchClient(RecordedClient):
                 title=str(entry.get("title") or ""),
                 url=url,
                 snippet=str(entry.get("snippet") or ""),
-                source_query=query,
             ))
         return results
 

@@ -282,8 +282,9 @@ class FakeGateway:
 
 def make_result(url: str, title: str = "t", snippet: str = "s",
                 query: str = "q") -> SearchResultMeta:
-    return SearchResultMeta(title=title, url=url, snippet=snippet,
-                            source_query=SearchQuery(query))
+    """A search result; `query` names the query it answers, for the reader
+    of a test only (a result does not record its query)."""
+    return SearchResultMeta(title=title, url=url, snippet=snippet)
 
 
 def make_doc(url: str, body: str = "some sufficiently long page body text",

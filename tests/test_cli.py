@@ -243,3 +243,15 @@ class TestBudgetOptions:
         # click's one-line usage error, not a traceback from BudgetConfig
         assert isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{option}'" in result.output
+
+    @pytest.mark.parametrize("option", ["--limit", "--concurrency"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bench_count_below_one_is_usage_error(self, runner, tmp_path, option, value):
+        dataset = factool_file(tmp_path, [("a claim", True), ("another claim", False)])
+        result = runner.invoke(main, ["bench", "factool_kbqa", str(dataset), option, value,
+                                      "--mode", "replay", "--fixtures", str(tmp_path / "fx"),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{option}'" in result.output
+        assert not (tmp_path / "out").exists()

@@ -7,7 +7,8 @@ import pytest
 
 from claimcheck.llm import ChatRequest, LlmGateway
 from claimcheck.model import SearchQuery
-from claimcheck.pages import FetchError, PageReader
+from claimcheck.pages import PageReader
+from claimcheck.replaystore import USER_AGENT, TransportError
 from claimcheck.websearch import SearchClient
 
 from conftest import openai_reply, serper_stub_app
@@ -107,10 +108,30 @@ def test_abandoned_bodies_are_never_read_as_the_next_response(stub_servers):
     stub = stub_servers(app, keep_alive=True)
     reader = PageReader(max_bytes=100_000)
     for path in ("/big", "/doc.pdf", "/missing"):
-        with pytest.raises(FetchError):
+        with pytest.raises(TransportError):
             reader.fetch(f"{stub.url}{path}")
         body, _ = reader.fetch(f"{stub.url}/page")
         assert body == PAGE.decode()
+
+
+def test_every_request_carries_the_transport_user_agent(http_stub):
+    seen: dict[str, set] = {}
+    search_app = serper_stub_app()
+
+    def app(method, path, body, headers):
+        seen.setdefault(path.rsplit("/", 1)[-1], set()).add(headers.get("User-Agent"))
+        if path.endswith("/chat/completions"):
+            return llm_app(method, path, body, headers)
+        if path == "/search":
+            return search_app(method, path, body, headers)
+        return page_app(method, path, body, headers)
+
+    base = http_stub(app)
+    LlmGateway(base_url=base, sleep=lambda s: None).complete(ask(1))
+    SearchClient(endpoint=f"{base}/search", requests_per_second=0).search(SearchQuery("q"), 1)
+    PageReader(respect_robots=True).fetch(f"{base}/page")
+    assert seen == {name: {USER_AGENT}
+                    for name in ("completions", "search", "robots.txt", "page")}
 
 
 def test_server_closing_each_connection_costs_no_retry(http_stub):

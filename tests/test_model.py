@@ -33,17 +33,13 @@ class TestDomainTypes:
 
     def test_result_requires_absolute_http_url(self):
         with pytest.raises(ValueError):
-            SearchResultMeta(title="t", url="not-a-url", snippet="s",
-                             source_query=SearchQuery("q"))
+            SearchResultMeta(title="t", url="not-a-url", snippet="s")
         with pytest.raises(ValueError):
-            SearchResultMeta(title="t", url="ftp://x.example/a", snippet="s",
-                             source_query=SearchQuery("q"))
+            SearchResultMeta(title="t", url="ftp://x.example/a", snippet="s")
 
     def test_evidence_item_invariants(self):
         with pytest.raises(ValueError):
             EvidenceItem(note="", source_url="https://x.example/a")
-        with pytest.raises(ValueError):
-            EvidenceItem(note="n", source_url="https://x.example/a", added_at_step=-1)
 
 
 class TestEvidenceSet:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from claimcheck import pages
 from claimcheck.model import Acquisition
-from claimcheck.pages import EmptyExtraction, FetchError, PageReader, Unusable, extract_text
+from claimcheck.pages import EmptyExtraction, PageReader, Unusable, extract_text
+from claimcheck.replaystore import TransportError
 
 from conftest import make_result
 
@@ -260,7 +261,7 @@ class TestFetch:
 
     def test_404_is_fetch_error(self, http_stub):
         base = http_stub(lambda m, p, b, h: (404, {}, b"gone"))
-        with pytest.raises(FetchError):
+        with pytest.raises(TransportError):
             PageReader().fetch(f"{base}/missing")
 
     def test_redirect_chain_of_six_fails(self, http_stub):
@@ -271,7 +272,7 @@ class TestFetch:
             return 302, {"Location": f"/hop/{hop + 1}"}, b""
 
         base = http_stub(app)
-        with pytest.raises(FetchError):
+        with pytest.raises(TransportError):
             PageReader(max_redirects=5).fetch(f"{base}/hop/0")
 
     def test_five_redirects_succeed(self, http_stub):
@@ -286,7 +287,7 @@ class TestFetch:
 
     def test_non_html_content_type_rejected(self, http_stub):
         base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "application/pdf"}, b"%PDF"))
-        with pytest.raises(FetchError):
+        with pytest.raises(TransportError):
             PageReader().fetch(f"{base}/doc.pdf")
 
     def test_missing_content_type_accepted(self, http_stub):
@@ -300,7 +301,7 @@ class TestFetch:
         # 50 bytes at one every 0.1 s: 5 s of body against a 0.5 s timeout
         base = drip_server(b"<p>" + b"x" * 43 + b"</p>", interval=0.1)
         start = time.monotonic()
-        with pytest.raises(FetchError, match="timeout"):
+        with pytest.raises(TransportError, match="timeout"):
             PageReader(timeout=0.5).fetch(f"{base}/page")
         assert time.monotonic() - start < 1.5
 
@@ -308,18 +309,18 @@ class TestFetch:
         # ~90 bytes of status line and headers at one every 0.1 s
         base = drip_server(f"<p>{LONG_PARA}</p>".encode(), interval=0.1, slow_head=True)
         start = time.monotonic()
-        with pytest.raises(FetchError, match="timeout"):
+        with pytest.raises(TransportError, match="timeout"):
             PageReader(timeout=0.5).fetch(f"{base}/page")
         assert time.monotonic() - start < 1.5
 
     def test_stalled_body_is_fetch_error(self, drip_server):
         base = drip_server(f"<p>{LONG_PARA}</p>".encode(), interval=5.0)
-        with pytest.raises(FetchError):
+        with pytest.raises(TransportError):
             PageReader(timeout=0.3).fetch(f"{base}/page")
 
     def test_size_cap_enforced(self, http_stub):
         base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "text/html"}, b"x" * 5000))
-        with pytest.raises(FetchError):
+        with pytest.raises(TransportError):
             PageReader(max_bytes=1000).fetch(f"{base}/big")
 
 
@@ -327,7 +328,7 @@ class TestAcquireDocument:
     def reader(self, pages=None, fail=False):
         def http_get(url):
             if fail or pages is None or url not in pages:
-                raise FetchError(f"HTTP 404 for {url}")
+                raise TransportError(f"HTTP 404 for {url}")
             return pages[url], "text/html"
 
         return PageReader(http_get=http_get)
@@ -404,7 +405,7 @@ class TestRobots:
         reader = PageReader(respect_robots=True)
         text, _ = reader.fetch(f"{base}/page")
         assert LONG_PARA in text
-        with pytest.raises(FetchError, match="robots"):
+        with pytest.raises(TransportError, match="robots"):
             reader.fetch(f"{base}/private/page")
 
     @pytest.mark.parametrize("status, allowed", [(403, False), (401, False), (404, True),
@@ -420,7 +421,7 @@ class TestRobots:
         if allowed:
             assert LONG_PARA in reader.fetch(url)[0]
         else:
-            with pytest.raises(FetchError, match="robots"):
+            with pytest.raises(TransportError, match="robots"):
                 reader.fetch(url)
 
     def test_unreachable_robots_txt_allows(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from claimcheck.agents import HelpfulnessJudgment
+from claimcheck.agents import AGENT_NAMES, HelpfulnessJudgment, _parse_prompt_asset
 from claimcheck.llm import LlmGateway
 from claimcheck.model import BudgetConfig, Claim, Verdict
 from claimcheck.pages import PageReader
@@ -271,6 +271,17 @@ class TestBudgetAndQueries:
         assert event.payload["n_results"] == 0
         assert "HTTP 429" in event.payload["error"]
 
+    def test_search_body_that_is_not_a_json_object_is_nonfatal(self):
+        search = SearchClient(mode="live", transport=lambda *a, **k: (200, "null"),
+                              requests_per_second=0)
+        verifier = Verifier(agent_factory=lambda c, t: ScriptedAgents(initial=["q1"]),
+                            search=search, reader=FakeReader(), clock=lambda: 0.0)
+        report = verifier.verify(CLAIM, BudgetConfig())
+        assert report.verdict is Verdict.TRUE
+        (event,) = report.trace.of_kind(EventKind.SEARCH_CALL)
+        assert event.payload["n_results"] == 0
+        assert "not a JSON object" in event.payload["error"]
+
     @given(n=st.integers(min_value=0, max_value=12), cap=st.integers(min_value=1, max_value=6))
     def test_searches_are_min_of_queries_and_cap(self, n, cap):
         queries = [f"q{i}" for i in range(n)]
@@ -309,6 +320,26 @@ class TestAblations:
         verifier.verify(CLAIM, BudgetConfig())
         assert agents.calls["search_rank"] == 1
         assert reader.acquired == ["https://r1.example/q1", "https://r0.example/q1"]
+
+
+class TestPromptAssets:
+    def test_loaded_once_per_verifier_not_per_claim(self, tmp_path, monkeypatch):
+        parsed = []
+        monkeypatch.setattr("claimcheck.agents._parse_prompt_asset",
+                            lambda name, text: parsed.append(name)
+                            or _parse_prompt_asset(name, text))
+        app = scripted_llm_app(standard_llm_rules())
+
+        def transport(url, headers, payload, timeout):
+            status, _, body = app("POST", url, json.dumps(payload).encode(), headers)
+            return status, body.decode()
+
+        gateway = LlmGateway(mode="record", base_url="http://llm.invalid",
+                             fixture_dir=str(tmp_path), transport=transport)
+        verifier = Verifier(gateway, search=FakeSearch(), reader=FakeReader())
+        for text in ("a first claim", "a second claim", "a third claim"):
+            assert verifier.verify(Claim(text)).trace.completed
+        assert sorted(parsed) == sorted(AGENT_NAMES)
 
 
 class TestTraceContract:

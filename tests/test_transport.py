@@ -15,8 +15,8 @@ import pytest
 
 from claimcheck import replaystore
 from claimcheck.llm import ChatRequest, LlmGateway
-from claimcheck.pages import FetchError, PageReader
-from claimcheck.replaystore import post_json
+from claimcheck.pages import PageReader
+from claimcheck.replaystore import TransportError, post_json
 
 from conftest import openai_reply
 
@@ -51,7 +51,7 @@ class TestContentEncoding:
         assert len(packed) < 1000 < len(TEXT)
         base = http_stub(lambda m, p, b, h: (
             200, {"Content-Type": "text/html", "Content-Encoding": "gzip"}, packed))
-        with pytest.raises(FetchError, match="over 1000 bytes"):
+        with pytest.raises(TransportError, match="over 1000 bytes"):
             PageReader(max_bytes=1000).fetch(f"{base}/page")
         assert PageReader(max_bytes=len(TEXT)).fetch(f"{base}/page")[0] == TEXT
 
@@ -96,9 +96,9 @@ def test_non_ascii_path_is_percent_encoded_and_escapes_kept(http_stub):
 
 class TestCharset:
     @pytest.mark.parametrize("content_type, payload, text", [
-        # requests' rule: text/* without a charset is ISO-8859-1, even for UTF-8 bytes
+        # text/* without a charset is UTF-8 when its bytes are, else ISO-8859-1
         ("text/html", "café".encode("latin-1"), "café"),
-        ("text/html", "café".encode("utf-8"), "cafÃ©"),
+        ("text/html", "café".encode("utf-8"), "café"),
         ("text/html; charset=utf-8", "café".encode("utf-8"), "café"),
         ('text/html; charset="windows-1252"', b"caf\xe9", "café"),
         ("text/html; charset=bogus", "café".encode("utf-8"), "café"),
@@ -196,5 +196,5 @@ def test_https_context_verifies_with_the_requests_ca_bundle(tmp_path, monkeypatc
 
 def test_malformed_url_is_fetch_error(no_proxy_env):
     for url in ("ftp://example.invalid/x", "http:///nohost", "http://example.invalid:99999/"):
-        with pytest.raises(FetchError):
+        with pytest.raises(TransportError):
             PageReader().fetch(url)

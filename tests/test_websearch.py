@@ -78,7 +78,6 @@ class TestLiveMode:
                               requests_per_second=0)
         results = client.search(SearchQuery("capital of france"), 2)
         assert [r.url for r in results] == [raw(0)["link"], raw(1)["link"]]
-        assert results[0].source_query.text == "capital of france"
 
     def test_record_then_replay(self, tmp_path):
         client = SearchClient(mode="record", fixture_dir=tmp_path,
@@ -203,6 +202,13 @@ class TestLiveMode:
         # unthrottled threads land within a fraction of a millisecond; the
         # tolerance absorbs a late wake-up of the earlier caller
         assert min(gaps) >= 0.020 - 0.010
+
+    @pytest.mark.parametrize("body", ["null", "[1]", '"x"', "not json"])
+    def test_body_that_is_not_a_json_object_is_transport_error(self, body):
+        client = SearchClient(mode="live", transport=lambda *a, **k: (200, body),
+                              requests_per_second=0)
+        with pytest.raises(TransportError, match="malformed response"):
+            client.search(SearchQuery("q"), 1)
 
     def test_k_must_be_positive(self):
         client = SearchClient(mode="live", requests_per_second=0,
