@@ -11,7 +11,6 @@ import re
 import string
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .llm import ChatRequest, LlmGateway
@@ -78,19 +77,11 @@ class HelpfulnessJudgment:
             raise ValueError("helpful judgment requires a non-empty note")
 
 
-def load_prompts(override_dir: str | Path | None = None) -> dict[str, AgentPrompt]:
-    """Load the shipped prompt assets, with per-agent overrides from a
-    config directory when given."""
-    prompts: dict[str, AgentPrompt] = {}
+def load_prompts() -> dict[str, AgentPrompt]:
+    """Load the shipped prompt assets."""
     base = resources.files("claimcheck") / "prompts"
-    for name in AGENT_NAMES:
-        text = (base / f"{name}.txt").read_text(encoding="utf-8")
-        if override_dir:
-            candidate = Path(override_dir) / f"{name}.txt"
-            if candidate.exists():
-                text = candidate.read_text(encoding="utf-8")
-        prompts[name] = _parse_prompt_asset(name, text)
-    return prompts
+    return {name: _parse_prompt_asset(name, (base / f"{name}.txt").read_text(encoding="utf-8"))
+            for name in AGENT_NAMES}
 
 
 def _parse_prompt_asset(name: str, text: str) -> AgentPrompt:

@@ -60,17 +60,29 @@ class LabeledClaim:
     gold: Verdict
 
 
+def _decode(text: str, where: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: invalid JSON: {exc}") from None
+
+
 def _read_records(path: str | Path) -> list[dict]:
-    text = Path(path).read_text(encoding="utf-8").strip()
-    if not text:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8: {exc}") from None
+    if not text.strip():
         raise EmptyDataset(f"{path} is empty")
-    if text.startswith("["):
-        data = json.loads(text)
+    if text.lstrip().startswith("["):
+        data = _decode(text, str(path))
         if not isinstance(data, list):
             raise SchemaError(f"{path}: top-level JSON must be an array")
         records = data
     else:
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        # JSON Lines are split at "\n" only: a JSON string may hold U+2028
+        records = [_decode(line, f"{path} line {n}")
+                   for n, line in enumerate(text.split("\n"), 1) if line.strip()]
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise SchemaError(f"{path}: record {i} is not an object")

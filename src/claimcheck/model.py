@@ -82,7 +82,6 @@ class Document:
 class EvidenceItem:
     note: str
     source_url: str
-    source_title: str = ""
 
     def __post_init__(self) -> None:
         if not self.note.strip():

@@ -37,7 +37,16 @@ _BLOCK_TAGS = frozenset(
 # before.  An unquoted value may hold '/', as HTMLParser reads it: <a b=c/>
 # is a start tag, not a self-closing one.
 _WS = r"[ \t\n\r\f]"
-_SKIP_NAME = r"(?:%s)(?![a-zA-Z0-9-])" % "|".join(sorted(_SKIP_TAGS))
+
+
+def _whole_name(names) -> str:
+    """A regex for a whole tag name in names.  It tests the first letter
+    before the alternatives, so that most other names fail at once."""
+    return r"(?=[%s])(?:%s)(?![a-zA-Z0-9-])" % (
+        "".join(sorted({name[0] for name in names})), "|".join(sorted(names)))
+
+
+_SKIP_NAME = _whole_name(_SKIP_TAGS)
 _ATTRS = (r"""(?:%s+[a-zA-Z_:][-a-zA-Z0-9_:.]*"""
           r"""(?:%s*=%s*(?:"[^"<>]*"|'[^'<>]*'|[-a-zA-Z0-9_:.#%%&+,;?!@~()/]+))?)*%s*"""
           % (_WS, _WS, _WS, _WS))
@@ -48,17 +57,17 @@ _PLAIN_RUN = re.compile(
 # one skip tag: groups (end tag name, start tag name, "/" when self-closing)
 _SKIP_TAG = re.compile(r"</({0}){1}*>|<({0}){2}(/?)>".format(_SKIP_NAME, _WS, _ATTRS),
                        re.ASCII | re.IGNORECASE)
-# Outside skipped elements, text and the tags that change no state (inline
-# tags such as <a>, <b>, <em>, <span>) are matched the same way, one piece
-# of text and one tag at a time, so that each piece still goes to
-# handle_data.  Text holds no '&', so HTMLParser still converts charrefs;
-# tag names exclude skip and block tags, whose handlers act, and every
-# element some Python version's HTMLParser reads as raw text or plaintext.
-_NOT_INLINE = r"(?:%s)(?![a-zA-Z0-9-])" % "|".join(sorted(
-    _SKIP_TAGS | _BLOCK_TAGS | {"title", "textarea", "plaintext", "xmp", "noembed", "noframes"}))
-# groups: (text before the tag)
+# Outside skipped elements, text and every tag but the skip tags are matched
+# the same way, one piece of text and one tag at a time, so that each piece
+# still goes to handle_data and each block tag still breaks the paragraph.
+# Text holds no '&', so HTMLParser still converts charrefs; tag names
+# exclude skip tags, whose handlers change _skip_depth, and every element
+# some Python version's HTMLParser reads as raw text or plaintext.
+_NOT_INLINE = _whole_name(
+    _SKIP_TAGS | {"title", "textarea", "plaintext", "xmp", "noembed", "noframes"})
+# groups: (text before the tag, "/" for an end tag, tag name)
 _INLINE_RUN = re.compile(
-    r"([^<&]*)(?:<(?!{0})[a-zA-Z][a-zA-Z0-9-]*{1}/?>|</(?!{0})[a-zA-Z][a-zA-Z0-9-]*{2}*>)"
+    r"([^<&]*)<(/)?(?!{0})([a-zA-Z][a-zA-Z0-9-]*)(?(2){2}*|{1}/?)>"
     .format(_NOT_INLINE, _ATTRS, _WS), re.ASCII | re.IGNORECASE)
 # HTMLParser's end of a script or style body (HTMLParser.set_cdata_mode)
 _CDATA_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
@@ -106,8 +115,9 @@ class _TextExtractor(HTMLParser):
         skipped element with no paragraph open, past all markup up to the
         element's end (or the first token outside the grammar of _SKIP_TAG
         and _PLAIN_RUN), keeping _skip_depth as the handlers would; outside
-        one, past text and inline tags (_INLINE_RUN), passing each piece of
-        text to handle_data as HTMLParser would."""
+        one, past text and the tags of _INLINE_RUN, passing each piece of
+        text to handle_data and breaking the paragraph at each block tag as
+        HTMLParser and the handlers would."""
         if k < 0 or self.cdata_elem or (self._skip_depth and self._chunks):
             return k
         rawdata = self.rawdata
@@ -134,6 +144,8 @@ class _TextExtractor(HTMLParser):
             if run.end(1) > k:
                 handle_data(run[1])
             k = run.end()
+            if run[3].lower() in _BLOCK_TAGS:
+                self._break_paragraph()
         return k
 
     def handle_starttag(self, tag: str, attrs) -> None:

@@ -229,8 +229,7 @@ class Verifier:
         if not judgment.helpful:
             state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url, scenario="c")
             return
-        item = EvidenceItem(note=judgment.note, source_url=doc.meta.url,
-                            source_title=doc.meta.title)
+        item = EvidenceItem(note=judgment.note, source_url=doc.meta.url)
         state.evidence, added = state.evidence.add(item)
         state.trace.log(EventKind.EVIDENCE_ADDED, url=doc.meta.url, added=added)
         if not added:

@@ -43,12 +43,6 @@ class TestPromptAssets:
         with pytest.raises(KeyError):
             prompt.render(claim="c")
 
-    def test_override_directory(self, tmp_path):
-        (tmp_path / "classify.txt").write_text("custom system\n===\nClaim: {claim}\n{evidence}")
-        prompts = load_prompts(override_dir=tmp_path)
-        assert prompts["classify"].system_text == "custom system"
-        assert prompts["initial_query_gen"].system_text  # others untouched
-
     def test_rendering_is_deterministic(self):
         a = suite(["1. q"])
         messages = a.prompts["classify"].render(claim="c", evidence="e")

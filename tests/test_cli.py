@@ -200,6 +200,17 @@ class TestBench:
         metrics = json.loads((out / "metrics.json").read_text())
         assert (metrics["n_claims"], metrics["n_errors"]) == (n_claims, 1)
 
+    @pytest.mark.parametrize("body", [b'{"claim": "x", "label": true}\n{"claim": "y", "label": tru',
+                                      b'{"claim": "caf\xe9", "label": true}'],
+                             ids=["jsonl", "latin-1"])
+    def test_undecodable_dataset_is_config_error(self, runner, tmp_path, body):
+        dataset = tmp_path / "bad.jsonl"
+        dataset.write_bytes(body)
+        result = runner.invoke(main, ["bench", "factool_kbqa", str(dataset),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: cannot load {dataset}" in result.output
+
     def test_missing_dataset_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "factool_kbqa", "/nonexistent.jsonl"])
         assert result.exit_code == 1

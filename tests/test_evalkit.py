@@ -107,6 +107,22 @@ class TestLoaders:
         with pytest.raises(EmptyDataset):
             load_dataset(DatasetKind.FACTOOL_KBQA, path)
 
+    @pytest.mark.parametrize("body, where", [
+        ('{"claim": "x", "label": true}\n{"claim": "y", "label": tru\n'.encode(), "line 2"),
+        (b'[{"claim": "x", "label": true},', "invalid JSON"),
+        ('{"claim": "caf\u00e9", "label": true}\n'.encode("latin-1"), "not UTF-8"),
+    ], ids=["jsonl", "array", "latin-1"])
+    def test_undecodable_file_is_schema_error(self, tmp_path, body, where):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(body)
+        with pytest.raises(SchemaError, match=where):
+            load_dataset(DatasetKind.FACTOOL_KBQA, path)
+
+    def test_jsonl_line_may_hold_a_line_separator(self, tmp_path):
+        path = tmp_path / "ls.jsonl"
+        path.write_text('{"claim": "a\u2028b", "label": true}\n', encoding="utf-8")
+        assert load_dataset(DatasetKind.FACTOOL_KBQA, path)[0].claim.text == "a\u2028b"
+
     def test_json_array_also_accepted(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text(json.dumps([{"claim": "c", "label": True}]), encoding="utf-8")

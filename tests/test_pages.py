@@ -70,7 +70,8 @@ class TestExtractText:
 # then the corners of the inline run outside skipped elements: inline tags
 # in odd spellings, self-closing ones, entities in attribute values and in
 # text, elements some Python versions read as raw text, and text right
-# before a block tag
+# before a block tag; then block tags in odd spellings, tags whose names
+# share a skip tag's first letter, and skip tags in mixed case
 _FRAGMENTS = st.sampled_from([
     "<p>", "</p>", "<div>", "</div>", "<br>", "<li>", "<nav>", "</nav>", "<style>", "</style>",
     "<script><p>not text</p></script>", "<!-- a comment -->", "\n\n", "\n \t\n", "\n",
@@ -89,6 +90,10 @@ _FRAGMENTS = st.sampled_from([
     "<b>", "</b>", "</b >", "<EM>", "</em>", "<img src=x/>", "<span/>", '<a href="?a=1&amp;b=2">',
     "</a>", "<title>", "</title>", "<textarea>", "</textarea>", "text</p>", "more text<div>",
     "fish &amp; chips ", "AT&T<b>", "a&b", "<i>x</i>y<i>z</i>",
+    '<p class="x">', "<BR/>", "</LI >", "<h2\tid=a>", "<pre>", "</pre>",
+    "<section>", "</section>", "<span>", "<table>", "</table>", "<img>", "<font>", "<abbr>",
+    "<blockquote>", "</blockquote>", "<nobr>", "<SVG>", "</svg>", "<Script>", "</SCRIPT>",
+    "<hEAD>", "</Head>",
 ])
 # whole skipped elements, nested, around other fragments, closed in several
 # spellings or not at all, so that text often follows the end of one
@@ -168,6 +173,19 @@ def reference_extract_or_none(raw, min_chars, max_chars=None):
         return extract_or_none(raw, min_chars, max_chars)
 
 
+def extract_counting_starttags(raw):
+    """(extract_text(raw), the start tags that reached handle_starttag)"""
+    seen = []
+
+    class Counting(pages._TextExtractor):
+        def handle_starttag(self, tag, attrs):
+            seen.append(tag)
+            super().handle_starttag(tag, attrs)
+
+    with mock.patch.object(pages, "_TextExtractor", Counting):
+        return extract_text(raw), seen
+
+
 NAV_LINKS = "".join(f'<li class="nav-item"><a href="/w/{i}">link {i}</a></li>' for i in range(500))
 BOILERPLATE_PAGE = (
     "<!DOCTYPE html><html><head><title>T</title><style>.a{margin:0}</style>"
@@ -205,16 +223,16 @@ class TestSkipRun:
         assert text.startswith("Title\n\n" + LONG_PARA)
         assert "link" not in text and "Go" not in text
 
+    @pytest.mark.parametrize("tag", sorted(pages._SKIP_TAGS))
+    def test_every_skip_tag_is_seen(self, tag):
+        # a skip tag read as any other tag would keep its text, or end its
+        # skipped element too soon
+        for raw in (f"<b>x</b><{tag}>{LONG_PARA}</{tag}>", f"<p>x<{tag.upper()} a=b>y",
+                    f"<nav><{tag}></nav>{LONG_PARA}", f"<nav><{tag.title()}/></nav>{LONG_PARA}"):
+            assert extract_or_none(raw, 0) == reference_extract_or_none(raw, 0), raw
+
     def test_boilerplate_tags_skip_the_handlers(self):
-        seen = []
-
-        class Counting(pages._TextExtractor):
-            def handle_starttag(self, tag, attrs):
-                seen.append(tag)
-                super().handle_starttag(tag, attrs)
-
-        with mock.patch.object(pages, "_TextExtractor", Counting):
-            extract_text(BOILERPLATE_PAGE)
+        _, seen = extract_counting_starttags(BOILERPLATE_PAGE)
         # 3 x 1001 nav-list start tags without the skip run
         assert len(seen) < 40, seen
 
@@ -236,17 +254,19 @@ class TestInlineRun:
         assert text.startswith("Title\n\nword0 bold em link & more word1 bold")
 
     def test_inline_tags_skip_the_handlers(self):
-        seen = []
-
-        class Counting(pages._TextExtractor):
-            def handle_starttag(self, tag, attrs):
-                seen.append(tag)
-                super().handle_starttag(tag, attrs)
-
         assert sum(ARTICLE_PAGE.count(tag) for tag in ("<b>", "<em>", "<a ")) == 300
-        with mock.patch.object(pages, "_TextExtractor", Counting):
-            extract_text(ARTICLE_PAGE)
+        _, seen = extract_counting_starttags(ARTICLE_PAGE)
         # 300 inline start tags and 9 others without the inline run
+        assert len(seen) < 20, seen
+
+    def test_block_tags_skip_the_handlers(self):
+        page = "<html><body>" + "".join(
+            f"<{('p', 'li', 'br')[i % 3]}>item {i} {LONG_PARA}" for i in range(1000)
+        ) + "</body></html>"
+        text, seen = extract_counting_starttags(page)
+        assert text == reference_extract_or_none(page, 40)
+        assert text.count("\n\n") == 999
+        # 1000 block start tags without the block tags in the inline run
         assert len(seen) < 20, seen
 
 
