@@ -8,7 +8,6 @@ defer, don't add evidence) rather than raising.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Sequence
@@ -46,21 +45,11 @@ CLASSIFY_RETRY_INSTRUCTION = (
 
 @dataclass(frozen=True)
 class AgentPrompt:
-    agent_name: str
     system_text: str
     user_template: str
 
-    def required_slots(self) -> set[str]:
-        return {
-            field
-            for _, field, _, _ in string.Formatter().parse(self.user_template)
-            if field
-        }
-
     def render(self, **slots: str) -> tuple[tuple[str, str], ...]:
-        missing = self.required_slots() - slots.keys()
-        if missing:
-            raise KeyError(f"{self.agent_name}: missing template slots {sorted(missing)}")
+        """KeyError when a slot of the template is not given."""
         return (
             ("system", self.system_text),
             ("user", self.user_template.format(**slots)),
@@ -88,7 +77,7 @@ def _parse_prompt_asset(name: str, text: str) -> AgentPrompt:
     if "\n===\n" not in text:
         raise ValueError(f"prompt asset {name} lacks the '===' system/user separator")
     system_text, user_template = text.split("\n===\n", 1)
-    return AgentPrompt(name, system_text.strip(), user_template.strip())
+    return AgentPrompt(system_text.strip(), user_template.strip())
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +161,18 @@ class AgentSuite:
         self,
         gateway: LlmGateway,
         config: BudgetConfig,
-        prompts: Optional[dict[str, AgentPrompt]] = None,
-        trace: Optional[RunTrace] = None,
+        prompts: dict[str, AgentPrompt],
+        trace: RunTrace,
     ) -> None:
         self.gateway = gateway
         self.config = config
-        self.prompts = prompts or load_prompts()
+        self.prompts = prompts
         self.trace = trace
 
     # -- plumbing -----------------------------------------------------------
 
     def _log(self, agent: str, **payload) -> None:
-        if self.trace is not None:
-            self.trace.log(EventKind.AGENT_CALL, agent=agent, **payload)
+        self.trace.log(EventKind.AGENT_CALL, agent=agent, **payload)
 
     def _complete(self, agent: str, extra_user: Optional[str] = None, **slots: str) -> str:
         messages = self.prompts[agent].render(**slots)
@@ -196,10 +184,6 @@ class AgentSuite:
             temperature=self.config.temperature,
         )
         return self.gateway.complete(req).text
-
-    @staticmethod
-    def _evidence_block(evidence: EvidenceSet) -> str:
-        return evidence.render(EVIDENCE_PROMPT_BUDGET)
 
     # -- agents -------------------------------------------------------------
 
@@ -214,9 +198,7 @@ class AgentSuite:
 
     def search_rank(self, query: SearchQuery,
                     results: Sequence["SearchResultMeta"]) -> list["SearchResultMeta"]:
-        if not results:
-            raise ValueError("search_rank requires a non-empty result list")
-        if len(results) == 1:
+        if len(results) < 2:
             return list(results)
         block = "\n".join(
             f"{i}. {r.title} — {r.url} — {r.snippet}"
@@ -235,7 +217,7 @@ class AgentSuite:
         reply = self._complete(
             "self_contained_check",
             claim=claim.text,
-            evidence=self._evidence_block(evidence),
+            evidence=evidence.render(EVIDENCE_PROMPT_BUDGET),
             document=doc.body,
         )
         parsed = parse_yes_no(reply)
@@ -248,7 +230,7 @@ class AgentSuite:
         reply = self._complete(
             "det_helpful",
             claim=claim.text,
-            evidence=self._evidence_block(evidence),
+            evidence=evidence.render(EVIDENCE_PROMPT_BUDGET),
             document=doc.body,
         )
         judgment = parse_helpfulness(reply)
@@ -261,14 +243,14 @@ class AgentSuite:
         reply = self._complete(
             "sufficient_evidence",
             claim=claim.text,
-            evidence=self._evidence_block(evidence),
+            evidence=evidence.render(EVIDENCE_PROMPT_BUDGET),
         )
         parsed = parse_yes_no(reply)
         self._log("sufficient_evidence", result=bool(parsed), fallback=parsed is None)
         return bool(parsed)
 
     def classify(self, claim: Claim, evidence: EvidenceSet) -> Verdict:
-        evidence_block = self._evidence_block(evidence)
+        evidence_block = evidence.render(EVIDENCE_PROMPT_BUDGET)
         reply = self._complete("classify", claim=claim.text, evidence=evidence_block)
         verdict = parse_true_false(reply)
         if verdict is None:
@@ -293,7 +275,7 @@ class AgentSuite:
         reply = self._complete(
             "additional_query_gen",
             claim=claim.text,
-            evidence=self._evidence_block(evidence),
+            evidence=evidence.render(EVIDENCE_PROMPT_BUDGET),
         )
         issued = {t.lower() for t in issued_texts}
         texts = [t for t in parse_query_list(reply) if t.lower() not in issued]

@@ -10,6 +10,7 @@ import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from urllib.parse import quote
 
 import click
 
@@ -79,11 +80,10 @@ def _build(model, temperature, max_queries, max_results, mode, fixtures, ablatio
         )
     except ValueError as exc:
         raise SystemExit(_config_error(str(exc)))
-    reader = PageReader(respect_robots=(mode != "replay"))
     config = BudgetConfig(max_search_queries=max_queries, max_results_per_query=max_results,
                           model_id=model, temperature=temperature)
-    return (Verifier(gateway=gateway, search=search, reader=reader), config,
-            frozenset(Ablation(a) for a in ablations))
+    return (Verifier(gateway=gateway, search=search, reader=PageReader(respect_robots=True)),
+            config, frozenset(Ablation(a) for a in ablations))
 
 
 def _config_error(message: str) -> int:
@@ -181,7 +181,8 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
                 golds.append(labeled.gold)
                 if trace_dir:
                     Path(trace_dir).mkdir(parents=True, exist_ok=True)
-                    outcome.trace.write(Path(trace_dir) / f"{labeled.claim.id}.jsonl")
+                    outcome.trace.write(
+                        Path(trace_dir) / f"{quote(labeled.claim.id, safe='')}.jsonl")
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
     if errored:

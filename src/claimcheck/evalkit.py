@@ -13,7 +13,8 @@ Loader input formats (JSON array or JSONL, one object per record):
   a configured count with a seeded sampler.
 
 Records may carry an optional ``"id"`` field; otherwise ids are assigned
-from the record position.
+from the record position.  Ids must be unique.  A leading UTF-8 byte-order
+mark is ignored.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ def _decode(text: str, where: str) -> object:
 
 def _read_records(path: str | Path) -> list[dict]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8: {exc}") from None
     if not text.strip():
@@ -105,9 +106,15 @@ def _subsample(indices: list[int], target: int | None, rng: random.Random) -> li
 def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[LabeledClaim]:
     records = _read_records(path)
     rng = random.Random(seed)
-    labeled: list[tuple[int, str, Verdict]] = []  # (index, text, gold)
+    labeled: list[tuple[str, str, Verdict]] = []  # (id, text, gold)
+    ids: set[str] = set()
 
     for i, rec in enumerate(records):
+        # the id names the claim's trace file and prediction row
+        claim_id = str(rec.get("id", f"{kind.value}-{i:04d}"))
+        if claim_id in ids:
+            raise SchemaError(f"record {i} repeats id {claim_id!r}")
+        ids.add(claim_id)
         text = str(_require(rec, "claim", i)).strip()
         if not text:
             raise SchemaError(f"record {i} has an empty claim")
@@ -115,7 +122,7 @@ def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[Lab
         gold = _map_label(kind, raw_label, i)
         if gold is None:
             continue
-        labeled.append((i, text, gold))
+        labeled.append((claim_id, text, gold))
 
     true_target, false_target = DATASET_TARGETS[kind]
     true_idx = [j for j, (_, _, g) in enumerate(labeled) if g is Verdict.TRUE]
@@ -124,10 +131,9 @@ def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[Lab
     keep |= set(_subsample(false_idx, false_target, rng))
 
     out: list[LabeledClaim] = []
-    for j, (i, text, gold) in enumerate(labeled):
+    for j, (claim_id, text, gold) in enumerate(labeled):
         if j not in keep:
             continue
-        claim_id = str(records[i].get("id", f"{kind.value}-{i:04d}"))
         out.append(LabeledClaim(Claim(text=text, id=claim_id), gold))
     if not out:
         raise EmptyDataset(f"{path} yielded no claims after preprocessing")

@@ -12,9 +12,6 @@ class Verdict(Enum):
     TRUE = "True"
     FALSE = "False"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class Acquisition(Enum):
     FETCHED_PAGE = "fetched_page"
@@ -124,19 +121,13 @@ class EvidenceSet:
             raise ValueError("char_budget must be positive")
         if not self.items:
             return EMPTY_EVIDENCE_MARKER[:char_budget]
-        kept = list(self.items)
-        while kept:
-            lines = [
-                f"{i}. {item.note} (source: {item.source_url})"
-                for i, item in enumerate(kept, start=1)
-            ]
-            text = "\n".join(lines)
-            if len(text) <= char_budget:
-                return text
-            kept.pop()
-        # even a single item is over budget: hard-truncate its line
-        first = self.items[0]
-        return f"1. {first.note} (source: {first.source_url})"[:char_budget]
+        lines = [f"{i}. {item.note} (source: {item.source_url})"
+                 for i, item in enumerate(self.items, start=1)]
+        size = sum(map(len, lines)) + len(lines) - 1  # the joined length
+        while size > char_budget and len(lines) > 1:
+            size -= len(lines.pop()) + 1
+        # a single item over budget is hard-truncated
+        return "\n".join(lines)[:char_budget]
 
 
 @dataclass(frozen=True)

@@ -387,11 +387,6 @@ class FixtureStore:
         except (OSError, UnicodeDecodeError) as exc:
             raise StorageError(f"cannot write fixture {path}: {exc}") from exc
 
-    def keys(self) -> list[str]:
-        if not self.root.exists():
-            return []
-        return sorted(p.stem for p in self.root.glob("*.json"))
-
 
 class RecordedClient:
     """Base of the external-call clients, in one of three modes: live,

@@ -41,12 +41,10 @@ class RunTrace:
     def count(self, kind: EventKind) -> int:
         return sum(1 for e in self.events if e.kind is kind)
 
-    def of_kind(self, kind: EventKind) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind is kind]
-
     @property
     def completed(self) -> bool:
-        return self.count(EventKind.VERDICT) == 1 and self.events[-1].kind is EventKind.VERDICT
+        # log() refuses any event after a verdict, so a last one is the only one
+        return bool(self.events) and self.events[-1].kind is EventKind.VERDICT
 
     def to_jsonl(self, normalize_timestamps: bool = False) -> str:
         lines = []

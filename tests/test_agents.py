@@ -23,7 +23,7 @@ CLAIM = Claim(text="X was founded in 1998")
 
 def suite(replies=None, responder=None, config=None, trace=None):
     return AgentSuite(FakeGateway(replies, responder), config or BudgetConfig(),
-                      trace=trace)
+                      load_prompts(), trace or RunTrace())
 
 
 def evidence_with(n=1):
@@ -75,7 +75,7 @@ class TestInitialQueryGen:
 class TestSearchRank:
     def test_single_result_no_llm_call(self):
         gateway = FakeGateway([])
-        a = AgentSuite(gateway, BudgetConfig())
+        a = AgentSuite(gateway, BudgetConfig(), load_prompts(), RunTrace())
         results = [make_result("https://a.example/1")]
         assert a.search_rank(SearchQuery("q"), results) == results
         assert gateway.requests == []
@@ -135,7 +135,7 @@ class TestDetHelpful:
 class TestSufficientEvidence:
     def test_empty_evidence_short_circuits_without_call(self):
         gateway = FakeGateway([])
-        a = AgentSuite(gateway, BudgetConfig())
+        a = AgentSuite(gateway, BudgetConfig(), load_prompts(), RunTrace())
         assert a.sufficient_evidence(CLAIM, EvidenceSet()) is False
         assert gateway.requests == []
 
@@ -163,7 +163,7 @@ class TestClassify:
 
     def test_retry_carries_stricter_instruction(self):
         gateway = FakeGateway(["gibberish", "True"])
-        a = AgentSuite(gateway, BudgetConfig())
+        a = AgentSuite(gateway, BudgetConfig(), load_prompts(), RunTrace())
         assert a.classify(CLAIM, EvidenceSet()) is Verdict.TRUE
         assert len(gateway.requests) == 2
         assert "exactly one word" in gateway.requests[1].messages[-1][1]
@@ -171,7 +171,7 @@ class TestClassify:
     def test_uses_config_model_and_temperature(self):
         gateway = FakeGateway(["True"])
         config = BudgetConfig(model_id="special-model", temperature=0.25)
-        AgentSuite(gateway, config).classify(CLAIM, EvidenceSet())
+        AgentSuite(gateway, config, load_prompts(), RunTrace()).classify(CLAIM, EvidenceSet())
         (request,) = gateway.requests
         assert request.model_id == "special-model"
         assert request.temperature == 0.25
@@ -193,7 +193,7 @@ class TestAdditionalQueryGen:
 
     def test_zero_remaining_budget_no_call(self):
         gateway = FakeGateway([])
-        a = AgentSuite(gateway, BudgetConfig())
+        a = AgentSuite(gateway, BudgetConfig(), load_prompts(), RunTrace())
         assert a.additional_query_gen(CLAIM, evidence_with(), [], 0) == []
         assert gateway.requests == []
 

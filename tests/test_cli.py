@@ -107,6 +107,39 @@ class TestVerify:
         assert "HTTP 401" in result.output
         assert len(seen) == 1
 
+    def test_replay_obeys_the_robots_refusal_that_record_obeyed(self, runner, http_stub,
+                                                                 tmp_path):
+        pages_seen = []
+
+        def site(method, path, body, headers):
+            pages_seen.append(path)
+            if path == "/robots.txt":
+                return 200, {"Content-Type": "text/plain"}, b"User-agent: *\nDisallow: /article\n"
+            return 200, {"Content-Type": "text/html"}, (
+                b"<p>The full article text, long enough to be read in place of the snippet.</p>")
+
+        page_url = http_stub(site) + "/article"
+
+        def search(method, path, body, headers):
+            organic = [{"title": "Article", "link": page_url, "snippet": "A snippet."}]
+            return 200, {"Content-Type": "application/json"}, json.dumps(
+                {"organic": organic}).encode()
+
+        flags = ["--fixtures", str(tmp_path / "fixtures"),
+                 "--llm-base-url", http_stub(scripted_llm_app(standard_llm_rules())),
+                 "--search-endpoint", http_stub(search)]
+        claim = "Paris is the capital of France"
+        recorded = run(runner, ["verify", claim, "--mode", "record",
+                                "--trace", str(tmp_path / "record.jsonl"), *flags])
+        fetches = [json.loads(line)["payload"] for line in
+                   (tmp_path / "record.jsonl").read_text().splitlines()
+                   if json.loads(line)["kind"] == "fetch"]
+        assert fetches == [{"url": page_url, "acquisition": "snippet_fallback"}]
+        assert "verdict: True" in recorded.output
+        replayed = run(runner, ["verify", claim, "--mode", "replay", *flags])
+        assert replayed.output.splitlines()[:4] == recorded.output.splitlines()[:4]
+        assert "/article" not in pages_seen
+
     def test_trace_file_ends_with_verdict(self, runner, scripted_world, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         run(runner, ["verify", "water boils at 100 C", "--mode", "record",
@@ -210,6 +243,34 @@ class TestBench:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert f"configuration error: cannot load {dataset}" in result.output
+
+    def test_trace_dir_names_each_file_by_its_quoted_id(self, runner, scripted_world,
+                                                        tmp_path):
+        dataset = tmp_path / "claims.jsonl"
+        dataset.write_text("\n".join(
+            json.dumps({"claim": text, "label": label, "id": claim_id})
+            for claim_id, (text, label) in zip(["ok-1", "sub/2", "../x"], FIVE_CLAIMS)),
+            encoding="utf-8")
+        traces = tmp_path / "traces"
+        out = tmp_path / "out"
+        run(runner, ["bench", "factool_kbqa", str(dataset), "--mode", "record",
+                     "--out", str(out), "--trace-dir", str(traces), *scripted_world["flags"]])
+        assert sorted(p.name for p in traces.iterdir()) == [
+            "..%2Fx.jsonl", "ok-1.jsonl", "sub%2F2.jsonl"]
+        assert not (tmp_path / "x.jsonl").exists()
+        assert json.loads((out / "metrics.json").read_text())["n_scored"] == 3
+
+    def test_duplicate_claim_id_is_config_error(self, runner, scripted_world, tmp_path):
+        dataset = tmp_path / "claims.jsonl"
+        dataset.write_text("\n".join(
+            json.dumps({"claim": text, "label": label, "id": "same"})
+            for text, label in FIVE_CLAIMS[:2]), encoding="utf-8")
+        result = runner.invoke(main, ["bench", "factool_kbqa", str(dataset), "--mode", "record",
+                                      "--out", str(tmp_path / "out"),
+                                      *scripted_world["flags"]])
+        assert result.exit_code == 2, result.output
+        assert "repeats id 'same'" in result.output
+        assert scripted_world["llm_seen"] == []
 
     def test_missing_dataset_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "factool_kbqa", "/nonexistent.jsonl"])

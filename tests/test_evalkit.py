@@ -129,6 +129,29 @@ class TestLoaders:
         claims = load_dataset(DatasetKind.FACTOOL_KBQA, path)
         assert claims[0].gold is T
 
+    @pytest.mark.parametrize("body", [
+        json.dumps([{"claim": "a", "label": True, "id": "x"}, {"claim": "b", "label": False}]),
+        '{"claim": "a", "label": true, "id": "x"}\n{"claim": "b", "label": false}\n',
+    ], ids=["array", "jsonl"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, body):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_bytes(body.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert (load_dataset(DatasetKind.FACTOOL_KBQA, marked)
+                == load_dataset(DatasetKind.FACTOOL_KBQA, plain))
+
+    @pytest.mark.parametrize("records", [
+        [{"claim": "a", "label": True, "id": "x"}, {"claim": "b", "label": False, "id": "x"}],
+        # an explicit id may repeat one assigned from a record's position
+        [{"claim": "a", "label": True}, {"claim": "b", "label": False,
+                                         "id": "factool_kbqa-0000"}],
+    ], ids=["explicit", "assigned"])
+    def test_duplicate_id_is_schema_error(self, tmp_path, records):
+        path = tmp_path / "dup.jsonl"
+        write_jsonl(path, records)
+        with pytest.raises(SchemaError, match="repeats id"):
+            load_dataset(DatasetKind.FACTOOL_KBQA, path)
+
 
 class TestConfusion:
     def test_perfect_two(self):

@@ -101,7 +101,7 @@ class TestRecordStore:
     def test_record_then_list_one_entry(self, tmp_path):
         gateway = recorder(tmp_path)
         gateway.complete(req())
-        assert len(gateway.store.keys()) == 1
+        assert len(list(tmp_path.glob("*.json"))) == 1
 
     def test_record_idempotent(self, tmp_path):
         gateway = recorder(tmp_path)
@@ -109,14 +109,14 @@ class TestRecordStore:
         (path,) = tmp_path.glob("*.json")
         first = path.read_text()
         gateway.complete(req())
-        assert len(gateway.store.keys()) == 1
+        assert len(list(tmp_path.glob("*.json"))) == 1
         assert path.read_text() == first
 
     def test_temperature_difference_gives_two_entries(self, tmp_path):
         gateway = recorder(tmp_path)
         gateway.complete(req(temperature=0.1))
         gateway.complete(req(temperature=0.9))
-        assert len(gateway.store.keys()) == 2
+        assert len(list(tmp_path.glob("*.json"))) == 2
 
 
 class TestLiveTransport:

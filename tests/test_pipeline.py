@@ -102,7 +102,7 @@ class TestScenarioDispatch:
     def test_scenario_d_defers(self):
         agents = ScriptedAgents(initial=["q1"], scc=False)
         report, _, _ = self.one_result_run(agents)
-        deferred = report.trace.of_kind(EventKind.DEFERRED)
+        deferred = [e for e in report.trace.events if e.kind is EventKind.DEFERRED]
         assert len(deferred) == 1
         assert len(report.evidence) == 0
         # drain re-checked it once more, still unreadable, dropped
@@ -112,16 +112,16 @@ class TestScenarioDispatch:
         agents = ScriptedAgents(initial=["q1"], helpful=HelpfulnessJudgment(False))
         report, _, _ = self.one_result_run(agents)
         assert len(report.evidence) == 0
-        scenarios = [e.payload["scenario"]
-                     for e in report.trace.of_kind(EventKind.SCENARIO_DECISION)]
+        scenarios = [e.payload["scenario"] for e in report.trace.events
+                     if e.kind is EventKind.SCENARIO_DECISION]
         assert "c" in scenarios
 
     def test_scenario_a_adds_and_stops(self):
         agents = ScriptedAgents(initial=["q1"], sufficient=True)
         report, _, _ = self.one_result_run(agents)
         assert len(report.evidence) == 1
-        scenarios = [e.payload["scenario"]
-                     for e in report.trace.of_kind(EventKind.SCENARIO_DECISION)]
+        scenarios = [e.payload["scenario"] for e in report.trace.events
+                     if e.kind is EventKind.SCENARIO_DECISION]
         assert scenarios[-1] == "a"
 
     def test_unusable_result_skipped(self):
@@ -142,8 +142,8 @@ class TestScenarioDispatch:
         verifier, _, _ = build(agents, {"q1": [result], "q2": [result]})
         report = verifier.verify(CLAIM, BudgetConfig())
         assert len(report.evidence) == 1
-        added_flags = [e.payload["added"]
-                       for e in report.trace.of_kind(EventKind.EVIDENCE_ADDED)]
+        added_flags = [e.payload["added"] for e in report.trace.events
+                       if e.kind is EventKind.EVIDENCE_ADDED]
         assert added_flags == [True, False]
 
 
@@ -267,7 +267,7 @@ class TestBudgetAndQueries:
         report = verifier.verify(CLAIM, BudgetConfig())
         assert attempts == ["q1"] * 4
         assert report.trace.count(EventKind.VERDICT) == 1
-        (event,) = report.trace.of_kind(EventKind.SEARCH_CALL)
+        (event,) = [e for e in report.trace.events if e.kind is EventKind.SEARCH_CALL]
         assert event.payload["n_results"] == 0
         assert "HTTP 429" in event.payload["error"]
 
@@ -278,7 +278,7 @@ class TestBudgetAndQueries:
                             search=search, reader=FakeReader(), clock=lambda: 0.0)
         report = verifier.verify(CLAIM, BudgetConfig())
         assert report.verdict is Verdict.TRUE
-        (event,) = report.trace.of_kind(EventKind.SEARCH_CALL)
+        (event,) = [e for e in report.trace.events if e.kind is EventKind.SEARCH_CALL]
         assert event.payload["n_results"] == 0
         assert "not a JSON object" in event.payload["error"]
 
@@ -427,7 +427,7 @@ def stub_verifier(http_stub, tmp_path, mode, rules, pages, search_app):
 
 
 def fetched_events(report) -> list[str]:
-    return [e.payload["url"] for e in report.trace.of_kind(EventKind.FETCH)]
+    return [e.payload["url"] for e in report.trace.events if e.kind is EventKind.FETCH]
 
 
 class TestPrefetch:

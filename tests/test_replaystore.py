@@ -43,7 +43,7 @@ class TestFixtureStore:
         store.put("k", {"a": [1, "é"]})
         store.put("k", {"a": [1, "é"]})
         assert store.get("k") == {"a": [1, "é"]}
-        assert store.keys() == ["k"]
+        assert [p.name for p in (tmp_path / "new").glob("*.json")] == ["k.json"]
 
     def test_malformed_fixture_is_storage_error(self, tmp_path):
         (tmp_path / "k.json").write_text("{not json", encoding="utf-8")
