@@ -36,27 +36,36 @@ _BLOCK_TAGS = frozenset(
 # '<?', a comment, an unusual tag) ends the match, and HTMLParser sees it as
 # before.  An unquoted value may hold '/', as HTMLParser reads it: <a b=c/>
 # is a start tag, not a self-closing one.
+#
+# Every repeat below is possessive: what follows it never begins with a
+# character it consumed (a name is followed by whitespace, '=', '/' or '>';
+# a quoted value by its quote; text by '<'; a bare value may end in '/',
+# and '/?>' still matches after it), so giving characters back could never
+# make a match, and sre keeps no backtracking state for them.  Names list
+# both cases, so no pattern needs re.IGNORECASE, which folds every character
+# tested.
 _WS = r"[ \t\n\r\f]"
 
 
 def _whole_name(names) -> str:
-    """A regex for a whole tag name in names.  It tests the first letter
-    before the alternatives, so that most other names fail at once."""
-    return r"(?=[%s])(?:%s)(?![a-zA-Z0-9-])" % (
-        "".join(sorted({name[0] for name in names})), "|".join(sorted(names)))
+    """A regex for a whole tag name in names, in any ASCII case.  It tests
+    the first letter before the alternatives, so that most other names fail
+    at once."""
+    first = "".join(sorted({name[0] for name in names}))
+    spelled = ("".join(f"[{c}{c.upper()}]" for c in name) for name in sorted(names))
+    return r"(?=[%s%s])(?:%s)(?![a-zA-Z0-9-])" % (first, first.upper(), "|".join(spelled))
 
 
 _SKIP_NAME = _whole_name(_SKIP_TAGS)
-_ATTRS = (r"""(?:%s+[a-zA-Z_:][-a-zA-Z0-9_:.]*"""
-          r"""(?:%s*=%s*(?:"[^"<>]*"|'[^'<>]*'|[-a-zA-Z0-9_:.#%%&+,;?!@~()/]+))?)*%s*"""
+_ATTRS = (r"""(?:%s++[a-zA-Z_:][-a-zA-Z0-9_:.]*+"""
+          r"""(?:%s*+=%s*+(?:"[^"<>]*+"|'[^'<>]*+'|[-a-zA-Z0-9_:.#%%&+,;?!@~()/]++))?+)*+%s*+"""
           % (_WS, _WS, _WS, _WS))
 # text and tags that are not skip tags
 _PLAIN_RUN = re.compile(
-    r"(?:[^<]+|<(?!{0})[a-zA-Z][a-zA-Z0-9-]*{1}/?>|</(?!{0})[a-zA-Z][a-zA-Z0-9-]*{2}*>)*"
-    .format(_SKIP_NAME, _ATTRS, _WS), re.ASCII | re.IGNORECASE)
+    r"(?:[^<]++|<(?:(?!{0})[a-zA-Z][a-zA-Z0-9-]*+{1}/?+>|/(?!{0})[a-zA-Z][a-zA-Z0-9-]*+{2}*+>))*+"
+    .format(_SKIP_NAME, _ATTRS, _WS))
 # one skip tag: groups (end tag name, start tag name, "/" when self-closing)
-_SKIP_TAG = re.compile(r"</({0}){1}*>|<({0}){2}(/?)>".format(_SKIP_NAME, _WS, _ATTRS),
-                       re.ASCII | re.IGNORECASE)
+_SKIP_TAG = re.compile(r"</({0}){1}*+>|<({0}){2}(/?+)>".format(_SKIP_NAME, _WS, _ATTRS))
 # Outside skipped elements, text and every tag but the skip tags are matched
 # the same way, one piece of text and one tag at a time, so that each piece
 # still goes to handle_data and each block tag still breaks the paragraph.
@@ -67,8 +76,8 @@ _NOT_INLINE = _whole_name(
     _SKIP_TAGS | {"title", "textarea", "plaintext", "xmp", "noembed", "noframes"})
 # groups: (text before the tag, "/" for an end tag, tag name)
 _INLINE_RUN = re.compile(
-    r"([^<&]*)<(/)?(?!{0})([a-zA-Z][a-zA-Z0-9-]*)(?(2){2}*|{1}/?)>"
-    .format(_NOT_INLINE, _ATTRS, _WS), re.ASCII | re.IGNORECASE)
+    r"([^<&]*+)<(/)?+(?!{0})([a-zA-Z][a-zA-Z0-9-]*+)(?(2){2}*+|{1}/?+)>"
+    .format(_NOT_INLINE, _ATTRS, _WS))
 # HTMLParser's end of a script or style body (HTMLParser.set_cdata_mode)
 _CDATA_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
               for tag in HTMLParser.CDATA_CONTENT_ELEMENTS}
@@ -257,9 +266,11 @@ class PageReader:
         with open_url("GET", url, {}, timeout=self.timeout,
                       max_redirects=self.max_redirects) as resp:
             if not 200 <= resp.status < 300:
+                resp.discard()
                 raise TransportError(f"HTTP {resp.status} for {url}")
             content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()
             if content_type and not content_type.startswith(_ACCEPTED_CONTENT_TYPES):
+                resp.discard()
                 raise TransportError(f"unsupported content-type {content_type!r} for {url}")
             return resp.text(self.max_bytes), content_type
 

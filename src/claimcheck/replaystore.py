@@ -264,35 +264,46 @@ class Response:
             self._raw.close()
             self._conn.close()
 
-    def read(self, max_bytes: Optional[int] = None) -> bytes:
+    def read(self, max_bytes: Optional[int] = None) -> bytearray:
         """The body, gzip or deflate encoding undone.  TransportError when
         the call's deadline passes, the decoded body grows over
-        ``max_bytes`` or a read fails."""
+        ``max_bytes`` or a read fails.  A body sent as it is, whose
+        Content-Length is over ``max_bytes``, is refused unread."""
         encoding = self.headers.get("Content-Encoding", "").strip().lower()
         inflate = (zlib.decompressobj(16 + zlib.MAX_WBITS) if encoding in ("gzip", "x-gzip")
                    else zlib.decompressobj() if encoding == "deflate" else None)
-        chunks, size = [], 0
+        if inflate is None and max_bytes is not None and (self._raw.length or 0) > max_bytes:
+            raise TransportError(f"body over {max_bytes} bytes for {self.url}")
+        body = bytearray()
         try:
             while chunk := self._raw.read1(65536):
                 if inflate is not None:
                     # at most one byte over the cap: enough to reject the body
                     chunk = inflate.decompress(chunk, 0 if max_bytes is None
-                                               else max_bytes - size + 1)
-                size += len(chunk)
-                if max_bytes is not None and size > max_bytes:
+                                               else max_bytes - len(body) + 1)
+                body += chunk
+                if max_bytes is not None and len(body) > max_bytes:
                     raise TransportError(f"body over {max_bytes} bytes for {self.url}")
-                chunks.append(chunk)
             if self._raw.length:
                 raise TransportError(f"body incomplete when the connection closed for {self.url}")
             if inflate is not None:
-                chunks.append(inflate.flush())
-                if max_bytes is not None and size + len(chunks[-1]) > max_bytes:
+                body += inflate.flush()
+                if max_bytes is not None and len(body) > max_bytes:
                     raise TransportError(f"body over {max_bytes} bytes for {self.url}")
         except (OSError, http.client.HTTPException, zlib.error) as exc:
             raise TransportError(f"body read failed for {self.url}: {exc}") from exc
         self._raw.close()
         self._complete = True
-        return b"".join(chunks)
+        return body
+
+    def discard(self) -> None:
+        """Read and drop a body of up to 64 KB, so that the connection
+        serves the thread's next call; a longer body, or one that fails to
+        arrive, goes with the connection when the ``with`` block ends."""
+        try:
+            self.read(65536)
+        except TransportError:
+            pass
 
     def text(self, max_bytes: Optional[int] = None) -> str:
         """read(), decoded by the Content-Type charset (see _decode)."""
@@ -333,10 +344,7 @@ def open_url(method: str, url: str, headers: dict[str, str], body: Optional[byte
                 if jar is None:
                     jar = CookieJar()
                 jar.extract_cookies(resp._raw, Request(url))
-            try:
-                resp.read(65536)
-            except TransportError:
-                pass  # the redirect's body is dropped with its connection
+            resp.discard()
         try:
             # http.client decodes header values as ISO-8859-1
             location = location.encode("latin-1").decode("utf-8")

@@ -114,6 +114,26 @@ def test_abandoned_bodies_are_never_read_as_the_next_response(stub_servers):
         assert body == PAGE.decode()
 
 
+def test_a_small_error_or_wrong_type_body_keeps_the_connection(stub_servers):
+    def app(method, path, body, headers):
+        if path == "/missing":
+            return 404, {"Content-Type": "text/html"}, b"<p>not here</p>"
+        if path == "/doc.pdf":
+            return 200, {"Content-Type": "application/pdf"}, b"%PDF" + b"0" * 4096
+        return 200, {"Content-Type": "text/html"}, PAGE
+
+    stub = stub_servers(app, keep_alive=True)
+    reader = PageReader()
+    with pytest.raises(TransportError, match="HTTP 404"):
+        reader.fetch(f"{stub.url}/missing")
+    assert reader.fetch(f"{stub.url}/page")[0] == PAGE.decode()
+    with pytest.raises(TransportError, match="content-type"):
+        reader.fetch(f"{stub.url}/doc.pdf")
+    assert reader.fetch(f"{stub.url}/page")[0] == PAGE.decode()
+    # the error bodies are read, so no call needs a new connection
+    assert stub.connections == 1
+
+
 def test_every_request_carries_the_transport_user_agent(http_stub):
     seen: dict[str, set] = {}
     search_app = serper_stub_app()

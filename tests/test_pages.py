@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -212,6 +213,9 @@ class TestSkipRun:
     @example(f"<nav><script>a</script\n></nav>{LONG_PARA}<script>c</script>", None, 40)
     # entities in text between inline tags, which HTMLParser converts
     @example(f"<p>x<b>fish &amp; chips</b> AT&T <em>y</em> {LONG_PARA}</p>", None, 40)
+    # elements that some Python versions read as raw text, in any case
+    @example(f"<p>x<TiTlE>y <b>t</b></tItLe>z<TeXtArEa a=b>u &amp; <b>v</b></TEXTAREA>"
+             f" {LONG_PARA}</p>", None, 40)
     def test_same_as_stock_tokenizer(self, raw, cap, min_chars):
         assert (extract_or_none(raw, min_chars, cap)
                 == reference_extract_or_none(raw, min_chars, cap))
@@ -226,15 +230,45 @@ class TestSkipRun:
     @pytest.mark.parametrize("tag", sorted(pages._SKIP_TAGS))
     def test_every_skip_tag_is_seen(self, tag):
         # a skip tag read as any other tag would keep its text, or end its
-        # skipped element too soon
+        # skipped element too soon; the patterns spell each name in both
+        # cases, so every letter is tested in each case (nAv, hEaD)
+        alternating = "".join(c.upper() if i % 2 else c for i, c in enumerate(tag))
         for raw in (f"<b>x</b><{tag}>{LONG_PARA}</{tag}>", f"<p>x<{tag.upper()} a=b>y",
-                    f"<nav><{tag}></nav>{LONG_PARA}", f"<nav><{tag.title()}/></nav>{LONG_PARA}"):
+                    f"<nav><{tag}></nav>{LONG_PARA}", f"<nav><{tag.title()}/></nav>{LONG_PARA}",
+                    f"<b>x</b><{alternating}>{LONG_PARA}</{alternating} >{LONG_PARA}",
+                    f"<p>x<{alternating.swapcase()} a=b>y",
+                    f"<nav><{alternating}></nav>{LONG_PARA}</{alternating.swapcase()}>z"):
             assert extract_or_none(raw, 0) == reference_extract_or_none(raw, 0), raw
 
     def test_boilerplate_tags_skip_the_handlers(self):
         _, seen = extract_counting_starttags(BOILERPLATE_PAGE)
         # 3 x 1001 nav-list start tags without the skip run
         assert len(seen) < 40, seen
+
+
+def greedy(pattern):
+    """pattern with every possessive repeat (*+, ++, ?+) made greedy"""
+    copy = re.compile(re.sub(r"([*+?])\+", r"\1", pattern.pattern), pattern.flags)
+    assert copy.pattern != pattern.pattern
+    return copy
+
+
+class TestPossessiveRepeats:
+    """No repeat in the extraction patterns ever has to give characters
+    back to make a match, so making them possessive changes no match."""
+
+    @settings(max_examples=400)
+    @given(_HTML)
+    @example('<a b=c/><nav a=b/><a b="c"d=\'e\' f = g/ ><div\t\n>x</div\n><NAV/>')
+    @example("<p>x<TiTlE>y</tItLe>z<TeXtArEa a=b/>w</TEXTAREA>&amp;<hEaD >")
+    def test_same_spans_and_groups_as_greedy_repeats(self, raw):
+        copies = [(pattern, greedy(pattern))
+                  for pattern in (pages._PLAIN_RUN, pages._SKIP_TAG, pages._INLINE_RUN)]
+        for start in [0] + [i for i, c in enumerate(raw) if c == "<"]:
+            for possessive, copy in copies:
+                ours, theirs = possessive.match(raw, start), copy.match(raw, start)
+                assert ((ours.span(), ours.groups()) if ours else None) == (
+                    (theirs.span(), theirs.groups()) if theirs else None), (copy, start)
 
 
 ARTICLE_PAGE = "<html><body><main><article><h1>Title</h1>" + "".join(
@@ -337,6 +371,14 @@ class TestFetch:
         base = drip_server(f"<p>{LONG_PARA}</p>".encode(), interval=5.0)
         with pytest.raises(TransportError):
             PageReader(timeout=0.3).fetch(f"{base}/page")
+
+    def test_body_over_max_bytes_by_its_length_is_refused_unread(self, drip_server):
+        # 3000 bytes at one every 0.1 s: reading past the cap would take 100 s
+        base = drip_server(b"x" * 3000, interval=0.1)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="body over 1000 bytes"):
+            PageReader(max_bytes=1000, timeout=2.0).fetch(f"{base}/page")
+        assert time.monotonic() - start < 1.0
 
     def test_size_cap_enforced(self, http_stub):
         base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "text/html"}, b"x" * 5000))
