@@ -95,7 +95,7 @@ def parse_query_list(reply: str) -> list[str]:
         m = _BULLET_RE.match(line)
         if not m:
             continue
-        text = m.group(1).strip().strip('"')
+        text = m.group(1).strip().strip('"').strip()
         if text and text.lower() not in seen:
             seen.add(text.lower())
             queries.append(text)
@@ -174,10 +174,15 @@ class AgentSuite:
     def _log(self, agent: str, **payload) -> None:
         self.trace.log(EventKind.AGENT_CALL, agent=agent, **payload)
 
-    def _complete(self, agent: str, extra_user: Optional[str] = None, **slots: str) -> str:
-        messages = self.prompts[agent].render(**slots)
-        if extra_user:
-            messages = messages + (("user", extra_user),)
+    def _prompt(self, agent: str, claim: Claim, evidence: Optional[EvidenceSet] = None,
+                **slots: str) -> tuple[tuple[str, str], ...]:
+        """The agent's messages: the claim slot holds claim.text, and the
+        evidence slot the evidence rendered within EVIDENCE_PROMPT_BUDGET."""
+        if evidence is not None:
+            slots["evidence"] = evidence.render(EVIDENCE_PROMPT_BUDGET)
+        return self.prompts[agent].render(claim=claim.text, **slots)
+
+    def _complete(self, messages: tuple[tuple[str, str], ...]) -> str:
         req = ChatRequest(
             model_id=self.config.model_id,
             messages=messages,
@@ -188,7 +193,7 @@ class AgentSuite:
     # -- agents -------------------------------------------------------------
 
     def initial_query_gen(self, claim: Claim) -> list[SearchQuery]:
-        reply = self._complete("initial_query_gen", claim=claim.text)
+        reply = self._complete(self._prompt("initial_query_gen", claim))
         texts = parse_query_list(reply)[: self.config.max_search_queries]
         fallback = not texts
         if fallback:
@@ -204,7 +209,8 @@ class AgentSuite:
             f"{i}. {r.title} — {r.url} — {r.snippet}"
             for i, r in enumerate(results, start=1)
         )
-        reply = self._complete("search_rank", query=query.text, results=block)
+        reply = self._complete(
+            self.prompts["search_rank"].render(query=query.text, results=block))
         perm = parse_permutation(reply, len(results))
         fallback = perm is None
         self._log("search_rank", n_results=len(results), fallback=fallback)
@@ -214,12 +220,8 @@ class AgentSuite:
 
     def self_contained_check(self, claim: Claim, evidence: EvidenceSet,
                              doc: Document) -> bool:
-        reply = self._complete(
-            "self_contained_check",
-            claim=claim.text,
-            evidence=evidence.render(EVIDENCE_PROMPT_BUDGET),
-            document=doc.body,
-        )
+        reply = self._complete(self._prompt("self_contained_check", claim, evidence,
+                                            document=doc.body))
         parsed = parse_yes_no(reply)
         self._log("self_contained_check", url=doc.meta.url,
                   result=bool(parsed), fallback=parsed is None)
@@ -227,12 +229,7 @@ class AgentSuite:
 
     def det_helpful(self, claim: Claim, evidence: EvidenceSet,
                     doc: Document) -> HelpfulnessJudgment:
-        reply = self._complete(
-            "det_helpful",
-            claim=claim.text,
-            evidence=evidence.render(EVIDENCE_PROMPT_BUDGET),
-            document=doc.body,
-        )
+        reply = self._complete(self._prompt("det_helpful", claim, evidence, document=doc.body))
         judgment = parse_helpfulness(reply)
         self._log("det_helpful", url=doc.meta.url, helpful=judgment.helpful)
         return judgment
@@ -240,27 +237,17 @@ class AgentSuite:
     def sufficient_evidence(self, claim: Claim, evidence: EvidenceSet) -> bool:
         if len(evidence) == 0:
             return False
-        reply = self._complete(
-            "sufficient_evidence",
-            claim=claim.text,
-            evidence=evidence.render(EVIDENCE_PROMPT_BUDGET),
-        )
+        reply = self._complete(self._prompt("sufficient_evidence", claim, evidence))
         parsed = parse_yes_no(reply)
         self._log("sufficient_evidence", result=bool(parsed), fallback=parsed is None)
         return bool(parsed)
 
     def classify(self, claim: Claim, evidence: EvidenceSet) -> Verdict:
-        evidence_block = evidence.render(EVIDENCE_PROMPT_BUDGET)
-        reply = self._complete("classify", claim=claim.text, evidence=evidence_block)
-        verdict = parse_true_false(reply)
+        messages = self._prompt("classify", claim, evidence)
+        verdict = parse_true_false(self._complete(messages))
         if verdict is None:
-            reply = self._complete(
-                "classify",
-                extra_user=CLASSIFY_RETRY_INSTRUCTION,
-                claim=claim.text,
-                evidence=evidence_block,
-            )
-            verdict = parse_true_false(reply)
+            verdict = parse_true_false(
+                self._complete(messages + (("user", CLASSIFY_RETRY_INSTRUCTION),)))
         forced = verdict is None
         if forced:
             verdict = Verdict.FALSE
@@ -272,11 +259,7 @@ class AgentSuite:
                              remaining_budget: int) -> list[SearchQuery]:
         if remaining_budget < 1:
             return []
-        reply = self._complete(
-            "additional_query_gen",
-            claim=claim.text,
-            evidence=evidence.render(EVIDENCE_PROMPT_BUDGET),
-        )
+        reply = self._complete(self._prompt("additional_query_gen", claim, evidence))
         issued = {t.lower() for t in issued_texts}
         texts = [t for t in parse_query_list(reply) if t.lower() not in issued]
         texts = texts[:remaining_budget]

@@ -140,28 +140,22 @@ def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[Lab
     return out
 
 
+# each dataset's labels, lower-cased, -> gold verdict; None drops the record
+_LABELS: dict[DatasetKind, dict[str, Verdict | None]] = {
+    DatasetKind.FACTOOL_KBQA: {"true": Verdict.TRUE, "false": Verdict.FALSE},
+    DatasetKind.BINGCHECK: {"supported": Verdict.TRUE, "refuted": Verdict.FALSE,
+                            "partially supported": None, "not supported": None},
+    DatasetKind.FACTCHECK_BENCH: {"true": Verdict.TRUE, "false": Verdict.FALSE,
+                                  "unknown": None},
+}
+
+
 def _map_label(kind: DatasetKind, raw: object, index: int) -> Verdict | None:
-    if kind is DatasetKind.FACTOOL_KBQA:
-        if isinstance(raw, bool):
-            return Verdict.TRUE if raw else Verdict.FALSE
-        if str(raw).strip().lower() in ("true", "false"):
-            return Verdict.TRUE if str(raw).strip().lower() == "true" else Verdict.FALSE
-        raise SchemaError(f"record {index}: bad FacTool-KBQA label {raw!r}")
-    if kind is DatasetKind.BINGCHECK:
-        label = str(raw).strip().lower()
-        if label == "supported":
-            return Verdict.TRUE
-        if label == "refuted":
-            return Verdict.FALSE
-        if label in ("partially supported", "not supported"):
-            return None
-        raise SchemaError(f"record {index}: bad BingCheck label {raw!r}")
-    label = str(raw).strip().lower()
-    if label == "unknown":
-        return None
-    if label in ("true", "false"):
-        return Verdict.TRUE if label == "true" else Verdict.FALSE
-    raise SchemaError(f"record {index}: bad Factcheck-Bench label {raw!r}")
+    """str(True) is "True", so a JSON boolean maps as its name does."""
+    try:
+        return _LABELS[kind][str(raw).strip().lower()]
+    except KeyError:
+        raise SchemaError(f"record {index}: bad {kind.value} label {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------

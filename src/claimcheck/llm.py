@@ -65,6 +65,8 @@ class LlmGateway(RecordedClient):
     and the token usage (absent in older fixtures, replayed as None).
     """
 
+    TIMEOUT = 60.0
+
     def __init__(
         self,
         mode: str = "live",
@@ -73,9 +75,8 @@ class LlmGateway(RecordedClient):
         fixture_dir: Optional[str] = None,
         transport: Callable[..., tuple[int, str]] = post_json,
         sleep: Callable[[float], None] = time.sleep,
-        timeout: float = 60.0,
     ) -> None:
-        super().__init__(mode, fixture_dir, transport, sleep, timeout)
+        super().__init__(mode, fixture_dir, transport, sleep)
         if mode in ("live", "record") and not base_url:
             raise ValueError("base_url required for live/record mode")
         self.base_url = (base_url or "").rstrip("/")

@@ -86,6 +86,7 @@ _BLANK_LINE = re.compile(r"\n[ \t]*\n")
 _SPACES = re.compile(r"\s+")
 
 _ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain")
+MAX_REDIRECTS = 5
 
 
 class EmptyExtraction(Exception):
@@ -238,14 +239,12 @@ class PageReader:
     def __init__(
         self,
         timeout: float = 15.0,
-        max_redirects: int = 5,
         max_bytes: int = 2_000_000,
         body_char_cap: int = 12_000,
         respect_robots: bool = False,
         http_get: Optional[Callable[[str], tuple[str, str]]] = None,
     ) -> None:
         self.timeout = timeout
-        self.max_redirects = max_redirects
         self.max_bytes = max_bytes
         self.body_char_cap = body_char_cap
         self.respect_robots = respect_robots
@@ -264,7 +263,7 @@ class PageReader:
 
     def _get(self, url: str) -> tuple[str, str]:
         with open_url("GET", url, {}, timeout=self.timeout,
-                      max_redirects=self.max_redirects) as resp:
+                      max_redirects=MAX_REDIRECTS) as resp:
             if not 200 <= resp.status < 300:
                 resp.discard()
                 raise TransportError(f"HTTP {resp.status} for {url}")
@@ -309,14 +308,15 @@ class PageReader:
 
     def _read_robots(self, robots_url: str) -> urllib.robotparser.RobotFileParser:
         """RobotFileParser.read() with a timeout and lenient decoding: 2xx is
-        parsed, 401/403 disallow all, other 4xx and network errors allow
-        all; anything else leaves the parser unread, so can_fetch is False."""
+        parsed, 401/403 disallow all, other 4xx, network errors and a body
+        over max_bytes (read no further) allow all; anything else leaves the
+        parser unread, so can_fetch is False."""
         parser = urllib.robotparser.RobotFileParser()
         try:
             with open_url("GET", robots_url, {}, timeout=self.timeout,
-                          max_redirects=self.max_redirects) as resp:
-                # read every body, so the connection stays open for the pages
-                body = resp.read()
+                          max_redirects=MAX_REDIRECTS) as resp:
+                # read every body up to the cap, so the connection stays open for the pages
+                body = resp.read(self.max_bytes)
                 if 200 <= resp.status < 300:
                     parser.parse(body.decode("utf-8", errors="replace").splitlines())
                 elif resp.status in (401, 403):

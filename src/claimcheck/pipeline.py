@@ -139,38 +139,36 @@ class Verifier:
     def _search_loop(self, agents: AgentSuite, state: PipelineState,
                      config: BudgetConfig) -> None:
         while True:
-            while state.pending_queries and not state.sufficient:
-                query = state.pending_queries.popleft()
-                if query.text.lower() in state.issued_query_texts:
-                    continue
-                if len(state.issued_query_texts) >= config.max_search_queries:
+            if not state.pending_queries:
+                remaining = config.max_search_queries - len(state.issued_query_texts)
+                if remaining == 0:
                     return
-                state.issued_query_texts.add(query.text.lower())
-                results = self._do_search(state, query, config.max_results_per_query)
-                # keyed by id(result): `results` keeps every key's object alive
-                prefetches = self._prefetch(results)
-                try:
-                    ranked = results
-                    if len(results) > 1 and Ablation.RM_SR not in state.ablations:
-                        ranked = agents.search_rank(query, results)
-                    for result in ranked:
-                        self._process_result(agents, state, result,
-                                             prefetches.pop(id(result), None))
-                        if state.sufficient:
-                            return
-                finally:
-                    # cancel the unread prefetches not started and wait for the
-                    # running ones, so that no fetch outlives its claim
-                    wait([f for f in prefetches.values() if not f.cancel()])
-            remaining = config.max_search_queries - len(state.issued_query_texts)
-            if state.sufficient or remaining == 0:
+                state.pending_queries.extend(agents.additional_query_gen(
+                    state.claim, state.evidence, state.issued_query_texts, remaining))
+                if not state.pending_queries:
+                    return
+            query = state.pending_queries.popleft()
+            if query.text.lower() in state.issued_query_texts:
+                continue
+            if len(state.issued_query_texts) >= config.max_search_queries:
                 return
-            extra = agents.additional_query_gen(
-                state.claim, state.evidence, state.issued_query_texts, remaining,
-            )
-            if not extra:
-                return
-            state.pending_queries.extend(extra)
+            state.issued_query_texts.add(query.text.lower())
+            results = self._do_search(state, query, config.max_results_per_query)
+            # keyed by id(result): `results` keeps every key's object alive
+            prefetches = self._prefetch(results)
+            try:
+                ranked = results
+                if len(results) > 1 and Ablation.RM_SR not in state.ablations:
+                    ranked = agents.search_rank(query, results)
+                for result in ranked:
+                    self._process_result(agents, state, result,
+                                         prefetches.pop(id(result), None))
+                    if state.sufficient:
+                        return
+            finally:
+                # cancel the unread prefetches not started and wait for the
+                # running ones, so that no fetch outlives its claim
+                wait([f for f in prefetches.values() if not f.cancel()])
 
     def _do_search(self, state: PipelineState, query: SearchQuery,
                    k: int) -> list[SearchResultMeta]:
@@ -256,4 +254,3 @@ class Verifier:
                                 scenario="dropped_after_recheck")
                 continue
             self._judge_document(agents, state, doc)
-        state.deferred.clear()

@@ -401,11 +401,14 @@ class RecordedClient:
     record (live, and store each record) or replay (stored records only,
     never the network).  Live calls go through ``transport`` with one
     retry policy: transport errors, HTTP 429 and 5xx are retried after
-    each of RETRY_DELAYS."""
+    each of RETRY_DELAYS.  Each try may take TIMEOUT seconds, which every
+    subclass sets."""
+
+    TIMEOUT: float
 
     def __init__(self, mode: str, fixture_dir: Optional[str],
                  transport: Callable[..., tuple[int, str]],
-                 sleep: Callable[[float], None], timeout: float) -> None:
+                 sleep: Callable[[float], None]) -> None:
         if mode not in ("live", "record", "replay"):
             raise ValueError(f"unknown mode: {mode!r}")
         if mode in ("record", "replay") and not fixture_dir:
@@ -414,7 +417,6 @@ class RecordedClient:
         self.store = FixtureStore(fixture_dir) if fixture_dir else None
         self._transport = transport
         self._sleep = sleep
-        self._timeout = timeout
 
     def _recorded(self, key: Callable[[], str], live: Callable[[], dict[str, Any]],
                   miss: Callable[[], str]) -> dict[str, Any]:
@@ -441,7 +443,7 @@ class RecordedClient:
             if attempt:
                 self._sleep(RETRY_DELAYS[attempt - 1])
             try:
-                status, body = self._transport(url, headers, payload, self._timeout)
+                status, body = self._transport(url, headers, payload, self.TIMEOUT)
             except TransportError as exc:
                 last_error = exc
                 continue

@@ -30,6 +30,8 @@ class SearchClient(RecordedClient):
     failing the call.  Replay mode performs zero network operations.
     """
 
+    TIMEOUT = 30.0
+
     def __init__(
         self,
         mode: str = "live",
@@ -40,9 +42,8 @@ class SearchClient(RecordedClient):
         transport: Callable[..., tuple[int, str]] = post_json,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
-        timeout: float = 30.0,
     ) -> None:
-        super().__init__(mode, fixture_dir, transport, sleep, timeout)
+        super().__init__(mode, fixture_dir, transport, sleep)
         self.endpoint = endpoint
         self.api_key = api_key
         self._clock = clock

@@ -71,6 +71,10 @@ class TestInitialQueryGen:
         assert len(queries) == 1
         assert queries[0].text == CLAIM.text
 
+    def test_item_blank_inside_quotes_is_dropped(self):
+        a = suite(['1. "  "\n2. "X founder"\n3. ""'])
+        assert [q.text for q in a.initial_query_gen(CLAIM)] == ["X founder"]
+
 
 class TestSearchRank:
     def test_single_result_no_llm_call(self):
@@ -239,3 +243,53 @@ class TestParsersDirect:
         reply = "- alpha query\n* beta query\n3) gamma query\n• delta query"
         assert parse_query_list(reply) == [
             "alpha query", "beta query", "gamma query", "delta query"]
+
+
+class TestPromptKeysPinned:
+    """Every request the seven agents send, pinned by its replay key: a
+    prompt that changes by one byte no longer replays recorded fixtures."""
+
+    KEYS = [
+        ("initial_query_gen",
+         "33ba64f53d712afb0217c504f8f424178879fedbc69e58ed136e25fe3630f7c9"),
+        ("search_rank",
+         "bde52d1b07df9d65b190a8abc0829f666a65dc738dea2c62479608fa50b9d536"),
+        ("self_contained_check",
+         "2bcd0d590c0a7148dcd0207af4f31b0362d06c232c3c00a3a519ee55ec4f2eaf"),
+        ("det_helpful",
+         "bff4f2da6fb043216e76f0435037f91b92723cc4955db47d35e095d20898aff3"),
+        ("sufficient_evidence",
+         "883d119b699d30e4a518ea5df80506a2bd688e6167899d3618725f245812769e"),
+        ("classify",
+         "be7a299549b814b00576ff0ee1baad9583030eb7cb92c2e26c986d0092b86fc9"),
+        # the retry, after an unparseable verdict
+        ("classify",
+         "cf16b70cd5f25acb2a9bcd692ac0ce424fc248f9232236122714e7a1b632acf4"),
+        ("additional_query_gen",
+         "e11544e5ba9da14efe57a494537dfcec4e41802b52678f3d7b30baaa7645398a"),
+    ]
+
+    def test_replay_keys_unchanged(self):
+        gateway = FakeGateway(responder=lambda req: "maybe")
+        a = AgentSuite(gateway, BudgetConfig(model_id="m-1", temperature=0.5),
+                       load_prompts(), RunTrace())
+        claim = Claim(text="Zürich's lake is 88 km² in area")
+        evidence = evidence_with(2)
+        doc = make_doc("https://a.example/1", body="The lake covers 88 km².\n\nMore text.")
+        results = [make_result(f"https://r.example/{i}", title=f"title {i}",
+                               snippet=f"snippet {i}") for i in range(3)]
+        sent = []
+        for agent, call in [
+            ("initial_query_gen", lambda: a.initial_query_gen(claim)),
+            ("search_rank", lambda: a.search_rank(SearchQuery("lake area"), results)),
+            ("self_contained_check", lambda: a.self_contained_check(claim, EvidenceSet(), doc)),
+            ("det_helpful", lambda: a.det_helpful(claim, evidence, doc)),
+            ("sufficient_evidence", lambda: a.sufficient_evidence(claim, evidence)),
+            ("classify", lambda: a.classify(claim, evidence)),
+            ("additional_query_gen",
+             lambda: a.additional_query_gen(claim, evidence, ["lake area"], 3)),
+        ]:
+            start = len(gateway.requests)
+            call()
+            sent += [(agent, replay_key(req)) for req in gateway.requests[start:]]
+        assert sent == self.KEYS

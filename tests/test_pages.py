@@ -327,7 +327,7 @@ class TestFetch:
 
         base = http_stub(app)
         with pytest.raises(TransportError):
-            PageReader(max_redirects=5).fetch(f"{base}/hop/0")
+            PageReader().fetch(f"{base}/hop/0")
 
     def test_five_redirects_succeed(self, http_stub):
         def app(method, path, body, headers):
@@ -336,7 +336,7 @@ class TestFetch:
                 return 200, {"Content-Type": "text/html"}, b"<p>made it here ok</p>"
             return 302, {"Location": f"/hop/{hop + 1}"}, b""
 
-        text, _ = PageReader(max_redirects=5).fetch(f"{http_stub(app)}/hop/0")
+        text, _ = PageReader().fetch(f"{http_stub(app)}/hop/0")
         assert "made it" in text
 
     def test_non_html_content_type_rejected(self, http_stub):
@@ -485,6 +485,17 @@ class TestRobots:
         else:
             with pytest.raises(TransportError, match="robots"):
                 reader.fetch(url)
+
+    def test_robots_txt_over_max_bytes_allows(self, http_stub):
+        robots = b"User-agent: *\nDisallow: /\n" + b"# comment line\n" * 350
+
+        def app(method, path, body, headers):
+            if path == "/robots.txt":
+                return 200, {"Content-Type": "text/plain"}, robots
+            return 200, {"Content-Type": "text/html"}, f"<p>{LONG_PARA}</p>".encode()
+
+        reader = PageReader(max_bytes=1000, respect_robots=True)
+        assert LONG_PARA in reader.fetch(f"{http_stub(app)}/page")[0]
 
     def test_unreachable_robots_txt_allows(self):
         reader = PageReader(respect_robots=True, timeout=1.0,
