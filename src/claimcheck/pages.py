@@ -67,23 +67,31 @@ _PLAIN_RUN = re.compile(
 # one skip tag: groups (end tag name, start tag name, "/" when self-closing)
 _SKIP_TAG = re.compile(r"</({0}){1}*+>|<({0}){2}(/?+)>".format(_SKIP_NAME, _WS, _ATTRS))
 # Outside skipped elements, text and every tag but the skip tags are matched
-# the same way, one piece of text and one tag at a time, so that each piece
-# still goes to handle_data and each block tag still breaks the paragraph.
-# Text holds no '&', so HTMLParser still converts charrefs; tag names
-# exclude skip tags, whose handlers change _skip_depth, and every element
-# some Python version's HTMLParser reads as raw text or plaintext.
+# a paragraph run at a time: text and inline tags, then optionally text and
+# one block tag, which ends the paragraph.  Text holds no '&', so HTMLParser
+# still converts charrefs; inline names exclude the block names, skip tags,
+# whose handlers change _skip_depth, and every element some Python version's
+# HTMLParser reads as raw text or plaintext.  A tag in the run holds no '>'
+# but its last character, so _TAG.split takes out the run's text pieces.
 _NOT_INLINE = _whole_name(
-    _SKIP_TAGS | {"title", "textarea", "plaintext", "xmp", "noembed", "noframes"})
-# groups: (text before the tag, "/" for an end tag, tag name)
-_INLINE_RUN = re.compile(
-    r"([^<&]*+)<(/)?+(?!{0})([a-zA-Z][a-zA-Z0-9-]*+)(?(2){2}*+|{1}/?+)>"
-    .format(_NOT_INLINE, _ATTRS, _WS))
+    _SKIP_TAGS | _BLOCK_TAGS | {"title", "textarea", "plaintext", "xmp", "noembed", "noframes"})
+
+
+def _tag(name: str) -> str:
+    """A regex for a start tag, or an end tag without attributes, whose
+    name matches the regex name."""
+    return r"<(?:/{0}{1}*+|{0}{2}/?+)>".format(name, _WS, _ATTRS)
+
+
+# group 1: the block tag that ends the run, if any
+_PARAGRAPH_RUN = re.compile(r"(?:[^<&]*+{0})*+(?:[^<&]*+({1}))?+".format(
+    _tag(r"(?!%s)[a-zA-Z][a-zA-Z0-9-]*+" % _NOT_INLINE), _tag(_whole_name(_BLOCK_TAGS))))
+_TAG = re.compile(r"<[^>]*+>")
 # HTMLParser's end of a script or style body (HTMLParser.set_cdata_mode)
 _CDATA_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
               for tag in HTMLParser.CDATA_CONTENT_ELEMENTS}
 
 _BLANK_LINE = re.compile(r"\n[ \t]*\n")
-_SPACES = re.compile(r"\s+")
 
 _ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain")
 MAX_REDIRECTS = 5
@@ -125,9 +133,10 @@ class _TextExtractor(HTMLParser):
         skipped element with no paragraph open, past all markup up to the
         element's end (or the first token outside the grammar of _SKIP_TAG
         and _PLAIN_RUN), keeping _skip_depth as the handlers would; outside
-        one, past text and the tags of _INLINE_RUN, passing each piece of
-        text to handle_data and breaking the paragraph at each block tag as
-        HTMLParser and the handlers would."""
+        one, past the paragraph runs of _PARAGRAPH_RUN, keeping their text
+        pieces and breaking the paragraph at each block tag as HTMLParser
+        and the handlers would.  A run with no blank line goes onto _chunks
+        whole; one with a blank line goes to handle_data piece by piece."""
         if k < 0 or self.cdata_elem or (self._skip_depth and self._chunks):
             return k
         rawdata = self.rawdata
@@ -149,14 +158,19 @@ class _TextExtractor(HTMLParser):
                 k = body_end.end()
             else:
                 self._skip_depth += 1
-        handle_data = self.handle_data
-        while run := _INLINE_RUN.match(rawdata, k):
-            if run.end(1) > k:
-                handle_data(run[1])
-            k = run.end()
-            if run[3].lower() in _BLOCK_TAGS:
-                self._break_paragraph()
-        return k
+        while True:
+            run = _PARAGRAPH_RUN.match(rawdata, k)
+            end = run.end()
+            pieces = _TAG.split(rawdata[k:end])
+            if _BLANK_LINE.search(rawdata, k, end):
+                for piece in pieces:
+                    self.handle_data(piece)
+            else:
+                self._chunks.extend(filter(str.strip, pieces))
+            k = end
+            if run.start(1) < 0:
+                return k
+            self._break_paragraph()
 
     def handle_starttag(self, tag: str, attrs) -> None:
         if tag in _SKIP_TAGS:
@@ -182,7 +196,7 @@ class _TextExtractor(HTMLParser):
                 self._chunks.append(piece)
 
     def _close_paragraph(self) -> None:
-        para = _SPACES.sub(" ", " ".join(self._chunks)).strip()
+        para = " ".join(" ".join(self._chunks).split())
         self._chunks = []
         if para:
             self._length += len(para) + (2 if self._paragraphs else 0)
@@ -200,9 +214,8 @@ class _TextExtractor(HTMLParser):
 
 
 def extract_text(raw: str, min_chars: int = 40, max_chars: Optional[int] = None) -> str:
-    """Strip tags, scripts, and boilerplate; collapse whitespace; keep
-    paragraph breaks as blank lines.  Plain-text input passes through with
-    whitespace normalization.
+    """Strip tags, scripts, and boilerplate from HTML; collapse whitespace;
+    keep paragraph breaks as blank lines.
 
     With max_chars set, parsing stops as soon as the text is known to reach
     max(max_chars, min_chars) characters.  The result may then be shorter
@@ -218,7 +231,17 @@ def extract_text(raw: str, min_chars: int = 40, max_chars: Optional[int] = None)
         parser.close()
     except _Covered:
         pass
-    text = parser.text()
+    return _at_least(parser.text(), min_chars)
+
+
+def _plain_text(raw: str, min_chars: int = 40) -> str:
+    """A text/plain body's paragraphs, split at blank lines with whitespace
+    collapsed; '<' and '&' are text.  EmptyExtraction as in extract_text."""
+    paragraphs = (" ".join(piece.split()) for piece in _BLANK_LINE.split(raw))
+    return _at_least("\n\n".join(filter(None, paragraphs)), min_chars)
+
+
+def _at_least(text: str, min_chars: int) -> str:
     if len(text) < min_chars:
         raise EmptyExtraction(f"extracted only {len(text)} characters")
     return text
@@ -280,10 +303,10 @@ class PageReader:
 
     def acquire_document(self, result: SearchResultMeta) -> Document:
         """Fetched page body (truncated to the cap), else title + snippet,
-        else Unusable."""
+        else Unusable.  A text/plain body is not parsed as HTML."""
         try:
-            raw, _ = self.fetch(result.url)
-            body = self.extract_text(raw)
+            raw, content_type = self.fetch(result.url)
+            body = _plain_text(raw) if content_type == "text/plain" else self.extract_text(raw)
             return Document(meta=result, body=body[: self.body_char_cap],
                             acquisition=Acquisition.FETCHED_PAGE)
         except (TransportError, EmptyExtraction) as exc:

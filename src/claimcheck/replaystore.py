@@ -372,9 +372,12 @@ class FixtureStore:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> Optional[dict[str, Any]]:
-        path = self._path(key)
+        path = os.path.join(self.root, f"{key}.json")
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            with open(path, "rb") as fh:
+                data = fh.read()
+            # decoded first: json.loads(bytes) would also accept UTF-16 and UTF-32
+            return json.loads(data.decode("utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON

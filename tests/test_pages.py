@@ -72,7 +72,10 @@ class TestExtractText:
 # in odd spellings, self-closing ones, entities in attribute values and in
 # text, elements some Python versions read as raw text, and text right
 # before a block tag; then block tags in odd spellings, tags whose names
-# share a skip tag's first letter, and skip tags in mixed case
+# share a skip tag's first letter, and skip tags in mixed case; then the
+# corners of a paragraph run: a blank line between inline tags, text of
+# whitespace only between them, Unicode whitespace, and a block tag right
+# after an inline tag
 _FRAGMENTS = st.sampled_from([
     "<p>", "</p>", "<div>", "</div>", "<br>", "<li>", "<nav>", "</nav>", "<style>", "</style>",
     "<script><p>not text</p></script>", "<!-- a comment -->", "\n\n", "\n \t\n", "\n",
@@ -95,6 +98,8 @@ _FRAGMENTS = st.sampled_from([
     "<section>", "</section>", "<span>", "<table>", "</table>", "<img>", "<font>", "<abbr>",
     "<blockquote>", "</blockquote>", "<nobr>", "<SVG>", "</svg>", "<Script>", "</SCRIPT>",
     "<hEAD>", "</Head>",
+    "a<b>x\n\ny</b>z", "<b>\n \n</b>", "<i> </i>\t<b>\n</b>", " <em> \xa0 </em> ",
+    "\xa0", "\u3000", "\x1c", "x\u3000y\xa0z\x1cw", "<b>\u3000</b>", "</b><p>", "<i>x</i><div>",
 ])
 # whole skipped elements, nested, around other fragments, closed in several
 # spellings or not at all, so that text often follows the end of one
@@ -216,6 +221,12 @@ class TestSkipRun:
     # elements that some Python versions read as raw text, in any case
     @example(f"<p>x<TiTlE>y <b>t</b></tItLe>z<TeXtArEa a=b>u &amp; <b>v</b></TEXTAREA>"
              f" {LONG_PARA}</p>", None, 40)
+    # a blank line inside a paragraph run, and a cap reached by the
+    # paragraph it closes, before the run's block tag
+    @example("<p>a<b>x\n\ny</b>z</p>", None, 0)
+    @example(f"<p>{LONG_PARA}<b>x</b>\n\n{LONG_PARA}<i>y</i></p>{LONG_PARA}", 40, 40)
+    # whitespace-only and Unicode-whitespace text between inline tags
+    @example(f"<p><b> </b>\xa0<i>\u3000</i>\x1c{LONG_PARA}<em>\n</em></p>", None, 40)
     def test_same_as_stock_tokenizer(self, raw, cap, min_chars):
         assert (extract_or_none(raw, min_chars, cap)
                 == reference_extract_or_none(raw, min_chars, cap))
@@ -263,7 +274,8 @@ class TestPossessiveRepeats:
     @example("<p>x<TiTlE>y</tItLe>z<TeXtArEa a=b/>w</TEXTAREA>&amp;<hEaD >")
     def test_same_spans_and_groups_as_greedy_repeats(self, raw):
         copies = [(pattern, greedy(pattern))
-                  for pattern in (pages._PLAIN_RUN, pages._SKIP_TAG, pages._INLINE_RUN)]
+                  for pattern in (pages._PLAIN_RUN, pages._SKIP_TAG,
+                                  pages._PARAGRAPH_RUN, pages._TAG)]
         for start in [0] + [i for i, c in enumerate(raw) if c == "<"]:
             for possessive, copy in copies:
                 ours, theirs = possessive.match(raw, start), copy.match(raw, start)
@@ -278,8 +290,8 @@ ARTICLE_PAGE = "<html><body><main><article><h1>Title</h1>" + "".join(
 
 
 class TestInlineRun:
-    """Text and inline tags outside skipped elements are matched at regex
-    speed; the text stays that of the stock tokenizer."""
+    """Text and inline tags outside skipped elements are matched a
+    paragraph run at a time; the text stays that of the stock tokenizer."""
 
     @pytest.mark.parametrize("cap", [None, 100, 12_000])
     def test_article_page_same_as_stock_tokenizer(self, cap):
@@ -292,6 +304,21 @@ class TestInlineRun:
         _, seen = extract_counting_starttags(ARTICLE_PAGE)
         # 300 inline start tags and 9 others without the inline run
         assert len(seen) < 20, seen
+
+    def test_text_pieces_skip_handle_data(self):
+        page = ARTICLE_PAGE.replace("&amp;", "and")
+        calls = []
+
+        class Counting(pages._TextExtractor):
+            def handle_data(self, data):
+                calls.append(data)
+                super().handle_data(data)
+
+        with mock.patch.object(pages, "_TextExtractor", Counting):
+            text = extract_text(page)
+        assert text == reference_extract_or_none(page, 40)
+        # one call per non-empty text piece, 605 here, without the paragraph run
+        assert len(calls) < 10, calls
 
     def test_block_tags_skip_the_handlers(self):
         page = "<html><body>" + "".join(
@@ -425,6 +452,21 @@ class TestAcquireDocument:
                             body_char_cap=500)
         doc = reader.acquire_document(make_result(url))
         assert len(doc.body) == 500
+
+    def test_plain_text_page_is_not_parsed_as_html(self):
+        url = "https://a.example/notes.txt"
+        raw = (f"Results for x<y and a<b then c.\n\nAT&amp;T   {LONG_PARA}\n \n\n"
+               f"Second\tparagraph\u3000text long enough.\n")
+        text = (f"Results for x<y and a<b then c.\n\nAT&amp;T {LONG_PARA}\n\n"
+                "Second paragraph text long enough.")
+        for cap in (12_000, 40):
+            reader = PageReader(http_get=lambda u: (raw, "text/plain"), body_char_cap=cap)
+            doc = reader.acquire_document(make_result(url))
+            assert doc.acquisition is Acquisition.FETCHED_PAGE
+            assert doc.body == text[:cap]
+        thin = PageReader(http_get=lambda u: ("<p>\n\n  short  \n", "text/plain"))
+        doc = thin.acquire_document(make_result(url, snippet="useful snippet"))
+        assert doc.acquisition is Acquisition.SNIPPET_FALLBACK
 
     def test_never_empty_body(self):
         url = "https://a.example/good"

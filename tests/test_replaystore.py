@@ -57,6 +57,12 @@ class TestFixtureStore:
         with pytest.raises(StorageError):
             FixtureStore(tmp_path).put("k", {})
 
+    def test_fixture_in_utf16_is_storage_error(self, tmp_path):
+        # valid JSON in UTF-16, which json.loads would accept as bytes
+        (tmp_path / "k.json").write_bytes(json.dumps({"a": 1}).encode("utf-16"))
+        with pytest.raises(StorageError):
+            FixtureStore(tmp_path).get("k")
+
     def test_unreadable_fixture_is_storage_error(self, tmp_path):
         (tmp_path / "k.json").mkdir()
         with pytest.raises(StorageError):
