@@ -139,10 +139,7 @@ def parse_true_false(reply: str) -> Optional[Verdict]:
 
 def parse_helpfulness(reply: str) -> HelpfulnessJudgment:
     stripped = reply.strip()
-    lowered = stripped.lower()
-    if lowered.startswith("not helpful") or lowered.startswith("unhelpful"):
-        return HelpfulnessJudgment(helpful=False)
-    if lowered.startswith("helpful"):
+    if stripped.lower().startswith("helpful"):
         after = stripped[len("helpful"):].lstrip(" :—-").strip()
         if after:
             return HelpfulnessJudgment(helpful=True, note=after)
@@ -155,7 +152,8 @@ def parse_helpfulness(reply: str) -> HelpfulnessJudgment:
 
 class AgentSuite:
     """One method per agent; all LLM calls share the run's model,
-    temperature, and trace."""
+    temperature, and trace.  A method only renders, asks, parses and logs;
+    the Verifier's loop alone decides when an agent is asked."""
 
     def __init__(
         self,
@@ -203,8 +201,6 @@ class AgentSuite:
 
     def search_rank(self, query: SearchQuery,
                     results: Sequence["SearchResultMeta"]) -> list["SearchResultMeta"]:
-        if len(results) < 2:
-            return list(results)
         block = "\n".join(
             f"{i}. {r.title} — {r.url} — {r.snippet}"
             for i, r in enumerate(results, start=1)
@@ -235,8 +231,6 @@ class AgentSuite:
         return judgment
 
     def sufficient_evidence(self, claim: Claim, evidence: EvidenceSet) -> bool:
-        if len(evidence) == 0:
-            return False
         reply = self._complete(self._prompt("sufficient_evidence", claim, evidence))
         parsed = parse_yes_no(reply)
         self._log("sufficient_evidence", result=bool(parsed), fallback=parsed is None)
@@ -257,8 +251,6 @@ class AgentSuite:
     def additional_query_gen(self, claim: Claim, evidence: EvidenceSet,
                              issued_texts: Iterable[str],
                              remaining_budget: int) -> list[SearchQuery]:
-        if remaining_budget < 1:
-            return []
         reply = self._complete(self._prompt("additional_query_gen", claim, evidence))
         issued = {t.lower() for t in issued_texts}
         texts = [t for t in parse_query_list(reply) if t.lower() not in issued]

@@ -159,15 +159,16 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
             log.exception("claim %s failed", labeled.claim.id)
             return labeled, None, f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        outcomes = list(pool.map(run_one, claims))
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if trace_dir:
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
     preds, golds = [], []
     errored = 0
-    with (out / "predictions.jsonl").open("w", encoding="utf-8") as fh:
-        for labeled, outcome, error in outcomes:
+    # rows go out in dataset order as claims finish: a run that dies keeps the earlier ones
+    with (out / "predictions.jsonl").open("w", encoding="utf-8") as fh, \
+            ThreadPoolExecutor(max_workers=concurrency) as pool:
+        for labeled, outcome, error in pool.map(run_one, claims):
             row = {"id": labeled.claim.id, "gold": labeled.gold.value}
             if error is not None:
                 errored += 1
@@ -180,13 +181,13 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
                 preds.append(outcome.verdict)
                 golds.append(labeled.gold)
                 if trace_dir:
-                    Path(trace_dir).mkdir(parents=True, exist_ok=True)
                     outcome.trace.write(
                         Path(trace_dir) / f"{quote(labeled.claim.id, safe='')}.jsonl")
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.flush()
 
     if errored:
-        click.echo(f"{errored} of {len(outcomes)} claims errored and were "
+        click.echo(f"{errored} of {len(claims)} claims errored and were "
                    f"excluded from metrics", err=True)
     if not preds:
         raise SystemExit(_config_error("no claims completed; nothing to score"))
@@ -194,7 +195,7 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
     rep = evalkit.report(evalkit.confusion(preds, golds))
     metrics = {
         "dataset": kind.value,
-        "n_claims": len(outcomes),
+        "n_claims": len(claims),
         "n_scored": len(preds),
         "n_errors": errored,
         "ablations": sorted(a.value for a in ablations),
@@ -205,7 +206,7 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
     table = evalkit.render_table({kind.value: rep})
     (out / "metrics.txt").write_text(table + "\n", encoding="utf-8")
     click.echo(table)
-    if errored / len(outcomes) > BENCH_ERROR_RATE_THRESHOLD:
+    if errored / len(claims) > BENCH_ERROR_RATE_THRESHOLD:
         raise SystemExit(3)
 
 

@@ -91,7 +91,10 @@ _TAG = re.compile(r"<[^>]*+>")
 _CDATA_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
               for tag in HTMLParser.CDATA_CONTENT_ELEMENTS}
 
-_BLANK_LINE = re.compile(r"\n[ \t]*\n")
+# a blank line, with LF or CRLF line ends
+_BLANK_LINE = re.compile(r"\n[ \t\r]*\n")
+# text shorter than this is no usable page body
+MIN_CHARS = 40
 
 _ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain")
 MAX_REDIRECTS = 5
@@ -213,7 +216,7 @@ class _TextExtractor(HTMLParser):
         return "\n\n".join(self._paragraphs)
 
 
-def extract_text(raw: str, min_chars: int = 40, max_chars: Optional[int] = None) -> str:
+def extract_text(raw: str, min_chars: int = MIN_CHARS, max_chars: Optional[int] = None) -> str:
     """Strip tags, scripts, and boilerplate from HTML; collapse whitespace;
     keep paragraph breaks as blank lines.
 
@@ -234,11 +237,11 @@ def extract_text(raw: str, min_chars: int = 40, max_chars: Optional[int] = None)
     return _at_least(parser.text(), min_chars)
 
 
-def _plain_text(raw: str, min_chars: int = 40) -> str:
+def _plain_text(raw: str) -> str:
     """A text/plain body's paragraphs, split at blank lines with whitespace
     collapsed; '<' and '&' are text.  EmptyExtraction as in extract_text."""
     paragraphs = (" ".join(piece.split()) for piece in _BLANK_LINE.split(raw))
-    return _at_least("\n\n".join(filter(None, paragraphs)), min_chars)
+    return _at_least("\n\n".join(filter(None, paragraphs)), MIN_CHARS)
 
 
 def _at_least(text: str, min_chars: int) -> str:
@@ -250,26 +253,24 @@ def _at_least(text: str, min_chars: int) -> str:
 class PageReader:
     """fetch + extract with a snippet fallback when pages are unusable.
 
-    body_char_cap bounds both the kept document body and the extraction
-    work: parsing a page stops once its first body_char_cap characters of
-    text are known.  max_bytes still applies to the whole download.
+    BODY_CHAR_CAP bounds both the kept document body and the extraction
+    work: parsing a page stops once its first BODY_CHAR_CAP characters of
+    text are known.  MAX_BYTES still applies to the whole download.
 
     Pages and robots.txt go over ``replaystore.open_url``: one keep-alive
     connection per host and thread, closed when a response is dropped
     before its body is read, with the transport's User-Agent.
     """
 
+    TIMEOUT = 15.0
+    MAX_BYTES = 2_000_000
+    BODY_CHAR_CAP = 12_000
+
     def __init__(
         self,
-        timeout: float = 15.0,
-        max_bytes: int = 2_000_000,
-        body_char_cap: int = 12_000,
         respect_robots: bool = False,
         http_get: Optional[Callable[[str], tuple[str, str]]] = None,
     ) -> None:
-        self.timeout = timeout
-        self.max_bytes = max_bytes
-        self.body_char_cap = body_char_cap
         self.respect_robots = respect_robots
         self._http_get = http_get or self._get
         self._robots_cache: dict[str, urllib.robotparser.RobotFileParser] = {}
@@ -285,7 +286,7 @@ class PageReader:
         return self._http_get(url)
 
     def _get(self, url: str) -> tuple[str, str]:
-        with open_url("GET", url, {}, timeout=self.timeout,
+        with open_url("GET", url, {}, timeout=self.TIMEOUT,
                       max_redirects=MAX_REDIRECTS) as resp:
             if not 200 <= resp.status < 300:
                 resp.discard()
@@ -294,12 +295,12 @@ class PageReader:
             if content_type and not content_type.startswith(_ACCEPTED_CONTENT_TYPES):
                 resp.discard()
                 raise TransportError(f"unsupported content-type {content_type!r} for {url}")
-            return resp.text(self.max_bytes), content_type
+            return resp.text(self.MAX_BYTES), content_type
 
     def extract_text(self, raw: str) -> str:
-        """Page text whose first body_char_cap characters are exact; parsing
+        """Page text whose first BODY_CHAR_CAP characters are exact; parsing
         stops once they are covered."""
-        return extract_text(raw, max_chars=self.body_char_cap)
+        return extract_text(raw, max_chars=self.BODY_CHAR_CAP)
 
     def acquire_document(self, result: SearchResultMeta) -> Document:
         """Fetched page body (truncated to the cap), else title + snippet,
@@ -307,13 +308,13 @@ class PageReader:
         try:
             raw, content_type = self.fetch(result.url)
             body = _plain_text(raw) if content_type == "text/plain" else self.extract_text(raw)
-            return Document(meta=result, body=body[: self.body_char_cap],
+            return Document(meta=result, body=body[: self.BODY_CHAR_CAP],
                             acquisition=Acquisition.FETCHED_PAGE)
         except (TransportError, EmptyExtraction) as exc:
             log.debug("falling back to snippet for %s: %s", result.url, exc)
         if result.snippet.strip():
             body = f"{result.title}\n{result.snippet}".strip()
-            return Document(meta=result, body=body[: self.body_char_cap],
+            return Document(meta=result, body=body[: self.BODY_CHAR_CAP],
                             acquisition=Acquisition.SNIPPET_FALLBACK)
         raise Unusable(f"no page text and no snippet for {result.url}")
 
@@ -332,14 +333,14 @@ class PageReader:
     def _read_robots(self, robots_url: str) -> urllib.robotparser.RobotFileParser:
         """RobotFileParser.read() with a timeout and lenient decoding: 2xx is
         parsed, 401/403 disallow all, other 4xx, network errors and a body
-        over max_bytes (read no further) allow all; anything else leaves the
+        over MAX_BYTES (read no further) allow all; anything else leaves the
         parser unread, so can_fetch is False."""
         parser = urllib.robotparser.RobotFileParser()
         try:
-            with open_url("GET", robots_url, {}, timeout=self.timeout,
+            with open_url("GET", robots_url, {}, timeout=self.TIMEOUT,
                           max_redirects=MAX_REDIRECTS) as resp:
                 # read every body up to the cap, so the connection stays open for the pages
-                body = resp.read(self.max_bytes)
+                body = resp.read(self.MAX_BYTES)
                 if 200 <= resp.status < 300:
                     parser.parse(body.decode("utf-8", errors="replace").splitlines())
                 elif resp.status in (401, 403):

@@ -373,8 +373,7 @@ class ScriptedAgents:
         return self._value(self.helpful, claim, evidence, doc)
 
     def sufficient_evidence(self, claim, evidence: EvidenceSet) -> bool:
-        if len(evidence) == 0:
-            return False
+        assert len(evidence), "the loop asks for sufficiency only after an add"
         self.calls["sufficient_evidence"] += 1
         return bool(self._value(self.sufficient, claim, evidence))
 

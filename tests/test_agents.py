@@ -77,13 +77,6 @@ class TestInitialQueryGen:
 
 
 class TestSearchRank:
-    def test_single_result_no_llm_call(self):
-        gateway = FakeGateway([])
-        a = AgentSuite(gateway, BudgetConfig(), load_prompts(), RunTrace())
-        results = [make_result("https://a.example/1")]
-        assert a.search_rank(SearchQuery("q"), results) == results
-        assert gateway.requests == []
-
     def test_valid_permutation_applied(self):
         a = suite(["[2, 1]"])
         results = [make_result("https://a.example/1"), make_result("https://a.example/2")]
@@ -137,12 +130,6 @@ class TestDetHelpful:
 
 
 class TestSufficientEvidence:
-    def test_empty_evidence_short_circuits_without_call(self):
-        gateway = FakeGateway([])
-        a = AgentSuite(gateway, BudgetConfig(), load_prompts(), RunTrace())
-        assert a.sufficient_evidence(CLAIM, EvidenceSet()) is False
-        assert gateway.requests == []
-
     def test_yes_with_items(self):
         assert suite(["YES"]).sufficient_evidence(CLAIM, evidence_with(2))
 
@@ -194,12 +181,6 @@ class TestAdditionalQueryGen:
 
     def test_unparseable_yields_empty_list(self):
         assert suite(["no lists here"]).additional_query_gen(CLAIM, evidence_with(), [], 4) == []
-
-    def test_zero_remaining_budget_no_call(self):
-        gateway = FakeGateway([])
-        a = AgentSuite(gateway, BudgetConfig(), load_prompts(), RunTrace())
-        assert a.additional_query_gen(CLAIM, evidence_with(), [], 0) == []
-        assert gateway.requests == []
 
 
 class TestParserTotality:

@@ -233,6 +233,30 @@ class TestBench:
         metrics = json.loads((out / "metrics.json").read_text())
         assert (metrics["n_claims"], metrics["n_errors"]) == (n_claims, 1)
 
+    def test_rows_and_traces_are_written_as_claims_finish(self, runner, scripted_world,
+                                                          tmp_path, monkeypatch):
+        class Interrupted(BaseException):
+            pass
+
+        verify = Verifier.verify
+
+        def interrupted_verify(self, claim, *args, **kwargs):
+            if claim.id == "c2":
+                raise Interrupted
+            return verify(self, claim, *args, **kwargs)
+
+        monkeypatch.setattr(Verifier, "verify", interrupted_verify)
+        dataset = factool_file(tmp_path, FIVE_CLAIMS)
+        out, traces = tmp_path / "out", tmp_path / "traces"
+        with pytest.raises(Interrupted):
+            runner.invoke(main, ["bench", "factool_kbqa", str(dataset), "--mode", "record",
+                                 "--out", str(out), "--concurrency", "1",
+                                 "--trace-dir", str(traces), *scripted_world["flags"]])
+        rows = [json.loads(line)
+                for line in (out / "predictions.jsonl").read_text().splitlines()]
+        assert [row["id"] for row in rows] == ["c0", "c1"]
+        assert sorted(p.name for p in traces.iterdir()) == ["c0.jsonl", "c1.jsonl"]
+
     @pytest.mark.parametrize("body", [b'{"claim": "x", "label": true}\n{"claim": "y", "label": tru',
                                       b'{"claim": "caf\xe9", "label": true}'],
                              ids=["jsonl", "latin-1"])

@@ -93,7 +93,7 @@ def test_no_cookie_carries_over_between_calls(stub_servers):
     assert [cookie for _, cookie in seen] == [None, None, None, None, None, "hop=1", None]
 
 
-def test_abandoned_bodies_are_never_read_as_the_next_response(stub_servers):
+def test_abandoned_bodies_are_never_read_as_the_next_response(stub_servers, monkeypatch):
     big = b"<p>" + b"x" * 200_000 + b"</p>"
 
     def app(method, path, body, headers):
@@ -106,7 +106,8 @@ def test_abandoned_bodies_are_never_read_as_the_next_response(stub_servers):
         return 200, {"Content-Type": "text/html"}, PAGE
 
     stub = stub_servers(app, keep_alive=True)
-    reader = PageReader(max_bytes=100_000)
+    monkeypatch.setattr(PageReader, "MAX_BYTES", 100_000)
+    reader = PageReader()
     for path in ("/big", "/doc.pdf", "/missing"):
         with pytest.raises(TransportError):
             reader.fetch(f"{stub.url}{path}")

@@ -51,6 +51,14 @@ class TestExtractText:
     def test_plain_text_passes_through(self):
         assert extract_text(LONG_PARA) == LONG_PARA
 
+    @pytest.mark.parametrize("blank", ["\r\n\r\n", "\r\n \t\r\n", "\n\r\n"])
+    def test_crlf_blank_line_breaks_a_paragraph(self, blank):
+        first, second = ("First paragraph of the page text here.",
+                         "Second paragraph of the page text here.")
+        assert extract_text(f"<div>{first}{blank}{second}</div>") == f"{first}\n\n{second}"
+        assert extract_text(f"<div><b>{first}</b>{blank}{second}</div>") == f"{first}\n\n{second}"
+        assert pages._plain_text(f"{first}{blank}{second}\r\n") == f"{first}\n\n{second}"
+
     @given(st.lists(st.text(alphabet="abc xyz", min_size=1, max_size=40), max_size=5))
     def test_idempotent_on_extracted_text(self, paragraphs):
         raw = "<html><body>" + "".join(f"<p>{p}</p>" for p in paragraphs) + "</body></html>"
@@ -62,7 +70,7 @@ class TestExtractText:
 
 
 # fragments that exercise every paragraph rule: block tags, skip tags,
-# blank lines inside text, entities, bare '&' and '<', comments, and
+# blank lines (LF or CRLF) inside text, entities, bare '&' and '<', comments, and
 # markup hidden inside a script; then the tokenizer's corner cases inside
 # skipped elements: attributes (quoted '>' and skip tags, unquoted values,
 # no space between them), self-closing and odd-case skip tags, nested skip
@@ -79,6 +87,7 @@ class TestExtractText:
 _FRAGMENTS = st.sampled_from([
     "<p>", "</p>", "<div>", "</div>", "<br>", "<li>", "<nav>", "</nav>", "<style>", "</style>",
     "<script><p>not text</p></script>", "<!-- a comment -->", "\n\n", "\n \t\n", "\n",
+    "\r\n\r\n", "\r\n \r\n",
     "&amp;", "& ", "&", "< ", "<", " a < b ", "x", "word ", "  spaced   out  ",
     " ", LONG_PARA,
     '<a href="/x" class=\'y z\'>', "<div id=main>", '<a title="a>b">', '<a title="<nav>">',
@@ -159,9 +168,10 @@ class TestEarlyStop:
         with pytest.raises(EmptyExtraction):
             extract_text(raw, min_chars=60, max_chars=5)
 
-    def test_reader_extraction_is_bounded_by_body_char_cap(self):
+    def test_reader_extraction_is_bounded_by_body_char_cap(self, monkeypatch):
+        monkeypatch.setattr(PageReader, "BODY_CHAR_CAP", 500)
         raw = f"<p>{LONG_PARA}</p>" * 1000 + "<p>END-MARKER</p>"
-        text = PageReader(body_char_cap=500).extract_text(raw)
+        text = PageReader().extract_text(raw)
         assert "END-MARKER" not in text
         assert len(text) < 1000
 
@@ -378,39 +388,46 @@ class TestFetch:
         assert LONG_PARA in text
         assert content_type == ""
 
-    def test_slow_drip_body_is_bounded_by_the_timeout(self, drip_server):
+    def test_slow_drip_body_is_bounded_by_the_timeout(self, drip_server, monkeypatch):
+        monkeypatch.setattr(PageReader, "TIMEOUT", 0.5)
         # 50 bytes at one every 0.1 s: 5 s of body against a 0.5 s timeout
         base = drip_server(b"<p>" + b"x" * 43 + b"</p>", interval=0.1)
         start = time.monotonic()
         with pytest.raises(TransportError, match="timeout"):
-            PageReader(timeout=0.5).fetch(f"{base}/page")
+            PageReader().fetch(f"{base}/page")
         assert time.monotonic() - start < 1.5
 
-    def test_slow_drip_head_is_bounded_by_the_timeout(self, drip_server):
+    def test_slow_drip_head_is_bounded_by_the_timeout(self, drip_server, monkeypatch):
+        monkeypatch.setattr(PageReader, "TIMEOUT", 0.5)
         # ~90 bytes of status line and headers at one every 0.1 s
         base = drip_server(f"<p>{LONG_PARA}</p>".encode(), interval=0.1, slow_head=True)
         start = time.monotonic()
         with pytest.raises(TransportError, match="timeout"):
-            PageReader(timeout=0.5).fetch(f"{base}/page")
+            PageReader().fetch(f"{base}/page")
         assert time.monotonic() - start < 1.5
 
-    def test_stalled_body_is_fetch_error(self, drip_server):
+    def test_stalled_body_is_fetch_error(self, drip_server, monkeypatch):
+        monkeypatch.setattr(PageReader, "TIMEOUT", 0.3)
         base = drip_server(f"<p>{LONG_PARA}</p>".encode(), interval=5.0)
         with pytest.raises(TransportError):
-            PageReader(timeout=0.3).fetch(f"{base}/page")
+            PageReader().fetch(f"{base}/page")
 
-    def test_body_over_max_bytes_by_its_length_is_refused_unread(self, drip_server):
+    def test_body_over_max_bytes_by_its_length_is_refused_unread(self, drip_server,
+                                                                  monkeypatch):
+        monkeypatch.setattr(PageReader, "MAX_BYTES", 1000)
+        monkeypatch.setattr(PageReader, "TIMEOUT", 2.0)
         # 3000 bytes at one every 0.1 s: reading past the cap would take 100 s
         base = drip_server(b"x" * 3000, interval=0.1)
         start = time.monotonic()
         with pytest.raises(TransportError, match="body over 1000 bytes"):
-            PageReader(max_bytes=1000, timeout=2.0).fetch(f"{base}/page")
+            PageReader().fetch(f"{base}/page")
         assert time.monotonic() - start < 1.0
 
-    def test_size_cap_enforced(self, http_stub):
+    def test_size_cap_enforced(self, http_stub, monkeypatch):
+        monkeypatch.setattr(PageReader, "MAX_BYTES", 1000)
         base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "text/html"}, b"x" * 5000))
         with pytest.raises(TransportError):
-            PageReader(max_bytes=1000).fetch(f"{base}/big")
+            PageReader().fetch(f"{base}/big")
 
 
 class TestAcquireDocument:
@@ -446,21 +463,22 @@ class TestAcquireDocument:
         doc = reader.acquire_document(make_result(url, snippet="useful snippet"))
         assert doc.acquisition is Acquisition.SNIPPET_FALLBACK
 
-    def test_body_truncated_to_cap(self):
+    def test_body_truncated_to_cap(self, monkeypatch):
+        monkeypatch.setattr(PageReader, "BODY_CHAR_CAP", 500)
         url = "https://a.example/long"
-        reader = PageReader(http_get=lambda u: (f"<p>{'word ' * 5000}</p>", "text/html"),
-                            body_char_cap=500)
+        reader = PageReader(http_get=lambda u: (f"<p>{'word ' * 5000}</p>", "text/html"))
         doc = reader.acquire_document(make_result(url))
         assert len(doc.body) == 500
 
-    def test_plain_text_page_is_not_parsed_as_html(self):
+    def test_plain_text_page_is_not_parsed_as_html(self, monkeypatch):
         url = "https://a.example/notes.txt"
         raw = (f"Results for x<y and a<b then c.\n\nAT&amp;T   {LONG_PARA}\n \n\n"
                f"Second\tparagraph\u3000text long enough.\n")
         text = (f"Results for x<y and a<b then c.\n\nAT&amp;T {LONG_PARA}\n\n"
                 "Second paragraph text long enough.")
         for cap in (12_000, 40):
-            reader = PageReader(http_get=lambda u: (raw, "text/plain"), body_char_cap=cap)
+            monkeypatch.setattr(PageReader, "BODY_CHAR_CAP", cap)
+            reader = PageReader(http_get=lambda u: (raw, "text/plain"))
             doc = reader.acquire_document(make_result(url))
             assert doc.acquisition is Acquisition.FETCHED_PAGE
             assert doc.body == text[:cap]
@@ -476,7 +494,8 @@ class TestAcquireDocument:
 
 
 class TestRobots:
-    def test_slow_robots_txt_times_out_and_allows(self, http_stub):
+    def test_slow_robots_txt_times_out_and_allows(self, http_stub, monkeypatch):
+        monkeypatch.setattr(PageReader, "TIMEOUT", 0.2)
         release = threading.Event()
         page = f"<p>{LONG_PARA}</p>".encode()
 
@@ -487,7 +506,7 @@ class TestRobots:
             return 200, {"Content-Type": "text/html"}, page
 
         base = http_stub(app)
-        reader = PageReader(timeout=0.2, respect_robots=True)
+        reader = PageReader(respect_robots=True)
         start = time.monotonic()
         try:
             text, _ = reader.fetch(f"{base}/page")
@@ -528,7 +547,8 @@ class TestRobots:
             with pytest.raises(TransportError, match="robots"):
                 reader.fetch(url)
 
-    def test_robots_txt_over_max_bytes_allows(self, http_stub):
+    def test_robots_txt_over_max_bytes_allows(self, http_stub, monkeypatch):
+        monkeypatch.setattr(PageReader, "MAX_BYTES", 1000)
         robots = b"User-agent: *\nDisallow: /\n" + b"# comment line\n" * 350
 
         def app(method, path, body, headers):
@@ -536,11 +556,12 @@ class TestRobots:
                 return 200, {"Content-Type": "text/plain"}, robots
             return 200, {"Content-Type": "text/html"}, f"<p>{LONG_PARA}</p>".encode()
 
-        reader = PageReader(max_bytes=1000, respect_robots=True)
+        reader = PageReader(respect_robots=True)
         assert LONG_PARA in reader.fetch(f"{http_stub(app)}/page")[0]
 
-    def test_unreachable_robots_txt_allows(self):
-        reader = PageReader(respect_robots=True, timeout=1.0,
+    def test_unreachable_robots_txt_allows(self, monkeypatch):
+        monkeypatch.setattr(PageReader, "TIMEOUT", 1.0)
+        reader = PageReader(respect_robots=True,
                             http_get=lambda url: (f"<p>{LONG_PARA}</p>", "text/html"))
         text, _ = reader.fetch("http://127.0.0.1:9/page")
         assert LONG_PARA in text

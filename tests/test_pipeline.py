@@ -222,6 +222,25 @@ class TestBudgetAndQueries:
         verifier.verify(CLAIM, BudgetConfig(max_search_queries=4))
         assert agents.calls["additional_query_gen"] == 0
 
+    def test_additional_gen_not_called_once_follow_ups_spend_budget(self):
+        agents = ScriptedAgents(initial=["q1"], helpful=HelpfulnessJudgment(False),
+                                additional=["q2", "q3", "q4"])
+        worlds = {}
+        for q in ("q1", "q2", "q3", "q4"):
+            worlds |= world(q, 1)
+        verifier, search, _ = build(agents, worlds)
+        verifier.verify(CLAIM, BudgetConfig(max_search_queries=4))
+        assert len(search.calls) == 4
+        assert agents.calls["additional_query_gen"] == 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_results_are_not_ranked(self, n):
+        agents = ScriptedAgents(initial=["q1"], helpful=HelpfulnessJudgment(False))
+        verifier, _, reader = build(agents, world("q1", n))
+        verifier.verify(CLAIM, BudgetConfig())
+        assert agents.calls["search_rank"] == 0
+        assert len(reader.acquired) == n
+
     def test_empty_additional_ends_run(self):
         agents = ScriptedAgents(initial=["q1"], helpful=HelpfulnessJudgment(False),
                                 additional=[])

@@ -46,14 +46,16 @@ class TestContentEncoding:
         assert text == TEXT
         assert seen == ["gzip, deflate"]
 
-    def test_max_bytes_counts_decoded_bytes(self, http_stub):
+    def test_max_bytes_counts_decoded_bytes(self, http_stub, monkeypatch):
         packed = gzip.compress(TEXT.encode())
         assert len(packed) < 1000 < len(TEXT)
         base = http_stub(lambda m, p, b, h: (
             200, {"Content-Type": "text/html", "Content-Encoding": "gzip"}, packed))
+        monkeypatch.setattr(PageReader, "MAX_BYTES", 1000)
         with pytest.raises(TransportError, match="over 1000 bytes"):
-            PageReader(max_bytes=1000).fetch(f"{base}/page")
-        assert PageReader(max_bytes=len(TEXT)).fetch(f"{base}/page")[0] == TEXT
+            PageReader().fetch(f"{base}/page")
+        monkeypatch.setattr(PageReader, "MAX_BYTES", len(TEXT))
+        assert PageReader().fetch(f"{base}/page")[0] == TEXT
 
 
 class TestRedirects:
