@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence, TypeVar
 
 from .llm import ChatRequest, LlmGateway
 from .model import (
@@ -85,19 +85,17 @@ def _parse_prompt_asset(name: str, text: str) -> AgentPrompt:
 
 _BULLET_RE = re.compile(r"^\s*(?:\d+[\.\)]|[-*•])\s+(.*\S)\s*$")
 _WORD_RE = re.compile(r"[a-z]+")
+_HELPFUL_RE = re.compile(r"helpful\b(?!\?)", re.I)
+T = TypeVar("T")
 
 
 def parse_query_list(reply: str) -> list[str]:
-    """Numbered/bulleted lines, deduped case-insensitively, order kept."""
+    """The non-blank texts of the numbered/bulleted lines, in order."""
     queries: list[str] = []
-    seen: set[str] = set()
     for line in reply.splitlines():
         m = _BULLET_RE.match(line)
-        if not m:
-            continue
-        text = m.group(1).strip().strip('"').strip()
-        if text and text.lower() not in seen:
-            seen.add(text.lower())
+        text = m.group(1).strip().strip('"').strip() if m else ""
+        if text:
             queries.append(text)
     return queries
 
@@ -118,29 +116,25 @@ def _leading_words(reply: str) -> list[str]:
     return words[:PARSE_TOKEN_WINDOW]
 
 
+def _first_answer(reply: str, answers: dict[str, T]) -> Optional[T]:
+    """Case-insensitive scan of the first tokens; the first answer word wins."""
+    return next((answers[w] for w in _leading_words(reply) if w in answers), None)
+
+
 def parse_yes_no(reply: str) -> Optional[bool]:
-    """Case-insensitive scan of the first tokens; first YES/NO wins."""
-    for word in _leading_words(reply):
-        if word == "yes":
-            return True
-        if word == "no":
-            return False
-    return None
+    return _first_answer(reply, {"yes": True, "no": False})
 
 
 def parse_true_false(reply: str) -> Optional[Verdict]:
-    for word in _leading_words(reply):
-        if word == "true":
-            return Verdict.TRUE
-        if word == "false":
-            return Verdict.FALSE
-    return None
+    return _first_answer(reply, {"true": Verdict.TRUE, "false": Verdict.FALSE})
 
 
 def parse_helpfulness(reply: str) -> HelpfulnessJudgment:
+    """'helpful' as the first whole word, not a question, then the note."""
     stripped = reply.strip()
-    if stripped.lower().startswith("helpful"):
-        after = stripped[len("helpful"):].lstrip(" :—-").strip()
+    m = _HELPFUL_RE.match(stripped)
+    if m:
+        after = stripped[m.end():].lstrip(" :—-").strip()
         if after:
             return HelpfulnessJudgment(helpful=True, note=after)
     return HelpfulnessJudgment(helpful=False)
@@ -153,7 +147,8 @@ def parse_helpfulness(reply: str) -> HelpfulnessJudgment:
 class AgentSuite:
     """One method per agent; all LLM calls share the run's model,
     temperature, and trace.  A method only renders, asks, parses and logs;
-    the Verifier's loop alone decides when an agent is asked."""
+    the Verifier's loop alone decides when an agent is asked, and which of
+    the queries a query agent parses are searched."""
 
     def __init__(
         self,
@@ -192,12 +187,9 @@ class AgentSuite:
 
     def initial_query_gen(self, claim: Claim) -> list[SearchQuery]:
         reply = self._complete(self._prompt("initial_query_gen", claim))
-        texts = parse_query_list(reply)[: self.config.max_search_queries]
-        fallback = not texts
-        if fallback:
-            texts = [claim.text]
-        self._log("initial_query_gen", n_queries=len(texts), fallback=fallback)
-        return [SearchQuery(t) for t in texts]
+        texts = parse_query_list(reply)
+        self._log("initial_query_gen", n_queries=len(texts), fallback=not texts)
+        return [SearchQuery(t) for t in texts or [claim.text]]
 
     def search_rank(self, query: SearchQuery,
                     results: Sequence["SearchResultMeta"]) -> list["SearchResultMeta"]:
@@ -248,12 +240,8 @@ class AgentSuite:
         self._log("classify", verdict=verdict.value, forced_default=forced)
         return verdict
 
-    def additional_query_gen(self, claim: Claim, evidence: EvidenceSet,
-                             issued_texts: Iterable[str],
-                             remaining_budget: int) -> list[SearchQuery]:
+    def additional_query_gen(self, claim: Claim, evidence: EvidenceSet) -> list[SearchQuery]:
         reply = self._complete(self._prompt("additional_query_gen", claim, evidence))
-        issued = {t.lower() for t in issued_texts}
-        texts = [t for t in parse_query_list(reply) if t.lower() not in issued]
-        texts = texts[:remaining_budget]
+        texts = parse_query_list(reply)
         self._log("additional_query_gen", n_queries=len(texts), fallback=not texts)
         return [SearchQuery(t) for t in texts]

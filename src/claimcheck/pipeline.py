@@ -117,8 +117,7 @@ class Verifier:
         try:
             state.pending_queries.extend(agents.initial_query_gen(claim))
             self._search_loop(agents, state, config)
-            if not state.sufficient:
-                self._drain_deferred(agents, state)
+            self._drain_deferred(agents, state)
             verdict = agents.classify(claim, state.evidence)
         except (TransportError, FixtureMiss, StorageError) as exc:
             # _do_search already caught search failures: this is an agent's
@@ -138,20 +137,18 @@ class Verifier:
 
     def _search_loop(self, agents: AgentSuite, state: PipelineState,
                      config: BudgetConfig) -> None:
-        while True:
+        while len(state.issued_query_texts) < config.max_search_queries:
             if not state.pending_queries:
-                remaining = config.max_search_queries - len(state.issued_query_texts)
-                if remaining == 0:
-                    return
-                state.pending_queries.extend(agents.additional_query_gen(
-                    state.claim, state.evidence, state.issued_query_texts, remaining))
+                # only unissued proposals: a reply of issued queries ends the
+                # loop, where asking again on the same evidence would repeat it
+                state.pending_queries.extend(
+                    q for q in agents.additional_query_gen(state.claim, state.evidence)
+                    if q.text.lower() not in state.issued_query_texts)
                 if not state.pending_queries:
                     return
             query = state.pending_queries.popleft()
             if query.text.lower() in state.issued_query_texts:
                 continue
-            if len(state.issued_query_texts) >= config.max_search_queries:
-                return
             state.issued_query_texts.add(query.text.lower())
             results = self._do_search(state, query, config.max_results_per_query)
             # keyed by id(result): `results` keeps every key's object alive

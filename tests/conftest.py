@@ -381,12 +381,9 @@ class ScriptedAgents:
         self.calls["classify"] += 1
         return self._value(self.verdict, claim, evidence)
 
-    def additional_query_gen(self, claim, evidence, issued_texts, remaining_budget):
+    def additional_query_gen(self, claim, evidence):
         self.calls["additional_query_gen"] += 1
-        texts = self._value(self.additional, claim, evidence)
-        issued = {t.lower() for t in issued_texts}
-        texts = [t for t in texts if t.lower() not in issued][:remaining_budget]
-        return [SearchQuery(t) for t in texts]
+        return [SearchQuery(t) for t in self._value(self.additional, claim, evidence)]
 
     def total_llm_like_calls(self) -> int:
         return sum(self.calls.values())

@@ -84,7 +84,7 @@ class TestExtractText:
 # corners of a paragraph run: a blank line between inline tags, text of
 # whitespace only between them, Unicode whitespace, and a block tag right
 # after an inline tag
-_FRAGMENTS = st.sampled_from([
+FRAGMENTS = [
     "<p>", "</p>", "<div>", "</div>", "<br>", "<li>", "<nav>", "</nav>", "<style>", "</style>",
     "<script><p>not text</p></script>", "<!-- a comment -->", "\n\n", "\n \t\n", "\n",
     "\r\n\r\n", "\r\n \r\n",
@@ -109,7 +109,8 @@ _FRAGMENTS = st.sampled_from([
     "<hEAD>", "</Head>",
     "a<b>x\n\ny</b>z", "<b>\n \n</b>", "<i> </i>\t<b>\n</b>", " <em> \xa0 </em> ",
     "\xa0", "\u3000", "\x1c", "x\u3000y\xa0z\x1cw", "<b>\u3000</b>", "</b><p>", "<i>x</i><div>",
-])
+]
+_FRAGMENTS = st.sampled_from(FRAGMENTS)
 # whole skipped elements, nested, around other fragments, closed in several
 # spellings or not at all, so that text often follows the end of one
 _SKIPPED = st.recursive(

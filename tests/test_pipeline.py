@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from claimcheck.agents import AGENT_NAMES, HelpfulnessJudgment, _parse_prompt_asset
+from claimcheck.agents import (
+    AGENT_NAMES,
+    AgentSuite,
+    HelpfulnessJudgment,
+    _parse_prompt_asset,
+    load_prompts,
+)
 from claimcheck.llm import LlmGateway
 from claimcheck.model import BudgetConfig, Claim, Verdict
 from claimcheck.pages import PageReader
@@ -17,6 +23,7 @@ from claimcheck.trace import EventKind
 from claimcheck.websearch import SearchClient
 
 from conftest import (
+    FakeGateway,
     FakeReader,
     FakeSearch,
     ScriptedAgents,
@@ -312,6 +319,70 @@ class TestBudgetAndQueries:
         report = verifier.verify(CLAIM, BudgetConfig(max_search_queries=cap))
         assert len(search.calls) == min(n, cap)
         assert report.trace.count(EventKind.SEARCH_CALL) == min(n, cap)
+
+
+class TestQueriesWithAgentSuite:
+    """The real agents over a scripted gateway: a query agent returns every
+    query it parses, and the loop alone decides which of them are searched."""
+
+    def run(self, initial, additional="", budget=4):
+        """Verify CLAIM on the two query agents' replies given; no search
+        finds a result.  Returns (report, queries searched, agents asked)."""
+        asked = []
+
+        def respond(req):
+            prompt = "\n".join(content for _, content in req.messages)
+            for needle, agent, reply in [
+                ("list of new web search queries", "additional_query_gen", additional),
+                ("numbered list of web search queries", "initial_query_gen", initial),
+                ("Is the claim true or false", "classify", "True"),
+            ]:
+                if needle in prompt:
+                    asked.append(agent)
+                    return reply
+            raise AssertionError(f"unexpected prompt: {prompt[:80]}")
+
+        gateway = FakeGateway(responder=respond)
+        search = FakeSearch()
+        verifier = Verifier(
+            agent_factory=lambda config, trace: AgentSuite(gateway, config, load_prompts(), trace),
+            search=search, reader=FakeReader(), clock=lambda: 0.0)
+        report = verifier.verify(CLAIM, BudgetConfig(max_search_queries=budget))
+        return report, [text for text, _ in search.calls], asked
+
+    def test_proposals_past_the_budget_are_not_searched(self):
+        initial = "\n".join(f"{i}. query {i}" for i in range(1, 7))
+        _, searched, asked = self.run(initial, budget=4)
+        assert searched == ["query 1", "query 2", "query 3", "query 4"]
+        assert "additional_query_gen" not in asked
+
+    def test_a_case_variant_repeat_costs_no_search(self):
+        _, searched, _ = self.run("1. A\n2. a\n3. B", budget=2)
+        assert searched == ["A", "B"]
+
+    def test_a_follow_up_that_repeats_an_issued_query_searches_only_the_new_one(self):
+        _, searched, asked = self.run("1. A", additional="1. a\n2. C", budget=4)
+        assert searched == ["A", "C"]
+        # the second reply, the same, holds only issued queries
+        assert asked.count("additional_query_gen") == 2
+
+    def test_follow_ups_already_issued_are_asked_for_once(self):
+        report, searched, asked = self.run("1. A", additional="1. a", budget=4)
+        assert searched == ["A"]
+        assert asked.count("additional_query_gen") == 1
+        assert report.terminated_by is TerminationReason.BUDGET_EXHAUSTED
+
+    @pytest.mark.parametrize("initial, additional, logged", [
+        ("\n".join(f"{i}. q{i}" for i in range(1, 7)), "", [("initial_query_gen", 6, False)]),
+        ("1. A", "1. a", [("initial_query_gen", 1, False), ("additional_query_gen", 1, False)]),
+        ("no list", "none here", [("initial_query_gen", 0, True),
+                                  ("additional_query_gen", 0, True)]),
+    ], ids=["past-the-budget", "only-issued", "no-query"])
+    def test_query_agents_log_the_queries_they_parse(self, initial, additional, logged):
+        report, _, _ = self.run(initial, additional)
+        assert [(e.payload["agent"], e.payload["n_queries"], e.payload["fallback"])
+                for e in report.trace.events
+                if e.kind is EventKind.AGENT_CALL and "n_queries" in e.payload] == logged
 
 
 class TestAblations:
