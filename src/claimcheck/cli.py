@@ -106,6 +106,9 @@ def cmd_verify(claim_text, trace_path, **options) -> None:
     if not claim_text.strip():
         raise click.UsageError("claim text must be non-empty")
     verifier, config, ablations = _build(**options)
+    if trace_path:
+        # before the run, which a missing directory would otherwise waste
+        Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
     try:
         result = verifier.verify(Claim(text=claim_text), config, ablations)
     except GatewayFatal as exc:

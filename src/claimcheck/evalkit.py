@@ -230,12 +230,7 @@ def report(counts: ConfusionCounts) -> MetricReport:
     support = {v: counts.support(v) for v in Verdict}
     macro = (f1[Verdict.TRUE] + f1[Verdict.FALSE]) / 2
     total = support[Verdict.TRUE] + support[Verdict.FALSE]
-    weighted = (
-        (support[Verdict.TRUE] * f1[Verdict.TRUE]
-         + support[Verdict.FALSE] * f1[Verdict.FALSE]) / total
-        if total
-        else 0.0
-    )
+    weighted = sum(support[v] * f1[v] for v in Verdict) / total if total else 0.0
     return MetricReport(precision=precision, recall=recall, f1=f1,
                         support=support, macro_f1=macro, weighted_f1=weighted)
 
@@ -253,19 +248,9 @@ def render_table(rows: dict[str, MetricReport]) -> str:
               "P(False)", "R(False)", "F1(False)", "M-F1", "W-F1"]
     lines = [header]
     for name, rep in rows.items():
-        lines.append([
-            name,
-            round_display(rep.precision[Verdict.TRUE]),
-            round_display(rep.recall[Verdict.TRUE]),
-            round_display(rep.f1[Verdict.TRUE]),
-            round_display(rep.precision[Verdict.FALSE]),
-            round_display(rep.recall[Verdict.FALSE]),
-            round_display(rep.f1[Verdict.FALSE]),
-            round_display(rep.macro_f1),
-            round_display(rep.weighted_f1),
-        ])
+        lines.append([name, *(round_display(x) for v in Verdict
+                              for x in (rep.precision[v], rep.recall[v], rep.f1[v])),
+                      round_display(rep.macro_f1), round_display(rep.weighted_f1)])
     widths = [max(len(row[i]) for row in lines) for i in range(len(header))]
-    rendered = []
-    for row in lines:
-        rendered.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(rendered)
+    return "\n".join("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+                     for row in lines)

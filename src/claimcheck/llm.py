@@ -103,6 +103,15 @@ class LlmGateway(RecordedClient):
         return {"request": canonical_form(req), "response_text": text, "usage": usage}
 
     @staticmethod
+    def _malformed(record: dict[str, Any]) -> Optional[str]:
+        if not isinstance(record.get("response_text"), str):
+            return "response_text is not a string"
+        usage = record.get("usage")
+        if usage is not None and not (isinstance(usage, list) and len(usage) == 2):
+            return "usage is not a two-item list"
+        return None
+
+    @staticmethod
     def _parse_body(data: dict[str, Any]) -> tuple[str, Optional[tuple[int, int]]]:
         try:
             text = data["choices"][0]["message"]["content"]

@@ -169,15 +169,14 @@ class Verifier:
 
     def _do_search(self, state: PipelineState, query: SearchQuery,
                    k: int) -> list[SearchResultMeta]:
+        failure = {}
         try:
             results = self.search.search(query, k)
-            state.trace.log(EventKind.SEARCH_CALL, query=query.text,
-                            k=k, n_results=len(results))
-            return results
         except TransportError as exc:
-            state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
-                            n_results=0, error=str(exc))
-            return []
+            results, failure = [], {"error": str(exc)}
+        state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
+                        n_results=len(results), **failure)
+        return results
 
     # -- page prefetch (live mode) ----------------------------------------
 
@@ -205,13 +204,9 @@ class Verifier:
             return
         state.trace.log(EventKind.FETCH, url=result.url,
                         acquisition=doc.acquisition.value)
-        if Ablation.RM_SCC in state.ablations:
-            comprehensible = True
-        else:
-            comprehensible = agents.self_contained_check(state.claim, state.evidence, doc)
-        if not comprehensible:
+        if (Ablation.RM_SCC not in state.ablations
+                and not agents.self_contained_check(state.claim, state.evidence, doc)):
             state.deferred.append(doc)
-            state.trace.log(EventKind.DEFERRED, url=result.url)
             state.trace.log(EventKind.SCENARIO_DECISION, url=result.url, scenario="d")
             return
         self._judge_document(agents, state, doc)
@@ -219,23 +214,22 @@ class Verifier:
     def _judge_document(self, agents: AgentSuite, state: PipelineState,
                         doc: Document) -> None:
         """Shared tail of result processing and the deferred drain:
-        helpfulness, evidence retention, sufficiency."""
+        helpfulness, evidence retention, sufficiency, and the document's
+        one scenario decision."""
         judgment = agents.det_helpful(state.claim, state.evidence, doc)
-        if not judgment.helpful:
-            state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url, scenario="c")
-            return
-        item = EvidenceItem(note=judgment.note, source_url=doc.meta.url)
-        state.evidence, added = state.evidence.add(item)
-        state.trace.log(EventKind.EVIDENCE_ADDED, url=doc.meta.url, added=added)
-        if not added:
-            # duplicate source: nothing new retained, treat as irrelevant
-            state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url, scenario="c")
-            return
-        if agents.sufficient_evidence(state.claim, state.evidence):
-            state.sufficient = True
-            state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url, scenario="a")
-        else:
-            state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url, scenario="b")
+        scenario, detail = "c", {}
+        if judgment.helpful:
+            state.evidence, added = state.evidence.add(
+                EvidenceItem(note=judgment.note, source_url=doc.meta.url))
+            if not added:
+                # a source already in evidence retains nothing new: irrelevant
+                detail = {"detail": "already_evidence"}
+            else:
+                # the loop and the drain judge a document only while evidence is short
+                state.sufficient = agents.sufficient_evidence(state.claim, state.evidence)
+                scenario = "a" if state.sufficient else "b"
+        state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url, scenario=scenario,
+                        **detail)
 
     # -- end-of-run drain --------------------------------------------------
 
@@ -245,8 +239,7 @@ class Verifier:
         for doc in state.deferred:
             if state.sufficient:
                 break
-            comprehensible = agents.self_contained_check(state.claim, state.evidence, doc)
-            if not comprehensible:
+            if not agents.self_contained_check(state.claim, state.evidence, doc):
                 state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url,
                                 scenario="dropped_after_recheck")
                 continue

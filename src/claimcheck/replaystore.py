@@ -34,6 +34,9 @@ USER_AGENT = "claimcheck/0.1"
 _DEFAULT_HEADERS = {"Accept": "*/*", "Accept-Encoding": "gzip, deflate", "User-Agent": USER_AGENT}
 # hosts a thread keeps an idle connection to; the least recently used goes first
 _MAX_HOSTS = 10
+# cap on an LLM or search response body: a 128k-token completion is about
+# 0.5 MB, and a search answer a few KB, so 8 MiB refuses only a runaway body
+MAX_RESPONSE_BYTES = 8 * 1024 * 1024
 
 
 class FixtureMiss(Exception):
@@ -264,7 +267,7 @@ class Response:
             self._raw.close()
             self._conn.close()
 
-    def read(self, max_bytes: Optional[int] = None) -> bytearray:
+    def read(self, max_bytes: int) -> bytearray:
         """The body, gzip or deflate encoding undone.  TransportError when
         the call's deadline passes, the decoded body grows over
         ``max_bytes`` or a read fails.  A body sent as it is, whose
@@ -272,23 +275,22 @@ class Response:
         encoding = self.headers.get("Content-Encoding", "").strip().lower()
         inflate = (zlib.decompressobj(16 + zlib.MAX_WBITS) if encoding in ("gzip", "x-gzip")
                    else zlib.decompressobj() if encoding == "deflate" else None)
-        if inflate is None and max_bytes is not None and (self._raw.length or 0) > max_bytes:
+        if inflate is None and (self._raw.length or 0) > max_bytes:
             raise TransportError(f"body over {max_bytes} bytes for {self.url}")
         body = bytearray()
         try:
             while chunk := self._raw.read1(65536):
                 if inflate is not None:
                     # at most one byte over the cap: enough to reject the body
-                    chunk = inflate.decompress(chunk, 0 if max_bytes is None
-                                               else max_bytes - len(body) + 1)
+                    chunk = inflate.decompress(chunk, max_bytes - len(body) + 1)
                 body += chunk
-                if max_bytes is not None and len(body) > max_bytes:
+                if len(body) > max_bytes:
                     raise TransportError(f"body over {max_bytes} bytes for {self.url}")
             if self._raw.length:
                 raise TransportError(f"body incomplete when the connection closed for {self.url}")
             if inflate is not None:
                 body += inflate.flush()
-                if max_bytes is not None and len(body) > max_bytes:
+                if len(body) > max_bytes:
                     raise TransportError(f"body over {max_bytes} bytes for {self.url}")
         except (OSError, http.client.HTTPException, zlib.error) as exc:
             raise TransportError(f"body read failed for {self.url}: {exc}") from exc
@@ -305,7 +307,7 @@ class Response:
         except TransportError:
             pass
 
-    def text(self, max_bytes: Optional[int] = None) -> str:
+    def text(self, max_bytes: int) -> str:
         """read(), decoded by the Content-Type charset (see _decode)."""
         return _decode(self.read(max_bytes), self.headers.get("Content-Type", ""))
 
@@ -357,35 +359,41 @@ def open_url(method: str, url: str, headers: dict[str, str], body: Optional[byte
 def post_json(url: str, headers: dict[str, str], payload: dict[str, Any],
               timeout: float) -> tuple[int, str]:
     """(status, body text) of one POST; TransportError once the response
-    is still arriving ``timeout`` seconds after the call began."""
+    is still arriving ``timeout`` seconds after the call began, or its
+    body is over MAX_RESPONSE_BYTES."""
     body = json.dumps(payload).encode("utf-8")
     with open_url("POST", url, {"Content-Type": "application/json", **headers}, body,
                   timeout=timeout) as resp:
-        return resp.status, resp.text()
+        return resp.status, resp.text(MAX_RESPONSE_BYTES)
 
 
 class FixtureStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(self, key: str) -> Optional[dict[str, Any]]:
+    def get(self, key: str, malformed: Callable[[dict[str, Any]], Optional[str]]
+            = lambda record: None) -> Optional[dict[str, Any]]:
+        """The record stored under key, or None.  StorageError when its file
+        cannot be read, is not a JSON object, or ``malformed(record)`` names
+        what is wrong with its fields."""
         path = os.path.join(self.root, f"{key}.json")
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
             # decoded first: json.loads(bytes) would also accept UTF-16 and UTF-32
-            return json.loads(data.decode("utf-8"))
+            record = json.loads(data.decode("utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise StorageError(f"unreadable fixture {path}: {exc}") from exc
+        problem = malformed(record) if isinstance(record, dict) else "not a JSON object"
+        if problem:
+            raise StorageError(f"malformed fixture {path}: {problem}")
+        return record
 
     def put(self, key: str, record: dict[str, Any]) -> None:
         """Write a fixture; idempotent for identical records."""
-        path = self._path(key)
+        path = self.root / f"{key}.json"
         payload = json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         try:
             try:
@@ -404,10 +412,12 @@ class RecordedClient:
     record (live, and store each record) or replay (stored records only,
     never the network).  Live calls go through ``transport`` with one
     retry policy: transport errors, HTTP 429 and 5xx are retried after
-    each of RETRY_DELAYS.  Each try may take TIMEOUT seconds, which every
-    subclass sets."""
+    each of RETRY_DELAYS.  Each try may take TIMEOUT seconds.  Every
+    subclass sets TIMEOUT and ``_malformed``, which names what is wrong
+    with a stored record's fields (None when nothing is)."""
 
     TIMEOUT: float
+    _malformed: Callable[[dict[str, Any]], Optional[str]]
 
     def __init__(self, mode: str, fixture_dir: Optional[str],
                  transport: Callable[..., tuple[int, str]],
@@ -427,7 +437,7 @@ class RecordedClient:
         with message ``miss()`` when absent), else from ``live()``, stored
         in record mode.  Live mode never computes the key."""
         if self.mode == "replay":
-            record = self.store.get(key())
+            record = self.store.get(key(), self._malformed)
             if record is None:
                 raise FixtureMiss(miss())
             return record

@@ -14,8 +14,6 @@ class EventKind(Enum):
     SEARCH_CALL = "search_call"
     FETCH = "fetch"
     SCENARIO_DECISION = "scenario_decision"
-    DEFERRED = "deferred"
-    EVIDENCE_ADDED = "evidence_added"
     VERDICT = "verdict"
 
 
@@ -47,17 +45,12 @@ class RunTrace:
         return bool(self.events) and self.events[-1].kind is EventKind.VERDICT
 
     def to_jsonl(self, normalize_timestamps: bool = False) -> str:
-        lines = []
-        for event in self.events:
-            ts = 0.0 if normalize_timestamps else event.timestamp
-            lines.append(
-                json.dumps(
-                    {"ts": ts, "kind": event.kind.value, "payload": event.payload},
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One JSON object per line: ts, kind and payload, keys sorted."""
+        return "".join(
+            json.dumps({"ts": 0.0 if normalize_timestamps else event.timestamp,
+                        "kind": event.kind.value, "payload": event.payload},
+                       sort_keys=True, ensure_ascii=False) + "\n"
+            for event in self.events)
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_jsonl(), encoding="utf-8")

@@ -67,6 +67,10 @@ class SearchClient(RecordedClient):
         organic = data.get("organic", [])
         return organic if isinstance(organic, list) else []
 
+    @staticmethod
+    def _malformed(record: dict[str, Any]) -> Optional[str]:
+        return None if isinstance(record.get("results"), list) else "results is not a list"
+
     def _parse_results(self, raw: list[dict[str, Any]], k: int) -> list[SearchResultMeta]:
         results: list[SearchResultMeta] = []
         for entry in raw:

@@ -140,6 +140,12 @@ class TestVerify:
         assert replayed.output.splitlines()[:4] == recorded.output.splitlines()[:4]
         assert "/article" not in pages_seen
 
+    def test_trace_into_a_missing_directory_is_written(self, runner, scripted_world, tmp_path):
+        trace_path = tmp_path / "missing" / "t.jsonl"
+        run(runner, ["verify", "water boils at 100 C", "--mode", "record",
+                     "--trace", str(trace_path), *scripted_world["flags"]])
+        assert trace_path.read_text().splitlines()[-1].startswith('{"kind": "verdict"')
+
     def test_trace_file_ends_with_verdict(self, runner, scripted_world, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         run(runner, ["verify", "water boils at 100 C", "--mode", "record",
@@ -316,6 +322,16 @@ class TestMissingFixture:
         assert len(rows) == 2
         errors = [row["error"] for row in rows if row.get("error")]
         assert len(errors) == 1 and "no LLM fixture" in errors[0]
+
+    def test_verify_on_a_fixture_of_the_wrong_shape_is_config_error(self, runner,
+                                                                    scripted_world):
+        claim = FIVE_CLAIMS[0][0]
+        run(runner, ["verify", claim, "--mode", "record", *scripted_world["flags"]])
+        for path in (scripted_world["fixtures"] / "llm").glob("*.json"):
+            path.write_text("[]", encoding="utf-8")
+        result = run(runner, ["verify", claim, "--mode", "replay", *scripted_world["flags"]],
+                     expect_exit=2)
+        assert "malformed fixture" in result.output
 
     def test_verify_with_empty_fixtures_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["verify", "some claim", "--mode", "replay",

@@ -11,7 +11,7 @@ from claimcheck.llm import (
     TransportError,
     replay_key,
 )
-from claimcheck.replaystore import FixtureMiss
+from claimcheck.replaystore import FixtureMiss, StorageError
 
 from conftest import openai_reply
 
@@ -77,6 +77,19 @@ class TestReplayMode:
             json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         resp = LlmGateway(mode="replay", fixture_dir=tmp_path).complete(req())
         assert (resp.text, resp.usage) == ("old", None)
+
+    @pytest.mark.parametrize("record", [
+        [1, 2],
+        {"request": {}},
+        {"response_text": None},
+        {"response_text": "x", "usage": [10]},
+        {"response_text": "x", "usage": 5},
+    ])
+    def test_fixture_of_the_wrong_shape_is_storage_error(self, tmp_path, record):
+        path = tmp_path / f"{replay_key(req())}.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(StorageError, match=path.name):
+            LlmGateway(mode="replay", fixture_dir=tmp_path).complete(req())
 
     def test_unseen_digest_is_fixture_miss(self, tmp_path):
         gateway = LlmGateway(mode="replay", fixture_dir=tmp_path)

@@ -44,6 +44,12 @@ def build(agents, worlds=None, unusable=None, bodies=None):
     return verifier, search, reader
 
 
+def scenarios(report):
+    """The scenario code of each scenario_decision event, in order."""
+    return [e.payload["scenario"] for e in report.trace.events
+            if e.kind is EventKind.SCENARIO_DECISION]
+
+
 def world(query, n, prefix="r"):
     return {query: [make_result(f"https://{prefix}{i}.example/{query.replace(' ', '-')}")
                     for i in range(n)]}
@@ -109,8 +115,7 @@ class TestScenarioDispatch:
     def test_scenario_d_defers(self):
         agents = ScriptedAgents(initial=["q1"], scc=False)
         report, _, _ = self.one_result_run(agents)
-        deferred = [e for e in report.trace.events if e.kind is EventKind.DEFERRED]
-        assert len(deferred) == 1
+        assert scenarios(report).count("d") == 1
         assert len(report.evidence) == 0
         # drain re-checked it once more, still unreadable, dropped
         assert agents.calls["self_contained_check"] == 2
@@ -119,17 +124,13 @@ class TestScenarioDispatch:
         agents = ScriptedAgents(initial=["q1"], helpful=HelpfulnessJudgment(False))
         report, _, _ = self.one_result_run(agents)
         assert len(report.evidence) == 0
-        scenarios = [e.payload["scenario"] for e in report.trace.events
-                     if e.kind is EventKind.SCENARIO_DECISION]
-        assert "c" in scenarios
+        assert "c" in scenarios(report)
 
     def test_scenario_a_adds_and_stops(self):
         agents = ScriptedAgents(initial=["q1"], sufficient=True)
         report, _, _ = self.one_result_run(agents)
         assert len(report.evidence) == 1
-        scenarios = [e.payload["scenario"] for e in report.trace.events
-                     if e.kind is EventKind.SCENARIO_DECISION]
-        assert scenarios[-1] == "a"
+        assert scenarios(report)[-1] == "a"
 
     def test_unusable_result_skipped(self):
         agents = ScriptedAgents(initial=["q1"])
@@ -149,9 +150,70 @@ class TestScenarioDispatch:
         verifier, _, _ = build(agents, {"q1": [result], "q2": [result]})
         report = verifier.verify(CLAIM, BudgetConfig())
         assert len(report.evidence) == 1
-        added_flags = [e.payload["added"] for e in report.trace.events
-                       if e.kind is EventKind.EVIDENCE_ADDED]
-        assert added_flags == [True, False]
+        decisions = [(e.payload["scenario"], e.payload.get("detail")) for e in report.trace.events
+                     if e.kind is EventKind.SCENARIO_DECISION]
+        assert decisions == [("b", None), ("c", "already_evidence")]
+
+
+class TestTraceSequence:
+    """One scripted claim whose trace holds every scenario code: the loop
+    defers two pages, keeps one, meets a helpful page already in evidence,
+    an unusable result and an unhelpful page; the drain drops one deferred
+    page and recovers the other, which is sufficient."""
+
+    DROPPED, RECOVERED, KEPT = ("https://d.example/1", "https://d.example/2",
+                                "https://k.example/1")
+    UNUSABLE, UNHELPFUL = "https://u.example/1", "https://n.example/1"
+
+    def run(self):
+        def scc(claim, evidence, doc):
+            if doc.meta.url == self.DROPPED:
+                return False
+            return doc.meta.url != self.RECOVERED or len(evidence) > 0
+
+        agents = ScriptedAgents(
+            initial=["q1", "q2"], scc=scc,
+            helpful=lambda c, e, d: HelpfulnessJudgment(d.meta.url != self.UNHELPFUL,
+                                                        f"note from {d.meta.url}"),
+            sufficient=lambda c, e: any(i.source_url == self.RECOVERED for i in e))
+        worlds = {"q1": [make_result(u) for u in (self.DROPPED, self.RECOVERED, self.KEPT)],
+                  "q2": [make_result(u) for u in (self.KEPT, self.UNUSABLE, self.UNHELPFUL)]}
+        verifier, _, reader = build(agents, worlds, unusable={self.UNUSABLE})
+        report = verifier.verify(CLAIM, BudgetConfig(max_search_queries=2,
+                                                     max_results_per_query=3))
+        return report, reader
+
+    def test_the_trace_is_pinned(self):
+        report, _ = self.run()
+        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+        decision = "scenario_decision"
+        assert [(e.kind.value, e.payload.get("scenario"), e.payload.get("detail"))
+                for e in report.trace.events] == [
+            ("search_call", None, None),
+            ("fetch", None, None), (decision, "d", None),
+            ("fetch", None, None), (decision, "d", None),
+            ("fetch", None, None), (decision, "b", None),
+            ("search_call", None, None),
+            ("fetch", None, None), (decision, "c", "already_evidence"),
+            (decision, "unusable", self.UNUSABLE),
+            ("fetch", None, None), (decision, "c", None),
+            (decision, "dropped_after_recheck", None),
+            (decision, "a", None),
+            ("verdict", None, None),
+        ]
+
+    def test_one_decision_per_document_read_and_rechecked(self):
+        report, reader = self.run()
+        decided = [e.payload["url"] for e in report.trace.events
+                   if e.kind is EventKind.SCENARIO_DECISION]
+        # the loop reads each result once; the drain rechecks the deferred pages
+        assert decided == reader.acquired + [self.DROPPED, self.RECOVERED]
+
+    def test_only_the_five_event_kinds(self):
+        report, _ = self.run()
+        kinds = {"agent_call", "search_call", "fetch", "scenario_decision", "verdict"}
+        assert {kind.value for kind in EventKind} == kinds
+        assert {e.kind.value for e in report.trace.events} <= kinds
 
 
 class TestDrainDeferred:
@@ -159,7 +221,7 @@ class TestDrainDeferred:
         agents = ScriptedAgents(initial=["q1"], helpful=HelpfulnessJudgment(False))
         verifier, _, _ = build(agents, world("q1", 1))
         report = verifier.verify(CLAIM, BudgetConfig())
-        assert report.trace.count(EventKind.DEFERRED) == 0
+        assert scenarios(report).count("d") == 0
 
     def test_decisive_first_deferred_stops_drain(self):
         # two results, both deferred in the loop; in the drain the first
@@ -193,8 +255,8 @@ class TestDrainDeferred:
         agents = ScriptedAgents(initial=["q1"], scc=False)
         verifier, _, _ = build(agents, world("q1", 1))
         report = verifier.verify(CLAIM, BudgetConfig())
-        # exactly one deferral event despite two failed checks
-        assert report.trace.count(EventKind.DEFERRED) == 1
+        # exactly one deferral decision despite two failed checks
+        assert scenarios(report).count("d") == 1
         assert agents.calls["self_contained_check"] == 2
 
 
@@ -401,7 +463,7 @@ class TestAblations:
         verifier, _, _ = build(agents, self.worlds())
         report = verifier.verify(CLAIM, BudgetConfig(), ablations={Ablation.RM_SCC})
         assert agents.calls["self_contained_check"] == 0
-        assert report.trace.count(EventKind.DEFERRED) == 0
+        assert scenarios(report).count("d") == 0
 
     def test_without_ablation_rank_is_used(self):
         agents = ScriptedAgents(initial=["q1"], rank="reverse",

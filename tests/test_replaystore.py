@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from claimcheck import replaystore
 from claimcheck.replaystore import FixtureStore, StorageError, TransportError, post_json
 
 
@@ -34,6 +35,20 @@ class TestPostJson:
         assert post_json(f"{base}/v1", {}, {"q": 1}, timeout=5.0) == (200, body.decode())
 
 
+    def test_body_over_the_cap_is_refused_and_its_connection_closed(self, stub_servers,
+                                                                    monkeypatch):
+        body = json.dumps({"text": "x" * 200}).encode()
+        stub = stub_servers(lambda m, p, b, h: (200, {"Content-Type": "application/json"},
+                                                body if p == "/big" else b"{}"),
+                            keep_alive=True)
+        monkeypatch.setattr(replaystore, "MAX_RESPONSE_BYTES", 100)
+        with pytest.raises(TransportError, match="over 100 bytes"):
+            post_json(f"{stub.url}/big", {}, {"q": 1}, timeout=5.0)
+        assert post_json(f"{stub.url}/small", {}, {"q": 1}, timeout=5.0) == (200, "{}")
+        # the refused body's connection was closed, so the next call opened another
+        assert stub.connections == 2
+
+
 class TestFixtureStore:
     def test_missing_key_is_none(self, tmp_path):
         assert FixtureStore(tmp_path / "absent").get("k") is None
@@ -48,6 +63,12 @@ class TestFixtureStore:
     def test_malformed_fixture_is_storage_error(self, tmp_path):
         (tmp_path / "k.json").write_text("{not json", encoding="utf-8")
         with pytest.raises(StorageError):
+            FixtureStore(tmp_path).get("k")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
+    def test_fixture_that_is_not_an_object_is_storage_error(self, tmp_path, text):
+        (tmp_path / "k.json").write_text(text, encoding="utf-8")
+        with pytest.raises(StorageError, match="k.json: not a JSON object"):
             FixtureStore(tmp_path).get("k")
 
     def test_fixture_that_is_not_utf8_is_storage_error(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from claimcheck.model import SearchQuery, is_valid_http_url
-from claimcheck.replaystore import FixtureMiss, TransportError
+from claimcheck.replaystore import FixtureMiss, StorageError, TransportError
 from claimcheck.websearch import SearchClient, search_fixture_key
 
 
@@ -45,6 +45,13 @@ class TestFixtureMode:
         client = SearchClient(mode="replay", fixture_dir=tmp_path)
         with pytest.raises(FixtureMiss):
             client.search(SearchQuery("unknown"), 2)
+
+    @pytest.mark.parametrize("record", [[], {"query": "q"}, {"results": "x"}])
+    def test_fixture_of_the_wrong_shape_is_storage_error(self, tmp_path, record):
+        path = tmp_path / f"{search_fixture_key('q', 2)}.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(StorageError, match=path.name):
+            SearchClient(mode="replay", fixture_dir=tmp_path).search(SearchQuery("q"), 2)
 
     def test_missing_snippet_becomes_empty_string(self, tmp_path):
         client = fixture_client(tmp_path, [{"title": "t", "link": "https://a.example/x"}], k=1)
