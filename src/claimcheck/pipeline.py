@@ -13,7 +13,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .agents import AgentSuite, load_prompts
 from .llm import LlmGateway
@@ -31,6 +31,9 @@ from .pages import PageReader, Unusable
 from .replaystore import FixtureMiss, StorageError, TransportError
 from .trace import EventKind, RunTrace
 from .websearch import SearchClient
+
+
+T = TypeVar("T")
 
 
 class Ablation(Enum):
@@ -74,9 +77,16 @@ class Verifier:
     With a live gateway, a query's result pages are fetched on a thread
     pool as soon as the search returns, while the ranking and the earlier
     results' agent calls wait on the LLM; they are still read in ranked
-    order.  A claim that stops mid-query has fetched up to k-1 pages it
-    never reads.  Replayed LLM calls leave no wait to hide a fetch behind,
-    and a record run fetches only what it reads, so neither prefetches.
+    order.  When the loop starts on a query's last result, and the budget
+    allows another query and one is pending, that query's search (and
+    then its pages' prefetch) is read ahead on the same pool while the
+    last result is judged; the loop takes it when it pops the query.  So
+    a claim that stops mid-query has fetched up to k-1 pages it never
+    reads, and one that stops on a query's last result has also paid for
+    one search and up to k page fetches it never reads: that search is
+    logged as a search_call with ``unread``.  Replayed LLM calls leave no
+    wait to hide a fetch behind, and a record run fetches only what it
+    reads, so neither prefetches nor reads ahead.
     """
 
     def __init__(
@@ -137,48 +147,87 @@ class Verifier:
 
     def _search_loop(self, agents: AgentSuite, state: PipelineState,
                      config: BudgetConfig) -> None:
-        while len(state.issued_query_texts) < config.max_search_queries:
-            if not state.pending_queries:
-                # only unissued proposals: a reply of issued queries ends the
-                # loop, where asking again on the same evidence would repeat it
-                state.pending_queries.extend(
-                    q for q in agents.additional_query_gen(state.claim, state.evidence)
-                    if q.text.lower() not in state.issued_query_texts)
-                if not state.pending_queries:
-                    return
-            query = state.pending_queries.popleft()
-            if query.text.lower() in state.issued_query_texts:
-                continue
-            state.issued_query_texts.add(query.text.lower())
-            results = self._do_search(state, query, config.max_results_per_query)
-            # keyed by id(result): `results` keeps every key's object alive
-            prefetches = self._prefetch(results)
-            try:
-                ranked = results
-                if len(results) > 1 and Ablation.RM_SR not in state.ablations:
-                    ranked = agents.search_rank(query, results)
-                for result in ranked:
-                    self._process_result(agents, state, result,
-                                         prefetches.pop(id(result), None))
-                    if state.sufficient:
+        k = config.max_results_per_query
+        # (query, task): the search of the query popped next, read ahead on the pool
+        ahead: Optional[tuple[SearchQuery, Future]] = None
+        try:
+            while len(state.issued_query_texts) < config.max_search_queries:
+                if self._next_query(state) is None:
+                    # only unissued proposals: a reply of issued queries ends the
+                    # loop, where asking again on the same evidence would repeat it
+                    state.pending_queries.extend(
+                        q for q in agents.additional_query_gen(state.claim, state.evidence)
+                        if q.text.lower() not in state.issued_query_texts)
+                    if not state.pending_queries:
                         return
-            finally:
-                # cancel the unread prefetches not started and wait for the
-                # running ones, so that no fetch outlives its claim
-                wait([f for f in prefetches.values() if not f.cancel()])
+                query = state.pending_queries.popleft()
+                state.issued_query_texts.add(query.text.lower())
+                # nothing changes the pending queries between a read-ahead and
+                # this pop, so a read-ahead is always of this query
+                task = ahead[1] if ahead else None
+                ahead = None
+                results, failure, prefetches = self._run_or_take(
+                    task, lambda: self._search_and_prefetch(query, k))
+                state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
+                                n_results=len(results), **failure)
+                try:
+                    ranked = results
+                    if len(results) > 1 and Ablation.RM_SR not in state.ablations:
+                        ranked = agents.search_rank(query, results)
+                    for i, result in enumerate(ranked):
+                        if i == len(ranked) - 1:
+                            ahead = self._read_ahead(state, config)
+                        self._process_result(agents, state, result,
+                                             prefetches.pop(id(result), None))
+                        if state.sufficient:
+                            return
+                finally:
+                    self._settle(prefetches)
+        finally:
+            # a read-ahead not started is cancelled; one that ran billed a
+            # search, which the trace counts, and its prefetches end here
+            if ahead is not None and not ahead[1].cancel():
+                results, failure, prefetches = ahead[1].result()
+                self._settle(prefetches)
+                state.trace.log(EventKind.SEARCH_CALL, query=ahead[0].text, k=k,
+                                n_results=len(results), unread=True, **failure)
 
-    def _do_search(self, state: PipelineState, query: SearchQuery,
-                   k: int) -> list[SearchResultMeta]:
+    @staticmethod
+    def _next_query(state: PipelineState) -> Optional[SearchQuery]:
+        """The query the loop pops next: the first pending one not yet
+        issued, once those before it are dropped; None when there is none."""
+        pending = state.pending_queries
+        while pending and pending[0].text.lower() in state.issued_query_texts:
+            pending.popleft()
+        return pending[0] if pending else None
+
+    def _search_and_prefetch(
+        self, query: SearchQuery, k: int
+    ) -> tuple[list[SearchResultMeta], dict, dict[int, Future]]:
+        """The query's results, the search_call payload of its failure (empty
+        if none), and the prefetches of its results' pages."""
         failure = {}
         try:
             results = self.search.search(query, k)
         except TransportError as exc:
             results, failure = [], {"error": str(exc)}
-        state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
-                        n_results=len(results), **failure)
-        return results
+        # keyed by id(result): `results` keeps every key's object alive
+        return results, failure, self._prefetch(results)
 
-    # -- page prefetch (live mode) ----------------------------------------
+    # -- read-ahead and page prefetch (live mode) ---------------------------
+
+    def _read_ahead(self, state: PipelineState,
+                    config: BudgetConfig) -> Optional[tuple[SearchQuery, Future]]:
+        """The next query's search, submitted to the pool when the gateway is
+        live, the budget allows another query and one is pending."""
+        if (self._prefetch_pool is None
+                or len(state.issued_query_texts) >= config.max_search_queries):
+            return None
+        query = self._next_query(state)
+        if query is None:
+            return None
+        return query, self._prefetch_pool.submit(
+            self._search_and_prefetch, query, config.max_results_per_query)
 
     def _prefetch(self, results: list[SearchResultMeta]) -> dict[int, Future]:
         """id(result) -> the result's document being acquired on the pool;
@@ -188,16 +237,24 @@ class Verifier:
         return {id(result): self._prefetch_pool.submit(self.reader.acquire_document, result)
                 for result in results}
 
+    @staticmethod
+    def _run_or_take(task: Optional[Future], run: Callable[[], T]) -> T:
+        """The result of a pool task; one that is absent or not started (the
+        pool is busy) is cancelled and run on this thread instead."""
+        return run() if task is None or task.cancel() else task.result()
+
+    @staticmethod
+    def _settle(prefetches: dict[int, Future]) -> None:
+        """Cancel the unread prefetches not started and wait for the running
+        ones, so that no fetch outlives its claim."""
+        wait([f for f in prefetches.values() if not f.cancel()])
+
     # -- per-result scenario dispatch ------------------------------------
 
     def _process_result(self, agents: AgentSuite, state: PipelineState,
                         result: SearchResultMeta, prefetch: Optional[Future]) -> None:
         try:
-            # a prefetch that has not started (the pool is busy) is fetched here
-            if prefetch is None or prefetch.cancel():
-                doc = self.reader.acquire_document(result)
-            else:
-                doc = prefetch.result()
+            doc = self._run_or_take(prefetch, lambda: self.reader.acquire_document(result))
         except Unusable as exc:
             state.trace.log(EventKind.SCENARIO_DECISION, url=result.url,
                             scenario="unusable", detail=str(exc))

@@ -52,6 +52,10 @@ class TransportError(Exception):
     or a malformed body.  Whether that ends the run is up to the caller."""
 
 
+class BodyOverCap(TransportError):
+    """A response body over its cap: asking again would get it again."""
+
+
 class _OpenConnections(dict):
     """One thread's keep-alive connections, one per (scheme, host, port,
     proxy), least recently used first; closed when the thread ends."""
@@ -269,14 +273,14 @@ class Response:
 
     def read(self, max_bytes: int) -> bytearray:
         """The body, gzip or deflate encoding undone.  TransportError when
-        the call's deadline passes, the decoded body grows over
-        ``max_bytes`` or a read fails.  A body sent as it is, whose
+        the call's deadline passes or a read fails, BodyOverCap when the
+        decoded body grows over ``max_bytes``.  A body sent as it is, whose
         Content-Length is over ``max_bytes``, is refused unread."""
         encoding = self.headers.get("Content-Encoding", "").strip().lower()
         inflate = (zlib.decompressobj(16 + zlib.MAX_WBITS) if encoding in ("gzip", "x-gzip")
                    else zlib.decompressobj() if encoding == "deflate" else None)
         if inflate is None and (self._raw.length or 0) > max_bytes:
-            raise TransportError(f"body over {max_bytes} bytes for {self.url}")
+            raise BodyOverCap(f"body over {max_bytes} bytes for {self.url}")
         body = bytearray()
         try:
             while chunk := self._raw.read1(65536):
@@ -285,13 +289,13 @@ class Response:
                     chunk = inflate.decompress(chunk, max_bytes - len(body) + 1)
                 body += chunk
                 if len(body) > max_bytes:
-                    raise TransportError(f"body over {max_bytes} bytes for {self.url}")
+                    raise BodyOverCap(f"body over {max_bytes} bytes for {self.url}")
             if self._raw.length:
                 raise TransportError(f"body incomplete when the connection closed for {self.url}")
             if inflate is not None:
                 body += inflate.flush()
                 if len(body) > max_bytes:
-                    raise TransportError(f"body over {max_bytes} bytes for {self.url}")
+                    raise BodyOverCap(f"body over {max_bytes} bytes for {self.url}")
         except (OSError, http.client.HTTPException, zlib.error) as exc:
             raise TransportError(f"body read failed for {self.url}: {exc}") from exc
         self._raw.close()
@@ -411,10 +415,11 @@ class RecordedClient:
     """Base of the external-call clients, in one of three modes: live,
     record (live, and store each record) or replay (stored records only,
     never the network).  Live calls go through ``transport`` with one
-    retry policy: transport errors, HTTP 429 and 5xx are retried after
-    each of RETRY_DELAYS.  Each try may take TIMEOUT seconds.  Every
-    subclass sets TIMEOUT and ``_malformed``, which names what is wrong
-    with a stored record's fields (None when nothing is)."""
+    retry policy: transport errors other than BodyOverCap, HTTP 429 and
+    5xx are retried after each of RETRY_DELAYS.  Each try may take
+    TIMEOUT seconds.  Every subclass sets TIMEOUT and ``_malformed``,
+    which names what is wrong with a stored record's fields (None when
+    nothing is)."""
 
     TIMEOUT: float
     _malformed: Callable[[dict[str, Any]], Optional[str]]
@@ -450,13 +455,15 @@ class RecordedClient:
               payload: dict[str, Any]) -> dict[str, Any]:
         """The JSON object in the body of the first answer that is not a 429
         or 5xx; TransportError for any other HTTP error, a body that is not
-        a JSON object, or once the retries run out."""
+        a JSON object or is over its cap, or once the retries run out."""
         last_error: object = None
         for attempt in range(1 + len(RETRY_DELAYS)):
             if attempt:
                 self._sleep(RETRY_DELAYS[attempt - 1])
             try:
                 status, body = self._transport(url, headers, payload, self.TIMEOUT)
+            except BodyOverCap:
+                raise
             except TransportError as exc:
                 last_error = exc
                 continue

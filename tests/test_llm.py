@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from claimcheck import llm
+from claimcheck import llm, replaystore
 from claimcheck.llm import (
     ChatRequest,
     LlmGateway,
@@ -200,6 +200,21 @@ class TestLiveTransport:
         with pytest.raises(TransportError, match="HTTP 400"):
             gateway.complete(req())
         assert len(attempts) == 1
+
+    def test_body_over_the_cap_not_retried(self, http_stub, monkeypatch):
+        # the same answer would be over the cap again
+        attempts, sleeps = [], []
+
+        def app(method, path, body, headers):
+            attempts.append(1)
+            return openai_reply("x" * 500)
+
+        monkeypatch.setattr(replaystore, "MAX_RESPONSE_BYTES", 100)
+        gateway = LlmGateway(mode="live", base_url=http_stub(app), sleep=sleeps.append)
+        with pytest.raises(TransportError, match="over 100 bytes"):
+            gateway.complete(req())
+        assert len(attempts) == 1
+        assert sleeps == []
 
     @pytest.mark.parametrize("content", [None, 42, ["a"]])
     def test_non_string_content_is_malformed(self, content):

@@ -532,13 +532,22 @@ class TestTraceContract:
 PAGE = "<p>" + "A page about the claim, long enough to be kept as text. " * 3 + "</p>"
 
 
-def llm_rules(n_results: int, sufficient: bool = True, rank=None) -> list:
+def llm_rules(n_results: int, sufficient=True, rank=None, queries=(),
+              comprehensible=None) -> list:
     """standard_llm_rules, with evidence never sufficient unless `sufficient`
-    and the ranker's reply replaced by `rank` (a reply or a callable) when given."""
-    replies = {"Is this evidence sufficient": "YES, that settles it." if sufficient
-               else "NO, more is needed."}
+    (or the reply of `sufficient` when it is a callable), the initial
+    queries `queries` when given, and the ranker's and the
+    self-contained check's replies replaced by `rank` and
+    `comprehensible` (a reply or a callable) when given."""
+    replies = {"Is this evidence sufficient": sufficient if callable(sufficient)
+               else "YES, that settles it." if sufficient else "NO, more is needed."}
     if rank:
         replies["Sort the results"] = rank
+    if queries:
+        replies["numbered list of web search queries"] = "\n".join(
+            f"{i}. {q}" for i, q in enumerate(queries, start=1))
+    if comprehensible:
+        replies["Is the document comprehensible"] = comprehensible
     return [(needle, replies.get(needle, reply))
             for needle, reply in standard_llm_rules(n_results)]
 
@@ -672,3 +681,161 @@ class TestPrefetch:
                                  pages, search_app)
         report = verifier.verify(CLAIM, BudgetConfig())
         assert pages.urls() == fetched_events(report) == ["http://127.0.0.1:9/same/0"] * 2
+
+
+# ---------------------------------------------------------------------------
+# read-ahead of the next query's search (live mode)
+
+
+QUERIES = ("query one", "query two", "query three")
+
+
+def search_events(report) -> list[dict]:
+    return [e.payload for e in report.trace.events if e.kind is EventKind.SEARCH_CALL]
+
+
+def searching(n_results: int, hooks=None, seen=None):
+    """serper_stub_app(n_results, seen), with hooks[q] run first for query q."""
+    app = serper_stub_app(n_results, seen)
+
+    def search_app(method, path, body, headers):
+        hook = (hooks or {}).get(json.loads(body)["q"])
+        if hook is not None:
+            hook()
+        return app(method, path, body, headers)
+
+    return search_app
+
+
+class TestReadAhead:
+    @pytest.mark.parametrize("sufficient", [False, "third"])
+    def test_three_query_live_run_decides_as_record_run(self, http_stub, tmp_path,
+                                                        sufficient):
+        def stop_on_third_query(messages):
+            return "YES" if "query-three" in messages[-1]["content"] else "NO"
+
+        rules = llm_rules(2, sufficient=sufficient and stop_on_third_query, queries=QUERIES)
+        reports, seen = {}, {}
+        for mode in ("record", "live"):
+            seen[mode] = []
+            verifier = stub_verifier(http_stub, tmp_path, mode, rules, Pages(),
+                                     serper_stub_app(2, seen[mode]))
+            reports[mode] = verifier.verify(CLAIM, BudgetConfig())
+        record, live = reports["record"], reports["live"]
+        assert live.verdict is record.verdict
+        assert live.terminated_by is record.terminated_by is (
+            TerminationReason.SUFFICIENT_EVIDENCE if sufficient
+            else TerminationReason.BUDGET_EXHAUSTED)
+        assert list(live.evidence) == list(record.evidence)
+        assert (live.trace.to_jsonl(normalize_timestamps=True)
+                == record.trace.to_jsonl(normalize_timestamps=True))
+        assert [e["query"] for e in search_events(live)] == list(QUERIES)
+        assert [p["q"] for p in seen["live"]] == list(QUERIES)
+
+    def test_next_query_is_searched_while_the_last_result_is_judged(self, http_stub,
+                                                                     tmp_path):
+        searched = threading.Event()
+        checks = []
+
+        def comprehensible(messages):
+            if len(checks) == 1:
+                # query 1's last result: answered once query 2 reaches the stub
+                searched.wait(5)
+            checks.append(searched.is_set())
+            return "YES, it is readable on its own."
+
+        verifier = stub_verifier(
+            http_stub, tmp_path, "live",
+            llm_rules(2, sufficient=False, queries=QUERIES[:2], comprehensible=comprehensible),
+            Pages(), searching(2, {QUERIES[1]: searched.set}))
+        report = verifier.verify(CLAIM, BudgetConfig())
+        assert checks == [False, True, True, True]
+        assert [e["query"] for e in search_events(report)] == list(QUERIES[:2])
+
+    def test_unread_read_ahead_ends_before_verify_returns(self, http_stub, tmp_path):
+        searched, fetched = threading.Event(), threading.Event()
+
+        def sufficient(messages):
+            # the claim stops on query 1's only result once query 2's search is sent
+            searched.wait(5)
+            return "YES, that settles it."
+
+        def slow_search():
+            searched.set()
+            time.sleep(0.2)
+
+        def http_get(url):
+            if "query-two" in url:
+                time.sleep(0.2)
+                fetched.set()
+            return PAGE, "text/html"
+
+        seen = []
+        verifier = stub_verifier(http_stub, tmp_path, "live",
+                                 llm_rules(1, sufficient=sufficient, queries=QUERIES[:2]),
+                                 http_get, searching(1, {QUERIES[1]: slow_search}, seen))
+        report = verifier.verify(CLAIM, BudgetConfig())
+        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+        assert fetched.is_set()
+        assert [p["q"] for p in seen] == list(QUERIES[:2])
+        assert search_events(report) == [
+            {"query": QUERIES[0], "k": 2, "n_results": 1},
+            {"query": QUERIES[1], "k": 2, "n_results": 1, "unread": True}]
+        # logged when the loop ends, before the verdict
+        assert [e.kind for e in report.trace.events][-3:] == [
+            EventKind.SEARCH_CALL, EventKind.AGENT_CALL, EventKind.VERDICT]
+        assert all("query-two" not in url for url in fetched_events(report))
+
+    def test_one_query_budget_searches_once(self, http_stub, tmp_path):
+        seen = []
+        verifier = stub_verifier(http_stub, tmp_path, "live",
+                                 llm_rules(2, sufficient=False, queries=QUERIES),
+                                 Pages(), serper_stub_app(2, seen))
+        report = verifier.verify(CLAIM, BudgetConfig(max_search_queries=1))
+        assert [p["q"] for p in seen] == [QUERIES[0]]
+        assert search_events(report) == [{"query": QUERIES[0], "k": 2, "n_results": 2}]
+
+    def test_read_ahead_not_started_is_searched_inline(self, http_stub, tmp_path):
+        released = threading.Event()
+        verifier = stub_verifier(http_stub, tmp_path, "live",
+                                 llm_rules(1, sufficient=False, queries=QUERIES[:2]),
+                                 Pages(), searching(1, {QUERIES[1]: released.set}))
+        threads = {}
+        search = verifier.search.search
+
+        def recording_search(query, k):
+            threads[query.text] = threading.current_thread()
+            return search(query, k)
+
+        verifier.search.search = recording_search
+        # the pool's one thread is held until query 2 is searched
+        verifier._prefetch_pool = ThreadPoolExecutor(max_workers=1)
+        held = verifier._prefetch_pool.submit(released.wait, 5)
+        try:
+            report = verifier.verify(CLAIM, BudgetConfig())
+        finally:
+            verifier._prefetch_pool.shutdown()
+        assert held.result() is True
+        assert threads == {q: threading.current_thread() for q in QUERIES[:2]}
+        assert [e["query"] for e in search_events(report)] == list(QUERIES[:2])
+
+    def test_failed_read_ahead_logs_the_sequential_search_call(self, http_stub, tmp_path):
+        app = serper_stub_app(1)
+
+        def search_app(method, path, body, headers):
+            if json.loads(body)["q"] == QUERIES[1]:
+                return 400, {}, b"bad query"
+            return app(method, path, body, headers)
+
+        rules = llm_rules(1, sufficient=False, queries=QUERIES[:2])
+        traces = {}
+        for mode in ("record", "live"):
+            verifier = stub_verifier(http_stub, tmp_path, mode, rules, Pages(), search_app)
+            traces[mode] = verifier.verify(CLAIM, BudgetConfig()).trace.to_jsonl(
+                normalize_timestamps=True).replace(verifier.search.endpoint, "<search>")
+        assert traces["live"] == traces["record"]
+        (failed,) = [e for e in map(json.loads, traces["live"].splitlines())
+                     if "error" in e["payload"]]
+        assert failed["kind"] == "search_call"
+        assert failed["payload"] == {"query": QUERIES[1], "k": 2, "n_results": 0,
+                                     "error": "HTTP 400 from <search>: bad query"}

@@ -127,10 +127,13 @@ class TestLiveMode:
         def unreachable(*args, **kwargs):
             raise TransportError("connection refused")
 
+        sleeps = []
         client = SearchClient(mode="live", transport=unreachable,
-                              sleep=lambda s: None, requests_per_second=0)
+                              sleep=sleeps.append, requests_per_second=0)
         with pytest.raises(TransportError, match="connection refused"):
             client.search(SearchQuery("q"), 1)
+        # unlike a body over the cap, a failed connection is tried again
+        assert sleeps == [1.0, 2.0, 4.0]
 
     def test_any_429_in_retries_is_quota_error(self):
         statuses = iter([429, 503, 503, 503])
