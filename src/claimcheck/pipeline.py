@@ -8,6 +8,7 @@ the evidence set may have grown).
 """
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -83,10 +84,14 @@ class Verifier:
     last result is judged; the loop takes it when it pops the query.  So
     a claim that stops mid-query has fetched up to k-1 pages it never
     reads, and one that stops on a query's last result has also paid for
-    one search and up to k page fetches it never reads: that search is
-    logged as a search_call with ``unread``.  Replayed LLM calls leave no
-    wait to hide a fetch behind, and a record run fetches only what it
-    reads, so neither prefetches nor reads ahead.
+    one search it never reads, plus up to k page fetches if that search
+    returned before the claim stopped: that search is logged as a
+    search_call with ``unread``.  Before it returns, the claim waits for
+    that search's try in flight (up to SearchClient.TIMEOUT) or back-off
+    sleep, or for the page fetches it started; the search is not retried
+    once the claim has stopped.  Replayed LLM calls leave no wait to hide a
+    fetch behind, and a record run fetches only what it reads, so neither
+    prefetches nor reads ahead.
     """
 
     def __init__(
@@ -130,8 +135,8 @@ class Verifier:
             self._drain_deferred(agents, state)
             verdict = agents.classify(claim, state.evidence)
         except (TransportError, FixtureMiss, StorageError) as exc:
-            # _do_search already caught search failures: this is an agent's
-            # LLM call or the fixtures, and the run cannot proceed without them
+            # _search_and_prefetch already caught search failures: this is an
+            # agent's LLM call or the fixtures, and the run cannot go on without them
             raise GatewayFatal(str(exc)) from exc
         terminated_by = (
             TerminationReason.SUFFICIENT_EVIDENCE
@@ -150,6 +155,7 @@ class Verifier:
         k = config.max_results_per_query
         # (query, task): the search of the query popped next, read ahead on the pool
         ahead: Optional[tuple[SearchQuery, Future]] = None
+        ended = threading.Event()  # set when the loop ends: a read-ahead stops there
         try:
             while len(state.issued_query_texts) < config.max_search_queries:
                 if self._next_query(state) is None:
@@ -167,7 +173,7 @@ class Verifier:
                 task = ahead[1] if ahead else None
                 ahead = None
                 results, failure, prefetches = self._run_or_take(
-                    task, lambda: self._search_and_prefetch(query, k))
+                    task, lambda: self._search_and_prefetch(query, k, ended))
                 state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
                                 n_results=len(results), **failure)
                 try:
@@ -176,7 +182,7 @@ class Verifier:
                         ranked = agents.search_rank(query, results)
                     for i, result in enumerate(ranked):
                         if i == len(ranked) - 1:
-                            ahead = self._read_ahead(state, config)
+                            ahead = self._read_ahead(state, config, ended)
                         self._process_result(agents, state, result,
                                              prefetches.pop(id(result), None))
                         if state.sufficient:
@@ -185,9 +191,14 @@ class Verifier:
                     self._settle(prefetches)
         finally:
             # a read-ahead not started is cancelled; one that ran billed a
-            # search, which the trace counts, and its prefetches end here
+            # search, which the trace counts, and its prefetches end here.
+            # Its own error is logged, never raised over the claim's outcome
+            # or an exception in flight.
+            ended.set()
             if ahead is not None and not ahead[1].cancel():
-                results, failure, prefetches = ahead[1].result()
+                error = ahead[1].exception()
+                results, failure, prefetches = (
+                    ([], {"error": str(error)}, {}) if error else ahead[1].result())
                 self._settle(prefetches)
                 state.trace.log(EventKind.SEARCH_CALL, query=ahead[0].text, k=k,
                                 n_results=len(results), unread=True, **failure)
@@ -202,22 +213,24 @@ class Verifier:
         return pending[0] if pending else None
 
     def _search_and_prefetch(
-        self, query: SearchQuery, k: int
+        self, query: SearchQuery, k: int, ended: threading.Event
     ) -> tuple[list[SearchResultMeta], dict, dict[int, Future]]:
         """The query's results, the search_call payload of its failure (empty
-        if none), and the prefetches of its results' pages."""
+        if none), and the prefetches of its results' pages.  Once the loop
+        has `ended` it reads nothing of this query: the search is not
+        retried and no page is prefetched."""
         failure = {}
         try:
-            results = self.search.search(query, k)
+            results = self.search.search(query, k, ended)
         except TransportError as exc:
             results, failure = [], {"error": str(exc)}
         # keyed by id(result): `results` keeps every key's object alive
-        return results, failure, self._prefetch(results)
+        return results, failure, {} if ended.is_set() else self._prefetch(results)
 
     # -- read-ahead and page prefetch (live mode) ---------------------------
 
-    def _read_ahead(self, state: PipelineState,
-                    config: BudgetConfig) -> Optional[tuple[SearchQuery, Future]]:
+    def _read_ahead(self, state: PipelineState, config: BudgetConfig,
+                    ended: threading.Event) -> Optional[tuple[SearchQuery, Future]]:
         """The next query's search, submitted to the pool when the gateway is
         live, the budget allows another query and one is pending."""
         if (self._prefetch_pool is None
@@ -227,7 +240,7 @@ class Verifier:
         if query is None:
             return None
         return query, self._prefetch_pool.submit(
-            self._search_and_prefetch, query, config.max_results_per_query)
+            self._search_and_prefetch, query, config.max_results_per_query, ended)
 
     def _prefetch(self, results: list[SearchResultMeta]) -> dict[int, Future]:
         """id(result) -> the result's document being acquired on the pool;

@@ -451,15 +451,21 @@ class RecordedClient:
             self.store.put(key(), record)
         return record
 
-    def _post(self, url: str, headers: dict[str, str],
-              payload: dict[str, Any]) -> dict[str, Any]:
+    def _post(self, url: str, headers: dict[str, str], payload: dict[str, Any],
+              abandoned: Optional[threading.Event] = None) -> dict[str, Any]:
         """The JSON object in the body of the first answer that is not a 429
         or 5xx; TransportError for any other HTTP error, a body that is not
-        a JSON object or is over its cap, or once the retries run out."""
+        a JSON object or is over its cap, once the retries run out, or in
+        place of a back-off or retry once ``abandoned`` is set: the caller no
+        longer needs the answer."""
+        abandoned = abandoned or threading.Event()
         last_error: object = None
         for attempt in range(1 + len(RETRY_DELAYS)):
             if attempt:
-                self._sleep(RETRY_DELAYS[attempt - 1])
+                if not abandoned.is_set():
+                    self._sleep(RETRY_DELAYS[attempt - 1])
+                if abandoned.is_set():
+                    raise TransportError(f"not retried, answer no longer needed: {last_error}")
             try:
                 status, body = self._transport(url, headers, payload, self.TIMEOUT)
             except BodyOverCap:

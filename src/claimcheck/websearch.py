@@ -51,19 +51,25 @@ class SearchClient(RecordedClient):
         self._last_call = float("-inf")
         self._throttle_lock = threading.Lock()
 
-    def search(self, query: SearchQuery, k: int) -> list[SearchResultMeta]:
+    def search(self, query: SearchQuery, k: int,
+               abandoned: Optional[threading.Event] = None) -> list[SearchResultMeta]:
+        """At most k results; a live search is not retried once ``abandoned``
+        is set (see RecordedClient._post)."""
         if k < 1:
             raise ValueError("k must be >= 1")
         record = self._recorded(
             lambda: search_fixture_key(query.text, k),
-            lambda: {"query": query.text, "k": k, "results": self._search_live(query, k)},
+            lambda: {"query": query.text, "k": k,
+                     "results": self._search_live(query, k, abandoned)},
             lambda: f"no search fixture for query {query.text!r} (k={k})")
         return self._parse_results(record["results"], k)
 
-    def _search_live(self, query: SearchQuery, k: int) -> list[dict[str, Any]]:
+    def _search_live(self, query: SearchQuery, k: int,
+                     abandoned: Optional[threading.Event]) -> list[dict[str, Any]]:
         self._throttle()
         headers = {"X-API-KEY": self.api_key} if self.api_key else {}
-        data = self._post(self.endpoint, headers, {"q": query.text, "num": k, "hl": "en"})
+        data = self._post(self.endpoint, headers, {"q": query.text, "num": k, "hl": "en"},
+                          abandoned)
         organic = data.get("organic", [])
         return organic if isinstance(organic, list) else []
 

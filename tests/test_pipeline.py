@@ -329,7 +329,7 @@ class TestBudgetAndQueries:
             def __init__(self):
                 self.calls = 0
 
-            def search(self, query, k):
+            def search(self, query, k, abandoned=None):
                 self.calls += 1
                 raise TransportError("boom")
 
@@ -753,19 +753,17 @@ class TestReadAhead:
         assert [e["query"] for e in search_events(report)] == list(QUERIES[:2])
 
     def test_unread_read_ahead_ends_before_verify_returns(self, http_stub, tmp_path):
-        searched, fetched = threading.Event(), threading.Event()
+        fetching, fetched = threading.Event(), threading.Event()
 
         def sufficient(messages):
-            # the claim stops on query 1's only result once query 2's search is sent
-            searched.wait(5)
+            # the claim stops on query 1's only result once query 2's page is
+            # being fetched
+            fetching.wait(5)
             return "YES, that settles it."
-
-        def slow_search():
-            searched.set()
-            time.sleep(0.2)
 
         def http_get(url):
             if "query-two" in url:
+                fetching.set()
                 time.sleep(0.2)
                 fetched.set()
             return PAGE, "text/html"
@@ -773,7 +771,7 @@ class TestReadAhead:
         seen = []
         verifier = stub_verifier(http_stub, tmp_path, "live",
                                  llm_rules(1, sufficient=sufficient, queries=QUERIES[:2]),
-                                 http_get, searching(1, {QUERIES[1]: slow_search}, seen))
+                                 http_get, serper_stub_app(1, seen))
         report = verifier.verify(CLAIM, BudgetConfig())
         assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
         assert fetched.is_set()
@@ -785,6 +783,84 @@ class TestReadAhead:
         assert [e.kind for e in report.trace.events][-3:] == [
             EventKind.SEARCH_CALL, EventKind.AGENT_CALL, EventKind.VERDICT]
         assert all("query-two" not in url for url in fetched_events(report))
+
+    def test_read_ahead_answered_after_the_loop_ends_fetches_no_page(self, http_stub,
+                                                                      tmp_path):
+        stopped = threading.Event()
+
+        def sufficient(messages):
+            stopped.set()
+            return "YES, that settles it."
+
+        def late_search():
+            # query 2's search returns well after the claim stopped on query 1
+            stopped.wait(5)
+            time.sleep(0.3)
+
+        seen, pages = [], Pages()
+        verifier = stub_verifier(http_stub, tmp_path, "live",
+                                 llm_rules(1, sufficient=sufficient, queries=QUERIES[:2]),
+                                 pages, searching(1, {QUERIES[1]: late_search}, seen))
+        report = verifier.verify(CLAIM, BudgetConfig())
+        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+        assert [p["q"] for p in seen] == list(QUERIES[:2])
+        assert search_events(report)[1] == {"query": QUERIES[1], "k": 2, "n_results": 1,
+                                            "unread": True}
+        assert all("query-two" not in url for url in pages.urls())
+
+    def test_unread_read_ahead_is_not_retried_after_the_claim_stops(self, http_stub,
+                                                                      tmp_path):
+        stopped = threading.Event()
+        seen = []
+        app = serper_stub_app(1)
+
+        def search_app(method, path, body, headers):
+            seen.append(json.loads(body)["q"])
+            if seen[-1] == QUERIES[1]:
+                # query 2's provider fails only after the claim stopped on query 1
+                stopped.wait(5)
+                time.sleep(0.3)
+                return 503, {}, b"busy"
+            return app(method, path, body, headers)
+
+        def sufficient(messages):
+            stopped.set()
+            return "YES, that settles it."
+
+        verifier = stub_verifier(http_stub, tmp_path, "live",
+                                 llm_rules(1, sufficient=sufficient, queries=QUERIES[:2]),
+                                 Pages(), search_app)
+        sleeps = []
+        verifier.search._sleep = sleeps.append
+        report = verifier.verify(CLAIM, BudgetConfig())
+        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+        # one try of query 2, answered 503, and no back-off or retry after it
+        assert sleeps == [] and seen == list(QUERIES[:2])
+        assert search_events(report)[1] == {
+            "query": QUERIES[1], "k": 2, "n_results": 0, "unread": True,
+            "error": "not retried, answer no longer needed: "
+                     f"HTTP 503 from {verifier.search.endpoint}"}
+
+    def test_unread_read_ahead_error_does_not_replace_the_verdict(self, http_stub, tmp_path):
+        searched = threading.Event()
+        verifier = stub_verifier(
+            http_stub, tmp_path, "live",
+            llm_rules(1, sufficient=lambda messages: searched.wait(5) and "YES",
+                      queries=QUERIES[:2]),
+            Pages(), serper_stub_app(1))
+        search = verifier.search.search
+
+        def failing_search(query, k, abandoned):
+            if query.text == QUERIES[1]:
+                searched.set()
+                raise RuntimeError("not a transport error")
+            return search(query, k, abandoned)
+
+        verifier.search.search = failing_search
+        report = verifier.verify(CLAIM, BudgetConfig())
+        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+        assert search_events(report)[1] == {"query": QUERIES[1], "k": 2, "n_results": 0,
+                                            "unread": True, "error": "not a transport error"}
 
     def test_one_query_budget_searches_once(self, http_stub, tmp_path):
         seen = []
@@ -803,9 +879,9 @@ class TestReadAhead:
         threads = {}
         search = verifier.search.search
 
-        def recording_search(query, k):
+        def recording_search(query, k, abandoned):
             threads[query.text] = threading.current_thread()
-            return search(query, k)
+            return search(query, k, abandoned)
 
         verifier.search.search = recording_search
         # the pool's one thread is held until query 2 is searched
