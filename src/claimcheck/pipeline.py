@@ -74,25 +74,9 @@ class VerdictReport:
 
 class Verifier:
     """Wires agents, search, and page reading into the verification loop.
-
-    With a live gateway, a query's result pages are fetched on a thread
-    pool as soon as the search returns, while the ranking and the earlier
-    results' agent calls wait on the LLM; they are still read in ranked
-    order.  When the loop starts on a query's last result, and the budget
-    allows another query and one is pending, that query's search (and
-    then its pages' prefetch) is read ahead on the same pool while the
-    last result is judged; the loop takes it when it pops the query.  So
-    a claim that stops mid-query has fetched up to k-1 pages it never
-    reads, and one that stops on a query's last result has also paid for
-    one search it never reads, plus up to k page fetches if that search
-    returned before the claim stopped: that search is logged as a
-    search_call with ``unread``.  Before it returns, the claim waits for
-    that search's try in flight (up to SearchClient.TIMEOUT) or back-off
-    sleep, or for the page fetches it started; the search is not retried
-    once the claim has stopped.  Replayed LLM calls leave no wait to hide a
-    fetch behind, and a record run fetches only what it reads, so neither
-    prefetches nor reads ahead.
-    """
+    With a live gateway it keeps a thread pool on which each claim's
+    `_Lookahead` fetches ahead of need; that docstring says when and at
+    what cost."""
 
     def __init__(
         self,
@@ -114,8 +98,8 @@ class Verifier:
         self.search = search
         self.reader = reader
         self.clock = clock
-        # long-lived, so its threads keep their keep-alive connections; they
-        # end when the Verifier is dropped
+        # live only (a record run fetches only what it reads; a replayed LLM call
+        # leaves no wait to hide a fetch behind); long-lived, to keep connections
         self._prefetch_pool = (ThreadPoolExecutor(thread_name_prefix="claimcheck-prefetch")
                                if gateway is not None and gateway.mode == "live" else None)
 
@@ -135,8 +119,8 @@ class Verifier:
             self._drain_deferred(agents, state)
             verdict = agents.classify(claim, state.evidence)
         except (TransportError, FixtureMiss, StorageError) as exc:
-            # _search_and_prefetch already caught search failures: this is an
-            # agent's LLM call or the fixtures, and the run cannot go on without them
+            # _Lookahead already caught search failures: this is an agent's
+            # LLM call or the fixtures, and the run cannot go on without them
             raise GatewayFatal(str(exc)) from exc
         terminated_by = (
             TerminationReason.SUFFICIENT_EVIDENCE
@@ -153,12 +137,10 @@ class Verifier:
     def _search_loop(self, agents: AgentSuite, state: PipelineState,
                      config: BudgetConfig) -> None:
         k = config.max_results_per_query
-        # (query, task): the search of the query popped next, read ahead on the pool
-        ahead: Optional[tuple[SearchQuery, Future]] = None
-        ended = threading.Event()  # set when the loop ends: a read-ahead stops there
+        lookahead = _Lookahead(self._prefetch_pool, self.search, self.reader, k)
         try:
             while len(state.issued_query_texts) < config.max_search_queries:
-                if self._next_query(state) is None:
+                if self._next_query(state, config) is None:
                     # only unissued proposals: a reply of issued queries ends the
                     # loop, where asking again on the same evidence would repeat it
                     state.pending_queries.extend(
@@ -168,106 +150,41 @@ class Verifier:
                         return
                 query = state.pending_queries.popleft()
                 state.issued_query_texts.add(query.text.lower())
-                # nothing changes the pending queries between a read-ahead and
-                # this pop, so a read-ahead is always of this query
-                task = ahead[1] if ahead else None
-                ahead = None
-                results, failure, prefetches = self._run_or_take(
-                    task, lambda: self._search_and_prefetch(query, k, ended))
+                results, failure = lookahead.search(query)
                 state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
                                 n_results=len(results), **failure)
-                try:
-                    ranked = results
-                    if len(results) > 1 and Ablation.RM_SR not in state.ablations:
-                        ranked = agents.search_rank(query, results)
-                    for i, result in enumerate(ranked):
-                        if i == len(ranked) - 1:
-                            ahead = self._read_ahead(state, config, ended)
-                        self._process_result(agents, state, result,
-                                             prefetches.pop(id(result), None))
-                        if state.sufficient:
-                            return
-                finally:
-                    self._settle(prefetches)
+                ranked = results
+                if len(results) > 1 and Ablation.RM_SR not in state.ablations:
+                    ranked = agents.search_rank(query, results)
+                for i, result in enumerate(ranked):
+                    if i == len(ranked) - 1:
+                        lookahead.hint_search(self._next_query(state, config))
+                    self._process_result(agents, state, lookahead, result)
+                    if state.sufficient:
+                        return
         finally:
-            # a read-ahead not started is cancelled; one that ran billed a
-            # search, which the trace counts, and its prefetches end here.
-            # Its own error is logged, never raised over the claim's outcome
-            # or an exception in flight.
-            ended.set()
-            if ahead is not None and not ahead[1].cancel():
-                error = ahead[1].exception()
-                results, failure, prefetches = (
-                    ([], {"error": str(error)}, {}) if error else ahead[1].result())
-                self._settle(prefetches)
-                state.trace.log(EventKind.SEARCH_CALL, query=ahead[0].text, k=k,
+            for query, results, failure in lookahead.close():
+                state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
                                 n_results=len(results), unread=True, **failure)
 
     @staticmethod
-    def _next_query(state: PipelineState) -> Optional[SearchQuery]:
+    def _next_query(state: PipelineState, config: BudgetConfig) -> Optional[SearchQuery]:
         """The query the loop pops next: the first pending one not yet
-        issued, once those before it are dropped; None when there is none."""
+        issued, once those before it are dropped; None when there is none
+        or the budget is spent.  Until the loop pops it, nothing changes it."""
+        if len(state.issued_query_texts) >= config.max_search_queries:
+            return None
         pending = state.pending_queries
         while pending and pending[0].text.lower() in state.issued_query_texts:
             pending.popleft()
         return pending[0] if pending else None
 
-    def _search_and_prefetch(
-        self, query: SearchQuery, k: int, ended: threading.Event
-    ) -> tuple[list[SearchResultMeta], dict, dict[int, Future]]:
-        """The query's results, the search_call payload of its failure (empty
-        if none), and the prefetches of its results' pages.  Once the loop
-        has `ended` it reads nothing of this query: the search is not
-        retried and no page is prefetched."""
-        failure = {}
-        try:
-            results = self.search.search(query, k, ended)
-        except TransportError as exc:
-            results, failure = [], {"error": str(exc)}
-        # keyed by id(result): `results` keeps every key's object alive
-        return results, failure, {} if ended.is_set() else self._prefetch(results)
-
-    # -- read-ahead and page prefetch (live mode) ---------------------------
-
-    def _read_ahead(self, state: PipelineState, config: BudgetConfig,
-                    ended: threading.Event) -> Optional[tuple[SearchQuery, Future]]:
-        """The next query's search, submitted to the pool when the gateway is
-        live, the budget allows another query and one is pending."""
-        if (self._prefetch_pool is None
-                or len(state.issued_query_texts) >= config.max_search_queries):
-            return None
-        query = self._next_query(state)
-        if query is None:
-            return None
-        return query, self._prefetch_pool.submit(
-            self._search_and_prefetch, query, config.max_results_per_query, ended)
-
-    def _prefetch(self, results: list[SearchResultMeta]) -> dict[int, Future]:
-        """id(result) -> the result's document being acquired on the pool;
-        empty unless the gateway is live."""
-        if self._prefetch_pool is None:
-            return {}
-        return {id(result): self._prefetch_pool.submit(self.reader.acquire_document, result)
-                for result in results}
-
-    @staticmethod
-    def _run_or_take(task: Optional[Future], run: Callable[[], T]) -> T:
-        """The result of a pool task; one that is absent or not started (the
-        pool is busy) is cancelled and run on this thread instead."""
-        return run() if task is None or task.cancel() else task.result()
-
-    @staticmethod
-    def _settle(prefetches: dict[int, Future]) -> None:
-        """Cancel the unread prefetches not started and wait for the running
-        ones, so that no fetch outlives its claim."""
-        wait([f for f in prefetches.values() if not f.cancel()])
-
     # -- per-result scenario dispatch ------------------------------------
 
     def _process_result(self, agents: AgentSuite, state: PipelineState,
-                        result: SearchResultMeta, prefetch: Optional[Future]) -> None:
+                        lookahead: _Lookahead, result: SearchResultMeta) -> None:
         try:
-            doc = self._run_or_take(prefetch, lambda: self.reader.acquire_document(result))
+            doc = lookahead.document(result)
         except Unusable as exc:
             state.trace.log(EventKind.SCENARIO_DECISION, url=result.url,
                             scenario="unusable", detail=str(exc))
@@ -314,3 +231,84 @@ class Verifier:
                                 scenario="dropped_after_recheck")
                 continue
             self._judge_document(agents, state, doc)
+
+
+class _Lookahead:
+    """Every request one claim sends ahead of need, on the Verifier's pool;
+    with no pool, each call runs only when the loop asks for it.
+    - A query's k result pages are fetched as soon as its search returns,
+      while the ranking and the earlier results' agent calls wait.
+    - `hint_search`, called as the loop starts on a query's last result,
+      sends the next query's search, then its pages unless the claim has
+      ended by the time it returns.
+    - `search` and `document` take what was sent ahead, or run the call on
+      the loop's thread when it was not sent or has not started.
+    Reads stay in order: the trace is a sequential run's but for unread searches.
+
+    A claim that stops mid-query has paid for up to k-1 unread page fetches;
+    one that stops on a query's last result, also for an unread search
+    (`close` returns it for the trace) and its k page fetches if it returned
+    before the claim stopped.  `close` waits for what has started but stops
+    retries and prefetches: at worst the rest of one search try
+    (SearchClient.TIMEOUT, 30 s), a back-off sleep (4 s) or page fetches
+    (PageReader.TIMEOUT, 15 s, in parallel).
+    """
+
+    def __init__(self, pool: Optional[ThreadPoolExecutor], search: SearchClient,
+                 reader: PageReader, k: int) -> None:
+        self._pool = pool
+        self._search = search
+        self._reader = reader
+        self._k = k
+        self._ended = threading.Event()  # set by close(): a read-ahead stops there
+        self._ahead: dict[SearchQuery, Future] = {}
+        self._pages: dict[int, Future] = {}  # by id(result), of the results in use
+
+    def hint_search(self, query: Optional[SearchQuery]) -> None:
+        if self._pool is not None and query is not None:
+            self._ahead[query] = self._pool.submit(self._search_and_prefetch, query)
+
+    def search(self, query: SearchQuery) -> tuple[list[SearchResultMeta], dict]:
+        """The query's results and the search_call payload of its failure."""
+        results, failure, self._pages = self._run_or_take(
+            self._ahead.pop(query, None), lambda: self._search_and_prefetch(query))
+        return results, failure
+
+    def document(self, result: SearchResultMeta) -> Document:
+        return self._run_or_take(self._pages.pop(id(result), None),
+                                 lambda: self._reader.acquire_document(result))
+
+    def close(self) -> list[tuple[SearchQuery, list[SearchResultMeta], dict]]:
+        """Cancel what has not started and wait for the rest.  Returns each search
+        sent but not taken, as (query, results, failure), with any error in failure."""
+        self._ended.set()
+        self._settle(self._pages)
+        unread = []
+        for query, task in self._ahead.items():
+            if not task.cancel():
+                error = task.exception()
+                results, failure, pages = (
+                    ([], {"error": str(error)}, {}) if error else task.result())
+                self._settle(pages)
+                unread.append((query, results, failure))
+        return unread
+
+    def _search_and_prefetch(self, query: SearchQuery
+                             ) -> tuple[list[SearchResultMeta], dict, dict[int, Future]]:
+        failure = {}
+        try:
+            results = self._search.search(query, self._k, self._ended)
+        except TransportError as exc:
+            results, failure = [], {"error": str(exc)}
+        pages = {} if self._pool is None or self._ended.is_set() else {
+            id(result): self._pool.submit(self._reader.acquire_document, result)
+            for result in results}
+        return results, failure, pages
+
+    @staticmethod
+    def _run_or_take(task: Optional[Future], run: Callable[[], T]) -> T:
+        return run() if task is None or task.cancel() else task.result()
+
+    @staticmethod
+    def _settle(tasks: dict[int, Future]) -> None:
+        wait([f for f in tasks.values() if not f.cancel()])

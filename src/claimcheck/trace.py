@@ -36,14 +36,6 @@ class RunTrace:
             raise ValueError("trace already closed by a verdict event")
         self.events.append(TraceEvent(self._clock(), kind, payload))
 
-    def count(self, kind: EventKind) -> int:
-        return sum(1 for e in self.events if e.kind is kind)
-
-    @property
-    def completed(self) -> bool:
-        # log() refuses any event after a verdict, so a last one is the only one
-        return bool(self.events) and self.events[-1].kind is EventKind.VERDICT
-
     def to_jsonl(self, normalize_timestamps: bool = False) -> str:
         """One JSON object per line: ts, kind and payload, keys sorted."""
         return "".join(

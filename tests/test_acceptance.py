@@ -159,7 +159,7 @@ def test_criterion_3_pipeline_property_suite():
         assert all(k == config.max_results_per_query for _, k in search.calls), seed
         # exactly one classification per run; verdict event closes the trace
         assert agents.calls["classify"] == 1, seed
-        assert result.trace.completed, seed
+        assert result.trace.events[-1].kind is EventKind.VERDICT, seed
         # ablation flags suppress the respective agents
         if Ablation.RM_SR in ablations:
             assert agents.calls["search_rank"] == 0, seed

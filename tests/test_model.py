@@ -125,7 +125,7 @@ class TestRunTrace:
         trace = RunTrace(clock=lambda: 1.0)
         trace.log(EventKind.SEARCH_CALL, query="q")
         trace.log(EventKind.VERDICT, verdict="True")
-        assert trace.completed
+        assert trace.events[-1].kind is EventKind.VERDICT
         with pytest.raises(ValueError):
             trace.log(EventKind.SEARCH_CALL, query="again")
 

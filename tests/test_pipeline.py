@@ -339,7 +339,7 @@ class TestBudgetAndQueries:
                             reader=FakeReader(), clock=lambda: 0.0)
         report = verifier.verify(CLAIM, BudgetConfig())
         assert search.calls == 2
-        assert report.trace.completed
+        assert report.trace.events[-1].kind is EventKind.VERDICT
 
     def test_live_search_client_failure_is_nonfatal(self):
         attempts = []
@@ -354,7 +354,7 @@ class TestBudgetAndQueries:
                             search=search, reader=FakeReader(), clock=lambda: 0.0)
         report = verifier.verify(CLAIM, BudgetConfig())
         assert attempts == ["q1"] * 4
-        assert report.trace.count(EventKind.VERDICT) == 1
+        assert [e.kind for e in report.trace.events].count(EventKind.VERDICT) == 1
         (event,) = [e for e in report.trace.events if e.kind is EventKind.SEARCH_CALL]
         assert event.payload["n_results"] == 0
         assert "HTTP 429" in event.payload["error"]
@@ -380,7 +380,7 @@ class TestBudgetAndQueries:
         verifier, search, _ = build(agents, worlds)
         report = verifier.verify(CLAIM, BudgetConfig(max_search_queries=cap))
         assert len(search.calls) == min(n, cap)
-        assert report.trace.count(EventKind.SEARCH_CALL) == min(n, cap)
+        assert [e.kind for e in report.trace.events].count(EventKind.SEARCH_CALL) == min(n, cap)
 
 
 class TestQueriesWithAgentSuite:
@@ -490,7 +490,7 @@ class TestPromptAssets:
                              fixture_dir=str(tmp_path), transport=transport)
         verifier = Verifier(gateway, search=FakeSearch(), reader=FakeReader())
         for text in ("a first claim", "a second claim", "a third claim"):
-            assert verifier.verify(Claim(text)).trace.completed
+            assert verifier.verify(Claim(text)).trace.events[-1].kind is EventKind.VERDICT
         assert sorted(parsed) == sorted(AGENT_NAMES)
 
 
@@ -499,7 +499,7 @@ class TestTraceContract:
         agents = ScriptedAgents(initial=["q1"], sufficient=True)
         verifier, _, _ = build(agents, world("q1", 1))
         report = verifier.verify(CLAIM, BudgetConfig())
-        assert report.trace.completed
+        assert report.trace.events[-1].kind is EventKind.VERDICT
 
     def test_gateway_fatal_on_auth_error(self):
         from claimcheck.pipeline import GatewayFatal
@@ -575,10 +575,12 @@ class Pages:
 
 def stub_verifier(http_stub, tmp_path, mode, rules, pages, search_app):
     """The pipeline as the CLI builds it for `mode`, over stub LLM and
-    search servers (in replay, the fixtures of an earlier record run)."""
+    search servers (in replay, the fixtures of an earlier record run).
+    `rules` are scripted_llm_app's, or the LLM stub app itself."""
     fixtures = tmp_path / "fixtures"
     stored = mode != "live"
-    gateway = LlmGateway(mode=mode, base_url=http_stub(scripted_llm_app(rules)), api_key="k",
+    llm_app = rules if callable(rules) else scripted_llm_app(rules)
+    gateway = LlmGateway(mode=mode, base_url=http_stub(llm_app), api_key="k",
                          fixture_dir=str(fixtures / "llm") if stored else None)
     search = SearchClient(mode=mode, endpoint=http_stub(search_app), api_key="k",
                           fixture_dir=str(fixtures / "search") if stored else None,
@@ -861,6 +863,53 @@ class TestReadAhead:
         assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
         assert search_events(report)[1] == {"query": QUERIES[1], "k": 2, "n_results": 0,
                                             "unread": True, "error": "not a transport error"}
+
+    @pytest.mark.parametrize("answered", [False, True])
+    def test_failed_claim_ends_its_read_ahead_before_verify_raises(self, http_stub, tmp_path,
+                                                                   answered):
+        from claimcheck.pipeline import GatewayFatal
+
+        reached = threading.Event()
+        llm = scripted_llm_app(llm_rules(1, sufficient=False, queries=QUERIES[:2]))
+
+        def llm_app(method, path, body, headers):
+            if b"Is the document comprehensible" in body:
+                # query 1's only result fails once query 2's read-ahead is under way
+                reached.wait(5)
+                return 400, {}, b"bad request"
+            return llm(method, path, body, headers)
+
+        seen, search = [], serper_stub_app(1)
+
+        def search_app(method, path, body, headers):
+            seen.append(json.loads(body)["q"])
+            if seen[-1] == QUERIES[1] and not answered:
+                # in flight when the claim fails, then answered 503
+                reached.set()
+                time.sleep(0.2)
+                return 503, {}, b"busy"
+            return search(method, path, body, headers)
+
+        started, finished = [], []
+
+        def http_get(url):
+            started.append(url)
+            if "query-two" in url:
+                # answered before the claim fails: its page is being fetched
+                reached.set()
+                time.sleep(0.2)
+            finished.append(url)
+            return PAGE, "text/html"
+
+        verifier = stub_verifier(http_stub, tmp_path, "live", llm_app, http_get, search_app)
+        sleeps = []
+        verifier.search._sleep = sleeps.append
+        with pytest.raises(GatewayFatal, match="HTTP 400"):
+            verifier.verify(CLAIM, BudgetConfig())
+        # query 2 searched once, with no back-off or retry once the claim failed
+        assert seen == list(QUERIES[:2]) and sleeps == []
+        assert finished == started
+        assert len(started) == (2 if answered else 1)
 
     def test_one_query_budget_searches_once(self, http_stub, tmp_path):
         seen = []
