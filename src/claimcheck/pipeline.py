@@ -249,9 +249,10 @@ class _Lookahead:
     one that stops on a query's last result, also for an unread search
     (`close` returns it for the trace) and its k page fetches if it returned
     before the claim stopped.  `close` waits for what has started but stops
-    retries and prefetches: at worst the rest of one search try
-    (SearchClient.TIMEOUT, 30 s), a back-off sleep (4 s) or page fetches
-    (PageReader.TIMEOUT, 15 s, in parallel).
+    retries and prefetches: at worst one search try (SearchClient.TIMEOUT,
+    30 s) after its rate-limit wait, which queues behind other threads'
+    searches; a back-off sleep (4 s); or page fetches (PageReader.TIMEOUT,
+    15 s, in parallel).  RecordedClient has the rest of the per-try policy.
     """
 
     def __init__(self, pool: Optional[ThreadPoolExecutor], search: SearchClient,

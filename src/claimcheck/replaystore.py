@@ -396,7 +396,9 @@ class FixtureStore:
         return record
 
     def put(self, key: str, record: dict[str, Any]) -> None:
-        """Write a fixture; idempotent for identical records."""
+        """Write a fixture whole, through a temporary file that replaces it,
+        so a reader or a concurrent put never meets half of one; idempotent
+        for identical records."""
         path = self.root / f"{key}.json"
         payload = json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         try:
@@ -406,7 +408,16 @@ class FixtureStore:
             except FileNotFoundError:
                 pass
             self.root.mkdir(parents=True, exist_ok=True)
-            path.write_text(payload, encoding="utf-8")
+            tmp = self.root / f".{key}.{os.urandom(8).hex()}.tmp"
+            # mode 0o666 less the umask, as a plain write gives the file
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            try:
+                with open(fd, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
         except (OSError, UnicodeDecodeError) as exc:
             raise StorageError(f"cannot write fixture {path}: {exc}") from exc
 
@@ -414,19 +425,23 @@ class FixtureStore:
 class RecordedClient:
     """Base of the external-call clients, in one of three modes: live,
     record (live, and store each record) or replay (stored records only,
-    never the network).  Live calls go through ``transport`` with one
-    retry policy: transport errors other than BodyOverCap, HTTP 429 and
-    5xx are retried after each of RETRY_DELAYS.  Each try may take
-    TIMEOUT seconds.  Every subclass sets TIMEOUT and ``_malformed``,
+    never the network).  Every subclass sets TIMEOUT and ``_malformed``,
     which names what is wrong with a stored record's fields (None when
-    nothing is)."""
+    nothing is).  A live call (``_post``) makes 1 + len(RETRY_DELAYS) tries
+    at most.  A retry first sleeps the next of RETRY_DELAYS, then raises
+    instead if ``abandoned`` is set.  Every try then waits, holding the
+    client's lock, until 1/requests_per_second has passed since its last
+    try (a late wake-up pushes the next back; rate 0, the LLM's, never
+    waits), and may take TIMEOUT seconds.  Transport errors, HTTP 429 and
+    5xx are retried; a body over its cap, another 4xx or a non-object fails."""
 
     TIMEOUT: float
     _malformed: Callable[[dict[str, Any]], Optional[str]]
 
     def __init__(self, mode: str, fixture_dir: Optional[str],
                  transport: Callable[..., tuple[int, str]],
-                 sleep: Callable[[float], None]) -> None:
+                 sleep: Callable[[float], None], requests_per_second: float = 0.0,
+                 clock: Callable[[], float] = time.monotonic) -> None:
         if mode not in ("live", "record", "replay"):
             raise ValueError(f"unknown mode: {mode!r}")
         if mode in ("record", "replay") and not fixture_dir:
@@ -435,6 +450,10 @@ class RecordedClient:
         self.store = FixtureStore(fixture_dir) if fixture_dir else None
         self._transport = transport
         self._sleep = sleep
+        self._clock = clock
+        self._min_interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
+        self._last_try = float("-inf")
+        self._throttle_lock = threading.Lock()
 
     def _recorded(self, key: Callable[[], str], live: Callable[[], dict[str, Any]],
                   miss: Callable[[], str]) -> dict[str, Any]:
@@ -466,6 +485,7 @@ class RecordedClient:
                     self._sleep(RETRY_DELAYS[attempt - 1])
                 if abandoned.is_set():
                     raise TransportError(f"not retried, answer no longer needed: {last_error}")
+            self._throttle()
             try:
                 status, body = self._transport(url, headers, payload, self.TIMEOUT)
             except BodyOverCap:
@@ -486,3 +506,12 @@ class RecordedClient:
                 raise TransportError(f"malformed response from {url}: not a JSON object")
             return data
         raise TransportError(f"giving up after retries: {last_error}")
+
+    def _throttle(self) -> None:
+        if self._min_interval <= 0:
+            return
+        with self._throttle_lock:
+            wait = self._last_try + self._min_interval - self._clock()
+            if wait > 0:
+                self._sleep(wait)
+            self._last_try = self._clock()

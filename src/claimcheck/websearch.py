@@ -43,18 +43,14 @@ class SearchClient(RecordedClient):
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        super().__init__(mode, fixture_dir, transport, sleep)
+        super().__init__(mode, fixture_dir, transport, sleep, requests_per_second, clock)
         self.endpoint = endpoint
         self.api_key = api_key
-        self._clock = clock
-        self._min_interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
-        self._last_call = float("-inf")
-        self._throttle_lock = threading.Lock()
 
     def search(self, query: SearchQuery, k: int,
                abandoned: Optional[threading.Event] = None) -> list[SearchResultMeta]:
-        """At most k results; a live search is not retried once ``abandoned``
-        is set (see RecordedClient._post)."""
+        """At most k results.  A live search's tries, rate limit and stop on
+        ``abandoned`` follow RecordedClient's per-try policy."""
         if k < 1:
             raise ValueError("k must be >= 1")
         record = self._recorded(
@@ -66,7 +62,6 @@ class SearchClient(RecordedClient):
 
     def _search_live(self, query: SearchQuery, k: int,
                      abandoned: Optional[threading.Event]) -> list[dict[str, Any]]:
-        self._throttle()
         headers = {"X-API-KEY": self.api_key} if self.api_key else {}
         data = self._post(self.endpoint, headers, {"q": query.text, "num": k, "hl": "en"},
                           abandoned)
@@ -94,15 +89,3 @@ class SearchClient(RecordedClient):
                 snippet=str(entry.get("snippet") or ""),
             ))
         return results
-
-    def _throttle(self) -> None:
-        """Wait, holding the lock, until min_interval has passed since the
-        last call was let through.  The time of this call is read after the
-        sleep, so a sleep that overruns pushes the next call back with it."""
-        if self._min_interval <= 0:
-            return
-        with self._throttle_lock:
-            wait = self._last_call + self._min_interval - self._clock()
-            if wait > 0:
-                self._sleep(wait)
-            self._last_call = self._clock()

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import time
 
 import pytest
@@ -96,3 +98,38 @@ class TestFixtureStore:
         root.write_text("", encoding="utf-8")
         with pytest.raises(StorageError):
             FixtureStore(root).put("k", {})
+
+    def test_concurrent_puts_of_one_key_leave_one_whole_record(self, tmp_path):
+        # two record-mode answers to one request, say at temperature 1.0
+        store = FixtureStore(tmp_path)
+        short, long = {"response_text": "x"}, {"response_text": "y" * 20_000}
+        keys = [f"k{i}" for i in range(200)]
+        barrier = threading.Barrier(2)
+
+        def writer(record):
+            for key in keys:
+                barrier.wait()  # both threads put each key at once
+                store.put(key, record)
+
+        threads = [threading.Thread(target=writer, args=(r,)) for r in (short, long)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert [key for key in keys if store.get(key) not in (short, long)] == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{k}.json" for k in keys)
+
+    def test_put_gives_the_mode_of_a_plain_write(self, tmp_path):
+        FixtureStore(tmp_path).put("k", {"a": 1})
+        (tmp_path / "plain.json").write_text("{}", encoding="utf-8")
+        assert (tmp_path / "k.json").stat().st_mode == (tmp_path / "plain.json").stat().st_mode
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(StorageError, match="disk full"):
+            FixtureStore(tmp_path).put("k", {"a": 1})
+        assert list(tmp_path.iterdir()) == []

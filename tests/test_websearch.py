@@ -203,6 +203,29 @@ class TestLiveMode:
         assert sent == pytest.approx([0.0, 0.8, 1.3])
         assert min(b - a for a, b in zip(sent, sent[1:])) >= 0.5
 
+    def test_retry_waits_for_the_rate_limit(self):
+        now = [0.0]
+        sent = []
+        statuses = {"a": iter([503, 200]), "b": iter([200])}
+
+        def transport(url, headers, payload, timeout):
+            sent.append((payload["q"], now[0]))
+            return next(statuses[payload["q"]]), json.dumps({"organic": []})
+
+        def sleep(seconds):
+            if seconds == 1.0:  # a's back-off, during which b is searched
+                now[0] = 0.95
+                client.search(SearchQuery("b"), 1)
+                now[0] = 1.0
+            else:
+                now[0] += seconds
+
+        client = SearchClient(mode="live", transport=transport, sleep=sleep,
+                              clock=lambda: now[0], requests_per_second=5.0)
+        client.search(SearchQuery("a"), 1)
+        # a's retry is spaced 1/rps after b's search, like a first try
+        assert sent == [("a", 0.0), ("b", 0.95), ("a", pytest.approx(1.15))]
+
     def test_rate_limiter_spaces_concurrent_calls(self):
         stamps = []
 
