@@ -76,10 +76,8 @@ def _read_records(path: str | Path) -> list[dict]:
     if not text.strip():
         raise EmptyDataset(f"{path} is empty")
     if text.lstrip().startswith("["):
-        data = _decode(text, str(path))
-        if not isinstance(data, list):
-            raise SchemaError(f"{path}: top-level JSON must be an array")
-        records = data
+        # JSON text that starts with "[" is an array or does not decode
+        records = _decode(text, str(path))
     else:
         # JSON Lines are split at "\n" only: a JSON string may hold U+2028
         records = [_decode(line, f"{path} line {n}")
@@ -106,7 +104,7 @@ def _subsample(indices: list[int], target: int | None, rng: random.Random) -> li
 def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[LabeledClaim]:
     records = _read_records(path)
     rng = random.Random(seed)
-    labeled: list[tuple[str, str, Verdict]] = []  # (id, text, gold)
+    labeled: list[LabeledClaim] = []
     ids: set[str] = set()
 
     for i, rec in enumerate(records):
@@ -122,19 +120,14 @@ def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[Lab
         gold = _map_label(kind, raw_label, i)
         if gold is None:
             continue
-        labeled.append((claim_id, text, gold))
+        labeled.append(LabeledClaim(Claim(text=text, id=claim_id), gold))
 
-    true_target, false_target = DATASET_TARGETS[kind]
-    true_idx = [j for j, (_, _, g) in enumerate(labeled) if g is Verdict.TRUE]
-    false_idx = [j for j, (_, _, g) in enumerate(labeled) if g is Verdict.FALSE]
-    keep = set(_subsample(true_idx, true_target, rng))
-    keep |= set(_subsample(false_idx, false_target, rng))
-
-    out: list[LabeledClaim] = []
-    for j, (claim_id, text, gold) in enumerate(labeled):
-        if j not in keep:
-            continue
-        out.append(LabeledClaim(Claim(text=text, id=claim_id), gold))
+    keep: set[int] = set()
+    # True first, then False: the sampler draws in this order
+    for gold, target in zip((Verdict.TRUE, Verdict.FALSE), DATASET_TARGETS[kind]):
+        keep.update(_subsample([j for j, c in enumerate(labeled) if c.gold is gold],
+                               target, rng))
+    out = [c for j, c in enumerate(labeled) if j in keep]
     if not out:
         raise EmptyDataset(f"{path} yielded no claims after preprocessing")
     return out

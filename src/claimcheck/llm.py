@@ -2,13 +2,11 @@
 record or replay mode (see ``replaystore.RecordedClient``)."""
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .replaystore import RecordedClient, TransportError, post_json
+from .replaystore import RecordedClient, TransportError, fixture_key, post_json
 
 __all__ = [
     "ChatRequest",
@@ -54,8 +52,7 @@ def canonical_form(req: ChatRequest) -> dict[str, Any]:
 
 
 def replay_key(req: ChatRequest) -> str:
-    blob = json.dumps(canonical_form(req), sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return fixture_key(canonical_form(req))
 
 
 class LlmGateway(RecordedClient):

@@ -60,10 +60,18 @@ _SKIP_NAME = _whole_name(_SKIP_TAGS)
 _ATTRS = (r"""(?:%s++[a-zA-Z_:][-a-zA-Z0-9_:.]*+"""
           r"""(?:%s*+=%s*+(?:"[^"<>]*+"|'[^'<>]*+'|[-a-zA-Z0-9_:.#%%&+,;?!@~()/]++))?+)*+%s*+"""
           % (_WS, _WS, _WS, _WS))
+# a tag name that the regex in %s does not match
+_NAME_BUT = r"(?!%s)[a-zA-Z][a-zA-Z0-9-]*+"
+
+
+def _tag(name: str) -> str:
+    """A regex for a start tag, or an end tag without attributes, whose
+    name matches the regex name."""
+    return r"<(?:/{0}{1}*+|{0}{2}/?+)>".format(name, _WS, _ATTRS)
+
+
 # text and tags that are not skip tags
-_PLAIN_RUN = re.compile(
-    r"(?:[^<]++|<(?:(?!{0})[a-zA-Z][a-zA-Z0-9-]*+{1}/?+>|/(?!{0})[a-zA-Z][a-zA-Z0-9-]*+{2}*+>))*+"
-    .format(_SKIP_NAME, _ATTRS, _WS))
+_PLAIN_RUN = re.compile(r"(?:[^<]++|%s)*+" % _tag(_NAME_BUT % _SKIP_NAME))
 # one skip tag: groups (end tag name, start tag name, "/" when self-closing)
 _SKIP_TAG = re.compile(r"</({0}){1}*+>|<({0}){2}(/?+)>".format(_SKIP_NAME, _WS, _ATTRS))
 # Outside skipped elements, text and every tag but the skip tags are matched
@@ -75,17 +83,9 @@ _SKIP_TAG = re.compile(r"</({0}){1}*+>|<({0}){2}(/?+)>".format(_SKIP_NAME, _WS, 
 # but its last character, so _TAG.split takes out the run's text pieces.
 _NOT_INLINE = _whole_name(
     _SKIP_TAGS | _BLOCK_TAGS | {"title", "textarea", "plaintext", "xmp", "noembed", "noframes"})
-
-
-def _tag(name: str) -> str:
-    """A regex for a start tag, or an end tag without attributes, whose
-    name matches the regex name."""
-    return r"<(?:/{0}{1}*+|{0}{2}/?+)>".format(name, _WS, _ATTRS)
-
-
 # group 1: the block tag that ends the run, if any
 _PARAGRAPH_RUN = re.compile(r"(?:[^<&]*+{0})*+(?:[^<&]*+({1}))?+".format(
-    _tag(r"(?!%s)[a-zA-Z][a-zA-Z0-9-]*+" % _NOT_INLINE), _tag(_whole_name(_BLOCK_TAGS))))
+    _tag(_NAME_BUT % _NOT_INLINE), _tag(_whole_name(_BLOCK_TAGS))))
 _TAG = re.compile(r"<[^>]*+>")
 # HTMLParser's end of a script or style body (HTMLParser.set_cdata_mode)
 _CDATA_END = {tag: re.compile(r"</\s*%s\s*>" % tag, re.I)
@@ -97,7 +97,6 @@ _BLANK_LINE = re.compile(r"\n[ \t\r]*\n")
 MIN_CHARS = 40
 
 _ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain")
-MAX_REDIRECTS = 5
 
 
 class EmptyExtraction(Exception):
@@ -286,16 +285,14 @@ class PageReader:
         return self._http_get(url)
 
     def _get(self, url: str) -> tuple[str, str]:
-        with open_url("GET", url, {}, timeout=self.TIMEOUT,
-                      max_redirects=MAX_REDIRECTS) as resp:
+        with open_url("GET", url, {}, timeout=self.TIMEOUT) as resp:
             if not 200 <= resp.status < 300:
                 resp.discard()
                 raise TransportError(f"HTTP {resp.status} for {url}")
-            content_type = resp.headers.get("Content-Type", "").split(";")[0].strip().lower()
-            if content_type and not content_type.startswith(_ACCEPTED_CONTENT_TYPES):
+            if resp.media_type and not resp.media_type.startswith(_ACCEPTED_CONTENT_TYPES):
                 resp.discard()
-                raise TransportError(f"unsupported content-type {content_type!r} for {url}")
-            return resp.text(self.MAX_BYTES), content_type
+                raise TransportError(f"unsupported content-type {resp.media_type!r} for {url}")
+            return resp.text(self.MAX_BYTES), resp.media_type
 
     def extract_text(self, raw: str) -> str:
         """Page text whose first BODY_CHAR_CAP characters are exact; parsing
@@ -337,8 +334,7 @@ class PageReader:
         parser unread, so can_fetch is False."""
         parser = urllib.robotparser.RobotFileParser()
         try:
-            with open_url("GET", robots_url, {}, timeout=self.TIMEOUT,
-                          max_redirects=MAX_REDIRECTS) as resp:
+            with open_url("GET", robots_url, {}, timeout=self.TIMEOUT) as resp:
                 # read every body up to the cap, so the connection stays open for the pages
                 body = resp.read(self.MAX_BYTES)
                 if 200 <= resp.status < 300:

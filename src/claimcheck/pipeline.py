@@ -29,7 +29,7 @@ from .model import (
     Verdict,
 )
 from .pages import PageReader, Unusable
-from .replaystore import FixtureMiss, StorageError, TransportError
+from .replaystore import StorageError, TransportError
 from .trace import EventKind, RunTrace
 from .websearch import SearchClient
 
@@ -118,7 +118,7 @@ class Verifier:
             self._search_loop(agents, state, config)
             self._drain_deferred(agents, state)
             verdict = agents.classify(claim, state.evidence)
-        except (TransportError, FixtureMiss, StorageError) as exc:
+        except (TransportError, StorageError) as exc:
             # _Lookahead already caught search failures: this is an agent's
             # LLM call or the fixtures, and the run cannot go on without them
             raise GatewayFatal(str(exc)) from exc
@@ -141,12 +141,11 @@ class Verifier:
         try:
             while len(state.issued_query_texts) < config.max_search_queries:
                 if self._next_query(state, config) is None:
-                    # only unissued proposals: a reply of issued queries ends the
-                    # loop, where asking again on the same evidence would repeat it
                     state.pending_queries.extend(
-                        q for q in agents.additional_query_gen(state.claim, state.evidence)
-                        if q.text.lower() not in state.issued_query_texts)
-                    if not state.pending_queries:
+                        agents.additional_query_gen(state.claim, state.evidence))
+                    # a reply of issued queries ends the loop, where asking
+                    # again on the same evidence would repeat it
+                    if self._next_query(state, config) is None:
                         return
                 query = state.pending_queries.popleft()
                 state.issued_query_texts.add(query.text.lower())

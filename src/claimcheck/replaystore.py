@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import base64
 import functools
+import hashlib
 import http.client
 import io
 import json
@@ -26,6 +27,8 @@ import certifi
 
 RETRY_DELAYS = (1.0, 2.0, 4.0)
 
+# redirects a GET follows; a POST follows none
+MAX_REDIRECTS = 5
 _REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 # characters a URL's path and query keep as they are: requests' requote_uri
 # set, so existing %XX escapes stay and everything else is percent-encoded
@@ -39,12 +42,12 @@ _MAX_HOSTS = 10
 MAX_RESPONSE_BYTES = 8 * 1024 * 1024
 
 
-class FixtureMiss(Exception):
-    """Replay mode was asked for a key that was never recorded."""
-
-
 class StorageError(Exception):
     """The fixture store could not be read or written."""
+
+
+class FixtureMiss(StorageError):
+    """Replay mode was asked for a key that was never recorded."""
 
 
 class TransportError(Exception):
@@ -227,27 +230,6 @@ def _send(method: str, url: str, headers: dict[str, str], body: Optional[bytes],
         raise
 
 
-def _decode(raw: bytes, content_type: str) -> str:
-    """The charset parameter of content_type (UTF-8 when unknown); without
-    one, UTF-8, except that a text type whose bytes are not valid UTF-8
-    decodes as ISO-8859-1."""
-    kind, *params = content_type.split(";")
-    charset = None
-    for param in params:
-        name, eq, value = param.partition("=")
-        if eq and name.strip("\"' ").lower() == "charset":
-            charset = value.strip("\"' ")
-    if charset is None and "text" in kind:
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return raw.decode("ISO-8859-1")
-    try:
-        return raw.decode(charset or "utf-8", errors="replace")
-    except LookupError:
-        return raw.decode("utf-8", errors="replace")
-
-
 class Response:
     """An HTTP response whose body is still unread.  Leaving its ``with``
     block keeps the connection for the thread's next call to the same
@@ -259,6 +241,14 @@ class Response:
         self.url = url
         self.status = raw.status
         self.headers = raw.headers
+        # the Content-Type's media type, lower-cased, and its charset parameter
+        kind, *params = raw.headers.get("Content-Type", "").split(";")
+        self.media_type = kind.strip().lower()
+        self.charset: Optional[str] = None
+        for param in params:
+            name, eq, value = param.partition("=")
+            if eq and name.strip("\"' ").lower() == "charset":
+                self.charset = value.strip("\"' ")
         self._conn = conn
         self._raw = raw
         self._complete = False
@@ -312,26 +302,38 @@ class Response:
             pass
 
     def text(self, max_bytes: int) -> str:
-        """read(), decoded by the Content-Type charset (see _decode)."""
-        return _decode(self.read(max_bytes), self.headers.get("Content-Type", ""))
+        """read(), decoded by the charset (UTF-8 when unknown); without one,
+        UTF-8, except that a text/* body whose bytes are not valid UTF-8
+        decodes as ISO-8859-1."""
+        raw = self.read(max_bytes)
+        if self.charset is None and self.media_type.startswith("text/"):
+            try:
+                return raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return raw.decode("ISO-8859-1")
+        try:
+            return raw.decode(self.charset or "utf-8", errors="replace")
+        except LookupError:
+            return raw.decode("utf-8", errors="replace")
 
 
 def open_url(method: str, url: str, headers: dict[str, str], body: Optional[bytes] = None,
-             *, timeout: float, max_redirects: int = 0) -> Response:
+             *, timeout: float) -> Response:
     """Send one request over the calling thread's keep-alive connection to
     the URL's origin, through the proxy that the environment names for it
     (HTTP_PROXY, HTTPS_PROXY, ALL_PROXY, NO_PROXY).  A GET follows up to
-    ``max_redirects`` redirects; a cookie one hop sets is sent on the later
-    hops of that chain and never after it.  ``timeout`` bounds the connect
-    and each read, and the whole call: its redirects, the response head
-    and the body (see Response.read) end within ``timeout`` seconds.
+    MAX_REDIRECTS redirects, a POST none; a cookie one hop sets is sent on
+    the later hops of that chain and never after it.  ``timeout`` bounds
+    the connect and each read, and the whole call: its redirects, the
+    response head and the body (see Response.read) end within ``timeout``
+    seconds.
     TransportError for a malformed URL, a failed connection or request,
     the timeout, or a redirect chain that is too long."""
     deadline = time.monotonic() + timeout
     headers = {**_DEFAULT_HEADERS, **headers}
     first_url = url
     jar: Optional[CookieJar] = None
-    for _ in range(max_redirects + 1):
+    for _ in range(MAX_REDIRECTS + 1):
         hop_headers = headers
         if jar is not None:
             request = Request(url)
@@ -369,6 +371,13 @@ def post_json(url: str, headers: dict[str, str], payload: dict[str, Any],
     with open_url("POST", url, {"Content-Type": "application/json", **headers}, body,
                   timeout=timeout) as resp:
         return resp.status, resp.text(MAX_RESPONSE_BYTES)
+
+
+def fixture_key(material: Any) -> str:
+    """The key of the fixture recorded for a request: the sha256 of
+    ``material``, the request's canonical form, as JSON."""
+    blob = json.dumps(material, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class FixtureStore:

@@ -1,15 +1,13 @@
 """Web-search client (serper-style JSON API) in live, record or replay mode."""
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import threading
 import time
 from typing import Any, Callable, Optional
 
 from .model import SearchQuery, SearchResultMeta, is_valid_http_url
-from .replaystore import RecordedClient, post_json
+from .replaystore import RecordedClient, fixture_key, post_json
 
 __all__ = ["SearchClient", "search_fixture_key"]
 
@@ -19,8 +17,7 @@ DEFAULT_ENDPOINT = "https://google.serper.dev/search"
 
 
 def search_fixture_key(query_text: str, k: int) -> str:
-    blob = json.dumps([query_text, k], ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return fixture_key([query_text, k])
 
 
 class SearchClient(RecordedClient):

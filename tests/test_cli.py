@@ -140,6 +140,15 @@ class TestVerify:
         assert replayed.output.splitlines()[:4] == recorded.output.splitlines()[:4]
         assert "/article" not in pages_seen
 
+    def test_no_search_results_leave_no_evidence(self, runner, http_stub):
+        search_base = http_stub(lambda m, p, b, h: (
+            200, {"Content-Type": "application/json"}, b'{"organic": []}'))
+        result = run(runner, ["verify", "some claim",
+                              "--llm-base-url", http_stub(scripted_llm_app(standard_llm_rules())),
+                              "--search-endpoint", search_base])
+        assert "terminated by: budget_exhausted" in result.output
+        assert "evidence: none collected" in result.output
+
     def test_trace_into_a_missing_directory_is_written(self, runner, scripted_world, tmp_path):
         trace_path = tmp_path / "missing" / "t.jsonl"
         run(runner, ["verify", "water boils at 100 C", "--mode", "record",
@@ -322,6 +331,20 @@ class TestMissingFixture:
         assert len(rows) == 2
         errors = [row["error"] for row in rows if row.get("error")]
         assert len(errors) == 1 and "no LLM fixture" in errors[0]
+
+    def test_bench_where_every_claim_errors_scores_nothing(self, runner, tmp_path):
+        dataset = factool_file(tmp_path, FIVE_CLAIMS[:2])
+        out = tmp_path / "out"
+        result = run(runner, ["bench", "factool_kbqa", str(dataset), "--mode", "replay",
+                              "--fixtures", str(tmp_path / "empty"), "--out", str(out)],
+                     expect_exit=2)
+        assert "no claims completed; nothing to score" in result.output
+        rows = [json.loads(line)
+                for line in (out / "predictions.jsonl").read_text().splitlines()]
+        assert [row["id"] for row in rows] == ["c0", "c1"]
+        assert all(row["predicted"] is None and "no LLM fixture" in row["error"]
+                   for row in rows)
+        assert not (out / "metrics.json").exists()
 
     def test_verify_on_a_fixture_of_the_wrong_shape_is_config_error(self, runner,
                                                                     scripted_world):

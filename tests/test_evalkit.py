@@ -111,12 +111,20 @@ class TestLoaders:
         ('{"claim": "x", "label": true}\n{"claim": "y", "label": tru\n'.encode(), "line 2"),
         (b'[{"claim": "x", "label": true},', "invalid JSON"),
         ('{"claim": "caf\u00e9", "label": true}\n'.encode("latin-1"), "not UTF-8"),
-    ], ids=["jsonl", "array", "latin-1"])
+        (b"[1]", "record 0 is not an object"),
+        (b"3\n", "record 0 is not an object"),
+        (b'{"claim": "  ", "label": true}\n', "record 0 has an empty claim"),
+    ], ids=["jsonl", "array", "latin-1", "array-of-a-number", "jsonl-number", "empty-claim"])
     def test_undecodable_file_is_schema_error(self, tmp_path, body, where):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(body)
         with pytest.raises(SchemaError, match=where):
             load_dataset(DatasetKind.FACTOOL_KBQA, path)
+
+    def test_nothing_left_after_preprocessing_is_empty_dataset(self, tmp_path):
+        path = bingcheck_file(tmp_path, n_supported=0, n_refuted=0, n_partial=0, n_not=3)
+        with pytest.raises(EmptyDataset, match="no claims after preprocessing"):
+            load_dataset(DatasetKind.BINGCHECK, path)
 
     def test_jsonl_line_may_hold_a_line_separator(self, tmp_path):
         path = tmp_path / "ls.jsonl"

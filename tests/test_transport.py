@@ -3,8 +3,10 @@ content decoding, redirects, URL quoting, charsets, dropped keep-alive
 connections, proxies and TLS settings."""
 import gzip
 import json
+import logging
 import socket
 import ssl
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 
 from claimcheck import replaystore
 from claimcheck.llm import ChatRequest, LlmGateway
+from claimcheck.model import Acquisition, SearchResultMeta
 from claimcheck.pages import PageReader
 from claimcheck.replaystore import TransportError, post_json
 
@@ -100,6 +103,9 @@ class TestCharset:
     @pytest.mark.parametrize("content_type, payload, text", [
         # text/* without a charset is UTF-8 when its bytes are, else ISO-8859-1
         ("text/html", "café".encode("latin-1"), "café"),
+        # the media type is compared in any case
+        ("Text/HTML", "café".encode("latin-1"), "café"),
+        ("TEXT/PLAIN", "café".encode("latin-1"), "café"),
         ("text/html", "café".encode("utf-8"), "café"),
         ("text/html; charset=utf-8", "café".encode("utf-8"), "café"),
         ('text/html; charset="windows-1252"', b"caf\xe9", "café"),
@@ -132,6 +138,91 @@ def test_connection_the_server_closed_while_idle_costs_no_retry(stub_servers):
         time.sleep(0.05)
     assert sleeps == []
     assert stub.connections == 3
+
+
+@pytest.fixture
+def cut_server():
+    """Start a raw HTTP/1.1 server whose first response says Content-Length:
+    1000, sends 100 bytes and closes the connection; every later request
+    gets ``body`` whole, and its connection stays open.  Yields
+    start(body, content_type) -> (base URL, the number of the connection
+    that carried each request, from 1)."""
+    sockets: list[socket.socket] = []
+    threads: list[threading.Thread] = []
+
+    def answer(conn: socket.socket, number: int, body: bytes, head: bytes,
+               seen: list[int]) -> None:
+        with conn, conn.makefile("rb") as reader:
+            while reader.readline():
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                reader.read(length)
+                seen.append(number)
+                if len(seen) == 1:
+                    conn.sendall(head % 1000 + b"x" * 100)
+                    return
+                conn.sendall(head % len(body) + body)
+
+    def serve(listener: socket.socket, *answer_args) -> None:
+        for number in range(1, 100):
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # closed at teardown
+                return
+            sockets.append(conn)
+            thread = threading.Thread(target=answer, args=(conn, number, *answer_args),
+                                      daemon=True)
+            thread.start()
+            threads.append(thread)
+
+    def start(body: bytes, content_type: str) -> tuple[str, list[int]]:
+        listener = socket.create_server(("127.0.0.1", 0))
+        sockets.append(listener)
+        head = (b"HTTP/1.1 200 OK\r\nContent-Type: " + content_type.encode()
+                + b"\r\nContent-Length: %d\r\n\r\n")
+        seen: list[int] = []
+        thread = threading.Thread(target=serve, args=(listener, body, head, seen), daemon=True)
+        thread.start()
+        threads.append(thread)
+        return f"http://127.0.0.1:{listener.getsockname()[1]}", seen
+
+    yield start
+    for sock in sockets:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)  # wakes accept() and the readers
+        except OSError:
+            pass
+        sock.close()
+    for thread in threads:
+        thread.join(timeout=5)
+
+
+class TestBodyCutShort:
+    """A response whose connection closes before its Content-Length is in."""
+
+    def test_page_falls_back_to_its_snippet(self, cut_server, caplog):
+        base, seen = cut_server(TEXT.encode(), "text/html")
+        reader = PageReader()
+        with caplog.at_level(logging.DEBUG, logger="claimcheck.pages"):
+            doc = reader.acquire_document(SearchResultMeta("Title", f"{base}/page", "Snippet."))
+        assert doc.acquisition is Acquisition.SNIPPET_FALLBACK
+        assert doc.body == "Title\nSnippet."
+        assert "body incomplete when the connection closed" in caplog.text
+        # the next fetch opens a new connection rather than reuse the cut one
+        assert reader.fetch(f"{base}/page")[0] == TEXT
+        assert seen == [1, 2]
+
+    def test_llm_post_is_retried_and_answered(self, cut_server):
+        _, _, body = openai_reply("YES")
+        base, seen = cut_server(body, "application/json")
+        sleeps: list[float] = []
+        gateway = LlmGateway(base_url=base, sleep=sleeps.append)
+        assert gateway.complete(ChatRequest("m", (("user", "q"),), 0.0)).text == "YES"
+        assert sleeps == [1.0]
+        assert seen == [1, 2]
 
 
 def test_robots_txt_error_page_keeps_the_connection(stub_servers):

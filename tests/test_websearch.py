@@ -58,6 +58,11 @@ class TestFixtureMode:
         (result,) = client.search(SearchQuery("q"), 1)
         assert result.snippet == ""
 
+    def test_fixture_key_is_pinned(self):
+        # a changed key would orphan every recorded search fixture
+        assert search_fixture_key("q", 2) == (
+            "fb1a3cfa213e01db3d66c9b8792c605cc58675cbda1ce8ecad307cbf0bf0336b")
+
     def test_zero_network_operations(self, tmp_path):
         calls = []
         client = SearchClient(mode="replay", fixture_dir=tmp_path,
