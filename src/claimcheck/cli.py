@@ -29,13 +29,14 @@ click.exceptions.UsageError.exit_code = 1
 BENCH_ERROR_RATE_THRESHOLD = 0.1
 
 _COMMON_OPTIONS = [
-    click.option("--model", default="gpt-4.1", show_default=True, help="Chat model identifier."),
-    click.option("--temperature", default=1.0, show_default=True,
+    click.option("--model", default=BudgetConfig.model_id, show_default=True,
+                 help="Chat model identifier."),
+    click.option("--temperature", default=BudgetConfig.temperature, show_default=True,
                  type=click.FloatRange(min=0)),
-    click.option("--max-queries", default=4, show_default=True, type=click.IntRange(min=1),
-                 help="Global search-query budget per claim."),
-    click.option("--max-results", default=2, show_default=True, type=click.IntRange(min=1),
-                 help="Search results requested per query."),
+    click.option("--max-queries", default=BudgetConfig.max_search_queries, show_default=True,
+                 type=click.IntRange(min=1), help="Global search-query budget per claim."),
+    click.option("--max-results", default=BudgetConfig.max_results_per_query, show_default=True,
+                 type=click.IntRange(min=1), help="Search results requested per query."),
     click.option("--mode", default="live", show_default=True,
                  type=click.Choice(["live", "record", "replay"]),
                  help="Gateway mode for both the LLM and search clients."),

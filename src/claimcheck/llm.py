@@ -12,7 +12,6 @@ __all__ = [
     "ChatRequest",
     "ChatResponse",
     "LlmGateway",
-    "TransportError",
     "canonical_form",
     "replay_key",
 ]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from claimcheck.agents import (
     AgentSuite,
     HelpfulnessJudgment,
+    _parse_prompt_asset,
     load_prompts,
     parse_helpfulness,
     parse_permutation,
@@ -37,6 +38,10 @@ class TestPromptAssets:
     def test_all_seven_load(self):
         prompts = load_prompts()
         assert len(prompts) == 7
+
+    def test_asset_without_separator_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="prompt asset classify lacks"):
+            _parse_prompt_asset("classify", "system and user text in one block")
 
     def test_render_requires_all_slots(self):
         prompt = load_prompts()["self_contained_check"]

@@ -5,13 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from claimcheck import llm, replaystore
-from claimcheck.llm import (
-    ChatRequest,
-    LlmGateway,
-    TransportError,
-    replay_key,
-)
-from claimcheck.replaystore import FixtureMiss, StorageError
+from claimcheck.llm import ChatRequest, LlmGateway, replay_key
+from claimcheck.replaystore import FixtureMiss, StorageError, TransportError
 
 from conftest import openai_reply
 
@@ -224,6 +219,20 @@ class TestLiveTransport:
                              transport=lambda *a, **k: (200, body), sleep=lambda s: None)
         with pytest.raises(TransportError, match="malformed completion response"):
             gateway.complete(req())
+
+    @pytest.mark.parametrize("reply", [{}, {"choices": []}, {"choices": [{}]}])
+    def test_reply_without_a_message_is_malformed(self, reply):
+        attempts = []
+
+        def transport(*args, **kwargs):
+            attempts.append(1)
+            return 200, json.dumps(reply)
+
+        gateway = LlmGateway(mode="live", base_url="http://x.invalid",
+                             transport=transport, sleep=lambda s: None)
+        with pytest.raises(TransportError, match="malformed completion response"):
+            gateway.complete(req())
+        assert len(attempts) == 1
 
     def test_auth_error_not_retried(self):
         attempts = []

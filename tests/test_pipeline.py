@@ -513,7 +513,6 @@ class TestTraceContract:
             verifier.verify(CLAIM, BudgetConfig())
 
     def test_gateway_fatal_on_persistent_llm_transport_error(self):
-        from claimcheck.llm import TransportError
         from claimcheck.pipeline import GatewayFatal
 
         class DeadEndpointAgents(ScriptedAgents):

@@ -239,19 +239,26 @@ def test_robots_txt_error_page_keeps_the_connection(stub_servers):
 
 
 class TestProxy:
-    def test_http_proxy_gets_the_absolute_form_target(self, http_stub, no_proxy_env):
+    @pytest.mark.parametrize("credentials, url, expected", [
+        # base64 of "user:p@ss"
+        ("user:p%40ss@", "http://example.invalid/p?q=1",
+         ("http://example.invalid/p?q=1", "example.invalid", "Basic dXNlcjpwQHNz")),
+        # no credentials, no Proxy-Authorization; the host goes out IDNA-encoded
+        ("", "http://bücher.invalid/p",
+         ("http://xn--bcher-kva.invalid/p", "xn--bcher-kva.invalid", None)),
+    ], ids=["credentials", "no-credentials-idna-host"])
+    def test_http_proxy_gets_the_absolute_form_target(self, http_stub, no_proxy_env,
+                                                      credentials, url, expected):
         seen = []
 
         def app(method, path, body, headers):
             seen.append((path, headers.get("Host"), headers.get("Proxy-Authorization")))
             return 200, {"Content-Type": "text/html"}, TEXT.encode()
 
-        proxy = http_stub(app).replace("http://", "http://user:p%40ss@")
+        proxy = http_stub(app).replace("http://", f"http://{credentials}")
         no_proxy_env.setenv("HTTP_PROXY", proxy)
-        assert PageReader().fetch("http://example.invalid/p?q=1")[0] == TEXT
-        # base64 of "user:p@ss"
-        assert seen == [("http://example.invalid/p?q=1", "example.invalid",
-                         "Basic dXNlcjpwQHNz")]
+        assert PageReader().fetch(url)[0] == TEXT
+        assert seen == [expected]
 
     def test_no_proxy_host_is_reached_directly(self, http_stub, no_proxy_env):
         base = http_stub(lambda m, p, b, h: (200, {"Content-Type": "text/html"}, TEXT.encode()))

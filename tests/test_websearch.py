@@ -91,6 +91,12 @@ class TestLiveMode:
         results = client.search(SearchQuery("capital of france"), 2)
         assert [r.url for r in results] == [raw(0)["link"], raw(1)["link"]]
 
+    def test_rows_that_are_not_objects_are_dropped(self):
+        body = json.dumps({"organic": ["x", 3, None, raw(0)]})
+        client = SearchClient(mode="live", transport=lambda *a, **k: (200, body),
+                              requests_per_second=0)
+        assert [r.url for r in client.search(SearchQuery("q"), 2)] == [raw(0)["link"]]
+
     def test_record_then_replay(self, tmp_path):
         client = SearchClient(mode="record", fixture_dir=tmp_path,
                               transport=lambda *a, **k: (200, json.dumps({"organic": [raw(0)]})),
