@@ -207,7 +207,7 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
     }
     (out / "metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    table = evalkit.render_table({kind.value: rep})
+    table = evalkit.render_table(kind.value, rep)
     (out / "metrics.txt").write_text(table + "\n", encoding="utf-8")
     click.echo(table)
     if errored / len(claims) > BENCH_ERROR_RATE_THRESHOLD:

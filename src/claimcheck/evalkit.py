@@ -35,11 +35,14 @@ class DatasetKind(Enum):
     FACTCHECK_BENCH = "factcheck_bench"
 
 
-# per-class (True, False) target sizes after preprocessing
-DATASET_TARGETS: dict[DatasetKind, tuple[int | None, int | None]] = {
-    DatasetKind.FACTOOL_KBQA: (None, None),       # keep everything
-    DatasetKind.BINGCHECK: (160, None),           # subsample supported only
-    DatasetKind.FACTCHECK_BENCH: (472, 159),      # sample 631 in total
+# each dataset's labels, lower-cased, -> gold verdict (None drops the
+# record), and its (True, False) subsample sizes (None keeps the class whole)
+_DATASETS: dict[DatasetKind, tuple[dict[str, Verdict | None], tuple[int | None, int | None]]] = {
+    DatasetKind.FACTOOL_KBQA: ({"true": Verdict.TRUE, "false": Verdict.FALSE}, (None, None)),
+    DatasetKind.BINGCHECK: ({"supported": Verdict.TRUE, "refuted": Verdict.FALSE,
+                             "partially supported": None, "not supported": None}, (160, None)),
+    DatasetKind.FACTCHECK_BENCH: ({"true": Verdict.TRUE, "false": Verdict.FALSE,
+                                   "unknown": None}, (472, 159)),
 }
 
 
@@ -64,7 +67,7 @@ class LabeledClaim:
 def _decode(text: str, where: str) -> object:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"{where}: invalid JSON: {exc}") from None
 
 
@@ -103,6 +106,7 @@ def _subsample(indices: list[int], target: int | None, rng: random.Random) -> li
 
 def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[LabeledClaim]:
     records = _read_records(path)
+    labels, targets = _DATASETS[kind]
     rng = random.Random(seed)
     labeled: list[LabeledClaim] = []
     ids: set[str] = set()
@@ -117,38 +121,24 @@ def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[Lab
         if not text:
             raise SchemaError(f"record {i} has an empty claim")
         raw_label = _require(rec, "label", i)
-        gold = _map_label(kind, raw_label, i)
+        try:
+            # str(True) is "True", so a JSON boolean maps as its name does
+            gold = labels[str(raw_label).strip().lower()]
+        except KeyError:
+            raise SchemaError(f"record {i}: bad {kind.value} label {raw_label!r}") from None
         if gold is None:
             continue
         labeled.append(LabeledClaim(Claim(text=text, id=claim_id), gold))
 
     keep: set[int] = set()
     # True first, then False: the sampler draws in this order
-    for gold, target in zip((Verdict.TRUE, Verdict.FALSE), DATASET_TARGETS[kind]):
+    for gold, target in zip((Verdict.TRUE, Verdict.FALSE), targets):
         keep.update(_subsample([j for j, c in enumerate(labeled) if c.gold is gold],
                                target, rng))
     out = [c for j, c in enumerate(labeled) if j in keep]
     if not out:
         raise EmptyDataset(f"{path} yielded no claims after preprocessing")
     return out
-
-
-# each dataset's labels, lower-cased, -> gold verdict; None drops the record
-_LABELS: dict[DatasetKind, dict[str, Verdict | None]] = {
-    DatasetKind.FACTOOL_KBQA: {"true": Verdict.TRUE, "false": Verdict.FALSE},
-    DatasetKind.BINGCHECK: {"supported": Verdict.TRUE, "refuted": Verdict.FALSE,
-                            "partially supported": None, "not supported": None},
-    DatasetKind.FACTCHECK_BENCH: {"true": Verdict.TRUE, "false": Verdict.FALSE,
-                                  "unknown": None},
-}
-
-
-def _map_label(kind: DatasetKind, raw: object, index: int) -> Verdict | None:
-    """str(True) is "True", so a JSON boolean maps as its name does."""
-    try:
-        return _LABELS[kind][str(raw).strip().lower()]
-    except KeyError:
-        raise SchemaError(f"record {index}: bad {kind.value} label {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +225,14 @@ def round_display(value: float) -> str:
     return "0" if text in ("0", "-0") else text
 
 
-def render_table(rows: dict[str, MetricReport]) -> str:
-    """Aligned plain-text table: per-class P/R/F1, then macro and weighted F1."""
+def render_table(name: str, rep: MetricReport) -> str:
+    """Aligned plain-text table of one run: a header line, then the run's
+    per-class P/R/F1 and its macro and weighted F1."""
     header = ["run", "P(True)", "R(True)", "F1(True)",
               "P(False)", "R(False)", "F1(False)", "M-F1", "W-F1"]
-    lines = [header]
-    for name, rep in rows.items():
-        lines.append([name, *(round_display(x) for v in Verdict
-                              for x in (rep.precision[v], rep.recall[v], rep.f1[v])),
-                      round_display(rep.macro_f1), round_display(rep.weighted_f1)])
-    widths = [max(len(row[i]) for row in lines) for i in range(len(header))]
-    return "\n".join("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-                     for row in lines)
+    row = [name, *(round_display(x) for v in Verdict
+                   for x in (rep.precision[v], rep.recall[v], rep.f1[v])),
+           round_display(rep.macro_f1), round_display(rep.weighted_f1)]
+    widths = [max(len(h), len(cell)) for h, cell in zip(header, row)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+                     for line in (header, row))

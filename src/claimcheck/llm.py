@@ -8,14 +8,6 @@ from typing import Any, Callable, Optional
 
 from .replaystore import RecordedClient, TransportError, fixture_key, post_json
 
-__all__ = [
-    "ChatRequest",
-    "ChatResponse",
-    "LlmGateway",
-    "canonical_form",
-    "replay_key",
-]
-
 ROLES = ("system", "user")
 
 

@@ -14,8 +14,6 @@ from .replaystore import USER_AGENT, TransportError, open_url
 
 log = logging.getLogger(__name__)
 
-__all__ = ["PageReader", "EmptyExtraction", "Unusable", "extract_text"]
-
 # tags whose content is boilerplate or invisible, never page text
 _SKIP_TAGS = frozenset(
     {"script", "style", "noscript", "template", "head", "nav", "header",
@@ -222,9 +220,12 @@ def extract_text(raw: str, min_chars: int = MIN_CHARS, max_chars: Optional[int] 
     With max_chars set, parsing stops as soon as the text is known to reach
     max(max_chars, min_chars) characters.  The result may then be shorter
     than the full extraction, but its first max_chars characters and the
-    EmptyExtraction decision are the same.
+    EmptyExtraction decision are the same, unless parsing stops before
+    markup that HTMLParser refuses.
 
-    Raises EmptyExtraction when the result is shorter than min_chars.
+    Raises EmptyExtraction when the result is shorter than min_chars, or
+    when HTMLParser refuses the markup (an unknown marked section such as
+    ``<![bogus[``), which it does with AssertionError.
     """
     stop_at = None if max_chars is None else max(max_chars, min_chars)
     parser = _TextExtractor(stop_at)
@@ -233,6 +234,8 @@ def extract_text(raw: str, min_chars: int = MIN_CHARS, max_chars: Optional[int] 
         parser.close()
     except _Covered:
         pass
+    except AssertionError as exc:
+        raise EmptyExtraction(f"markup the HTML parser refuses: {exc}") from None
     return _at_least(parser.text(), min_chars)
 
 

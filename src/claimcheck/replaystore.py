@@ -397,7 +397,8 @@ class FixtureStore:
             record = json.loads(data.decode("utf-8"))
         except FileNotFoundError:
             return None
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        # ValueError: not UTF-8, or not JSON; RecursionError: nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
             raise StorageError(f"unreadable fixture {path}: {exc}") from exc
         problem = malformed(record) if isinstance(record, dict) else "not a JSON object"
         if problem:
@@ -405,17 +406,11 @@ class FixtureStore:
         return record
 
     def put(self, key: str, record: dict[str, Any]) -> None:
-        """Write a fixture whole, through a temporary file that replaces it,
-        so a reader or a concurrent put never meets half of one; idempotent
-        for identical records."""
+        """Write a fixture whole, through a temporary file that replaces any
+        file there, so a reader or a concurrent put never meets half of one."""
         path = self.root / f"{key}.json"
         payload = json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         try:
-            try:
-                if path.read_text(encoding="utf-8") == payload:
-                    return
-            except FileNotFoundError:
-                pass
             self.root.mkdir(parents=True, exist_ok=True)
             tmp = self.root / f".{key}.{os.urandom(8).hex()}.tmp"
             # mode 0o666 less the umask, as a plain write gives the file
@@ -427,7 +422,7 @@ class FixtureStore:
             except BaseException:
                 tmp.unlink(missing_ok=True)
                 raise
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
             raise StorageError(f"cannot write fixture {path}: {exc}") from exc
 
 
@@ -509,7 +504,7 @@ class RecordedClient:
                 raise TransportError(f"HTTP {status} from {url}: {body[:200]}")
             try:
                 data = json.loads(body)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TransportError(f"malformed response from {url}: {exc}") from exc
             if not isinstance(data, dict):
                 raise TransportError(f"malformed response from {url}: not a JSON object")

@@ -9,8 +9,6 @@ from typing import Any, Callable, Optional
 from .model import SearchQuery, SearchResultMeta, is_valid_http_url
 from .replaystore import RecordedClient, fixture_key, post_json
 
-__all__ = ["SearchClient", "search_fixture_key"]
-
 log = logging.getLogger(__name__)
 
 DEFAULT_ENDPOINT = "https://google.serper.dev/search"
@@ -76,7 +74,7 @@ class SearchClient(RecordedClient):
                 break
             if not isinstance(entry, dict):
                 continue
-            url = str(entry.get("link") or entry.get("url") or "")
+            url = str(entry.get("link") or "")
             if not is_valid_http_url(url):
                 log.warning("dropping search result with unusable URL: %r", url)
                 continue

@@ -114,7 +114,9 @@ class TestLoaders:
         (b"[1]", "record 0 is not an object"),
         (b"3\n", "record 0 is not an object"),
         (b'{"claim": "  ", "label": true}\n', "record 0 has an empty claim"),
-    ], ids=["jsonl", "array", "latin-1", "array-of-a-number", "jsonl-number", "empty-claim"])
+        (b"[" * 100_000, "invalid JSON"),
+    ], ids=["jsonl", "array", "latin-1", "array-of-a-number", "jsonl-number", "empty-claim",
+            "nested-too-deep"])
     def test_undecodable_file_is_schema_error(self, tmp_path, body, where):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(body)
@@ -261,7 +263,7 @@ class TestReport:
     def test_render_table_layout(self):
         counts = ConfusionCounts(tp={T: 163, F: 36}, fp={T: 20, F: 14},
                                  fn={T: 14, F: 20})
-        table = render_table({"run-a": report(counts)})
+        table = render_table("run-a", report(counts))
         lines = table.splitlines()
         assert lines[0].split() == ["run", "P(True)", "R(True)", "F1(True)",
                                     "P(False)", "R(False)", "F1(False)", "M-F1", "W-F1"]

@@ -234,6 +234,14 @@ class TestLiveTransport:
             gateway.complete(req())
         assert len(attempts) == 1
 
+    def test_reply_nested_too_deep_is_malformed(self):
+        # json.loads raises RecursionError, not ValueError, on this
+        gateway = LlmGateway(mode="live", base_url="http://x.invalid",
+                             transport=lambda *a, **k: (200, "[" * 100_000),
+                             sleep=lambda s: None)
+        with pytest.raises(TransportError, match="malformed response"):
+            gateway.complete(req())
+
     def test_auth_error_not_retried(self):
         attempts = []
 

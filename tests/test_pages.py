@@ -464,6 +464,15 @@ class TestAcquireDocument:
         doc = reader.acquire_document(make_result(url, snippet="useful snippet"))
         assert doc.acquisition is Acquisition.SNIPPET_FALLBACK
 
+    def test_markup_the_parser_refuses_falls_back(self):
+        # HTMLParser raises AssertionError on an unknown marked section
+        url = "https://a.example/odd"
+        reader = self.reader({url: f"<![bogus[ x ]]><p>{LONG_PARA}</p>"})
+        with pytest.raises(EmptyExtraction, match="parser refuses"):
+            reader.extract_text(reader.fetch(url)[0])
+        doc = reader.acquire_document(make_result(url, snippet="useful snippet"))
+        assert doc.acquisition is Acquisition.SNIPPET_FALLBACK
+
     def test_body_truncated_to_cap(self, monkeypatch):
         monkeypatch.setattr(PageReader, "BODY_CHAR_CAP", 500)
         url = "https://a.example/long"

@@ -77,8 +77,15 @@ class TestFixtureStore:
         (tmp_path / "k.json").write_bytes(b"\xff\xfe{}")
         with pytest.raises(StorageError):
             FixtureStore(tmp_path).get("k")
-        with pytest.raises(StorageError):
-            FixtureStore(tmp_path).put("k", {})
+        # a record run replaces it
+        FixtureStore(tmp_path).put("k", {"a": 1})
+        assert FixtureStore(tmp_path).get("k") == {"a": 1}
+
+    def test_fixture_nested_too_deep_is_storage_error(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on this
+        (tmp_path / "k.json").write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(StorageError, match="unreadable fixture"):
+            FixtureStore(tmp_path).get("k")
 
     def test_fixture_in_utf16_is_storage_error(self, tmp_path):
         # valid JSON in UTF-16, which json.loads would accept as bytes

@@ -266,6 +266,21 @@ class TestProxy:
         no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
         assert PageReader().fetch(f"{base}/page")[0] == TEXT
 
+    @pytest.mark.parametrize("variable, url", [("HTTP_PROXY", "http://example.invalid/p"),
+                                               ("HTTPS_PROXY", "https://example.invalid/p")])
+    def test_socks_proxy_is_refused_unconnected(self, no_proxy_env, variable, url):
+        made = []
+
+        def create_connection(*args, **kwargs):
+            made.append(args)
+            raise OSError("no connection expected")
+
+        no_proxy_env.setattr(socket, "create_connection", create_connection)
+        no_proxy_env.setenv(variable, "socks5://127.0.0.1:9")
+        with pytest.raises(TransportError, match="unsupported proxy"):
+            PageReader().fetch(url)
+        assert made == []
+
     def test_https_goes_through_a_connect_tunnel(self):
         conn = replaystore._open_connection("https", "example.invalid", 443,
                                             urlsplit("http://u:pw@proxy.invalid:3128"), 1.0)
@@ -286,6 +301,14 @@ def test_https_context_verifies_with_the_requests_ca_bundle(tmp_path, monkeypatc
     assert context.verify_mode == ssl.CERT_REQUIRED
     assert context.check_hostname
     assert len(context.get_ca_certs()) == 1
+
+    # a directory of hashed certificates, as c_rehash makes, is a capath
+    directory = tmp_path / "certs"
+    directory.mkdir()
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(directory))
+    context = replaystore._open_connection("https", "example.invalid", 443, None, 1.0)._context
+    assert context.verify_mode == ssl.CERT_REQUIRED
+    assert context.check_hostname
 
     monkeypatch.delenv("REQUESTS_CA_BUNDLE")
     monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)

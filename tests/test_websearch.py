@@ -270,7 +270,8 @@ class TestLiveMode:
         # tolerance absorbs a late wake-up of the earlier caller
         assert min(gaps) >= 0.020 - 0.010
 
-    @pytest.mark.parametrize("body", ["null", "[1]", '"x"', "not json"])
+    @pytest.mark.parametrize("body", ["null", "[1]", '"x"', "not json",
+                                      pytest.param("[" * 100_000, id="nested-too-deep")])
     def test_body_that_is_not_a_json_object_is_transport_error(self, body):
         client = SearchClient(mode="live", transport=lambda *a, **k: (200, body),
                               requests_per_second=0)
