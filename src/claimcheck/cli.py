@@ -15,11 +15,8 @@ from urllib.parse import quote
 import click
 
 from . import evalkit
-from .llm import LlmGateway
-from .model import BudgetConfig, Claim, Verdict
-from .pages import PageReader
-from .pipeline import Ablation, GatewayFatal, Verifier
-from .websearch import DEFAULT_ENDPOINT, SearchClient
+from .model import BudgetConfig, Claim
+from .pipeline import Ablation, GatewayFatal, Verifier, build_verifier
 
 log = logging.getLogger(__name__)
 
@@ -65,26 +62,15 @@ def _build(model, temperature, max_queries, max_results, mode, fixtures, ablatio
     """The verifier, budget and ablations that the common options name."""
     if mode in ("record", "replay") and not fixtures:
         raise click.UsageError("--fixtures is required in record/replay mode")
-    fixture_root = Path(fixtures) if fixtures else None
     try:
-        gateway = LlmGateway(
-            mode=mode,
-            base_url=llm_base_url,
-            api_key=llm_api_key,
-            fixture_dir=str(fixture_root / "llm") if fixture_root else None,
-        )
-        search = SearchClient(
-            mode=mode,
-            endpoint=search_endpoint or DEFAULT_ENDPOINT,
-            api_key=search_api_key,
-            fixture_dir=str(fixture_root / "search") if fixture_root else None,
-        )
+        verifier = build_verifier(mode, fixtures, llm_base_url=llm_base_url,
+                                  llm_api_key=llm_api_key, search_endpoint=search_endpoint,
+                                  search_api_key=search_api_key)
     except ValueError as exc:
         raise SystemExit(_config_error(str(exc)))
     config = BudgetConfig(max_search_queries=max_queries, max_results_per_query=max_results,
                           model_id=model, temperature=temperature)
-    return (Verifier(gateway=gateway, search=search, reader=PageReader(respect_robots=True)),
-            config, frozenset(Ablation(a) for a in ablations))
+    return verifier, config, frozenset(Ablation(a) for a in ablations)
 
 
 def _config_error(message: str) -> int:

@@ -14,6 +14,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
 from .agents import AgentSuite, load_prompts
@@ -29,9 +30,9 @@ from .model import (
     Verdict,
 )
 from .pages import PageReader, Unusable
-from .replaystore import StorageError, TransportError
+from .replaystore import AuthRejected, StorageError, TransportError
 from .trace import EventKind, RunTrace
-from .websearch import SearchClient
+from .websearch import DEFAULT_ENDPOINT, SearchClient
 
 
 T = TypeVar("T")
@@ -119,8 +120,8 @@ class Verifier:
             self._drain_deferred(agents, state)
             verdict = agents.classify(claim, state.evidence)
         except (TransportError, StorageError) as exc:
-            # _Lookahead already caught search failures: this is an agent's
-            # LLM call or the fixtures, and the run cannot go on without them
+            # _Lookahead caught every search failure but a refused key: the rest are
+            # LLM calls and fixtures, and the run cannot go on without them
             raise GatewayFatal(str(exc)) from exc
         terminated_by = (
             TerminationReason.SUFFICIENT_EVIDENCE
@@ -298,6 +299,8 @@ class _Lookahead:
         failure = {}
         try:
             results = self._search.search(query, self._k, self._ended)
+        except AuthRejected:
+            raise  # every later search would be refused too
         except TransportError as exc:
             results, failure = [], {"error": str(exc)}
         pages = {} if self._pool is None or self._ended.is_set() else {
@@ -312,3 +315,24 @@ class _Lookahead:
     @staticmethod
     def _settle(tasks: dict[int, Future]) -> None:
         wait([f for f in tasks.values() if not f.cancel()])
+
+
+def build_verifier(mode: str, fixtures: Optional[str | Path] = None, *,
+                   llm_base_url: Optional[str] = None, llm_api_key: Optional[str] = None,
+                   search_endpoint: Optional[str] = None, search_api_key: Optional[str] = None,
+                   search_rps: float = SearchClient.REQUESTS_PER_SECOND,
+                   llm_sleep: Callable[[float], None] = time.sleep,
+                   search_sleep: Callable[[float], None] = time.sleep) -> Verifier:
+    """The verification loop over an LLM gateway and a search client, both in
+    ``mode`` (live, record or replay) with their fixtures in ``<fixtures>/llm``
+    and ``<fixtures>/search``, and a page reader that obeys robots.txt.  The
+    one place the clients are wired.  ValueError for a configuration a client
+    refuses."""
+    root = Path(fixtures) if fixtures else None
+    gateway = LlmGateway(mode, base_url=llm_base_url, api_key=llm_api_key,
+                         fixture_dir=str(root / "llm") if root else None, sleep=llm_sleep)
+    search = SearchClient(mode, endpoint=search_endpoint or DEFAULT_ENDPOINT,
+                          api_key=search_api_key,
+                          fixture_dir=str(root / "search") if root else None,
+                          requests_per_second=search_rps, sleep=search_sleep)
+    return Verifier(gateway=gateway, search=search, reader=PageReader(respect_robots=True))

@@ -59,6 +59,10 @@ class BodyOverCap(TransportError):
     """A response body over its cap: asking again would get it again."""
 
 
+class AuthRejected(TransportError):
+    """HTTP 401 or 403: the provider refused the key, for every request alike."""
+
+
 class _OpenConnections(dict):
     """One thread's keep-alive connections, one per (scheme, host, port,
     proxy), least recently used first; closed when the thread ends."""
@@ -477,10 +481,10 @@ class RecordedClient:
     def _post(self, url: str, headers: dict[str, str], payload: dict[str, Any],
               abandoned: Optional[threading.Event] = None) -> dict[str, Any]:
         """The JSON object in the body of the first answer that is not a 429
-        or 5xx; TransportError for any other HTTP error, a body that is not
-        a JSON object or is over its cap, once the retries run out, or in
-        place of a back-off or retry once ``abandoned`` is set: the caller no
-        longer needs the answer."""
+        or 5xx; TransportError (AuthRejected for 401 and 403) for any other
+        HTTP error, a body that is not a JSON object or is over its cap,
+        once the retries run out, or in place of a back-off or retry once
+        ``abandoned`` is set: the caller no longer needs the answer."""
         abandoned = abandoned or threading.Event()
         last_error: object = None
         for attempt in range(1 + len(RETRY_DELAYS)):
@@ -501,7 +505,8 @@ class RecordedClient:
                 last_error = f"HTTP {status} from {url}"
                 continue
             if status >= 400:
-                raise TransportError(f"HTTP {status} from {url}: {body[:200]}")
+                error = AuthRejected if status in (401, 403) else TransportError
+                raise error(f"HTTP {status} from {url}: {body[:200]}")
             try:
                 data = json.loads(body)
             except (ValueError, RecursionError) as exc:

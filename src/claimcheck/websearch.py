@@ -26,6 +26,7 @@ class SearchClient(RecordedClient):
     """
 
     TIMEOUT = 30.0
+    REQUESTS_PER_SECOND = 5.0
 
     def __init__(
         self,
@@ -33,7 +34,7 @@ class SearchClient(RecordedClient):
         endpoint: str = DEFAULT_ENDPOINT,
         api_key: Optional[str] = None,
         fixture_dir: Optional[str] = None,
-        requests_per_second: float = 5.0,
+        requests_per_second: float = REQUESTS_PER_SECOND,
         transport: Callable[..., tuple[int, str]] = post_json,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,

@@ -1,0 +1,89 @@
+"""pipeline.build_verifier: the one place in the package that wires the LLM
+gateway, the search client and the page reader, in every mode."""
+import ast
+from pathlib import Path
+
+import pytest
+
+from claimcheck.model import BudgetConfig, Claim
+from claimcheck.pipeline import build_verifier
+from claimcheck.trace import EventKind, RunTrace
+from claimcheck.websearch import DEFAULT_ENDPOINT
+
+from conftest import scripted_llm_app, serper_stub_app, standard_llm_rules
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "claimcheck"
+WIRED = {"LlmGateway", "SearchClient", "PageReader"}
+
+
+@pytest.mark.parametrize("mode", ["live", "record", "replay"])
+def test_each_mode_wires_both_clients_alike(mode, tmp_path):
+    verifier = build_verifier(mode, tmp_path / "fx", llm_base_url="http://127.0.0.1:9")
+    gateway = verifier._agent_factory(BudgetConfig(), RunTrace()).gateway
+    assert gateway.mode == verifier.search.mode == mode
+    assert gateway.store.root == tmp_path / "fx" / "llm"
+    assert verifier.search.store.root == tmp_path / "fx" / "search"
+    assert verifier.search.endpoint == DEFAULT_ENDPOINT
+    assert verifier.reader.respect_robots is True
+    assert (verifier._prefetch_pool is not None) == (mode == "live")
+
+
+@pytest.mark.parametrize("mode", ["live", "replay"])
+def test_no_llm_url_or_no_fixtures_is_a_value_error(mode):
+    with pytest.raises(ValueError):
+        build_verifier(mode)
+
+
+@pytest.mark.parametrize("busy", ["llm", "search"])
+def test_each_client_backs_off_on_its_own_sleep(http_stub, busy):
+    """Only the client answered 503 once sleeps, and with search_rps 0 the
+    two searches, sent milliseconds apart, wait for no rate limit."""
+    answered = {"llm": False, "search": False}
+
+    def once_busy(name, app):
+        def serve(method, path, body, headers):
+            if name == busy and not answered[name]:
+                answered[name] = True
+                return 503, {}, b"busy"
+            return app(method, path, body, headers)
+        return serve
+
+    rules = dict(standard_llm_rules())
+    rules["numbered list of web search queries"] = "1. query one\n2. query two"
+    rules["Is this evidence sufficient"] = "NO, more is needed."
+    sleeps = {"llm": [], "search": []}
+    verifier = build_verifier(
+        "live",
+        llm_base_url=http_stub(once_busy("llm", scripted_llm_app(list(rules.items())))),
+        search_endpoint=http_stub(once_busy("search", serper_stub_app())),
+        search_rps=0, llm_sleep=sleeps["llm"].append, search_sleep=sleeps["search"].append)
+    report = verifier.verify(Claim(text="Paris is the capital of France"), BudgetConfig())
+    searches = [e.payload for e in report.trace.events if e.kind is EventKind.SEARCH_CALL]
+    assert [s["query"] for s in searches] == ["query one", "query two"]
+    assert all(s["n_results"] == 1 and "error" not in s for s in searches)
+    assert sleeps == {"llm": [], "search": [], busy: [1.0]}
+
+
+def constructions() -> set[tuple[str, str]]:
+    """(module.function, class) for each call of a client class in the package."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in WIRED:
+                    found.add((where, name))
+            visit(child, where)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_the_clients_are_constructed_only_in_build_verifier():
+    assert constructions() == {("pipeline.build_verifier", name) for name in WIRED}

@@ -910,6 +910,32 @@ class TestReadAhead:
         assert finished == started
         assert len(started) == (2 if answered else 1)
 
+    def test_read_ahead_refused_key_ends_the_claim(self, http_stub, tmp_path):
+        from claimcheck.pipeline import GatewayFatal
+
+        searched = threading.Event()
+        seen, app = [], serper_stub_app(1)
+
+        def search_app(method, path, body, headers):
+            seen.append(json.loads(body)["q"])
+            if seen[-1] == QUERIES[1]:
+                searched.set()
+                return 401, {}, b'{"message": "Unauthorized"}'
+            return app(method, path, body, headers)
+
+        def comprehensible(messages):
+            # query 1's only result is read once query 2's read-ahead reaches the stub
+            searched.wait(5)
+            return "YES, it is readable on its own."
+
+        verifier = stub_verifier(
+            http_stub, tmp_path, "live",
+            llm_rules(1, sufficient=False, queries=QUERIES[:2], comprehensible=comprehensible),
+            Pages(), search_app)
+        with pytest.raises(GatewayFatal, match="HTTP 401"):
+            verifier.verify(CLAIM, BudgetConfig())
+        assert seen == list(QUERIES[:2])
+
     def test_one_query_budget_searches_once(self, http_stub, tmp_path):
         seen = []
         verifier = stub_verifier(http_stub, tmp_path, "live",
