@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from urllib.parse import quote
@@ -78,6 +78,10 @@ def _config_error(message: str) -> int:
     return 2
 
 
+def _trace_name(labeled: evalkit.LabeledClaim) -> str:
+    return f"{quote(labeled.claim.id, safe='')}.jsonl"
+
+
 @click.group()
 def main() -> None:
     """Verify atomic claims against live web evidence."""
@@ -138,6 +142,15 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
     if limit is not None:
         claims = claims[:limit]
     verifier, config, ablations = _build(**options)
+    if trace_dir:
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
+        name_max = os.pathconf(trace_dir, "PC_NAME_MAX")
+        for labeled in claims:
+            # a name the file system refuses would end the run midway; quoted, it is ASCII
+            if len(_trace_name(labeled)) > name_max:
+                raise SystemExit(_config_error(
+                    f"id {labeled.claim.id!r} makes a trace file name longer than "
+                    f"{name_max} bytes"))
 
     def run_one(labeled):
         try:
@@ -151,8 +164,6 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if trace_dir:
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
     preds, golds = [], []
     errored = 0
     # rows go out in dataset order as claims finish: a run that dies keeps the earlier ones
@@ -171,8 +182,7 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
                 preds.append(outcome.verdict)
                 golds.append(labeled.gold)
                 if trace_dir:
-                    outcome.trace.write(
-                        Path(trace_dir) / f"{quote(labeled.claim.id, safe='')}.jsonl")
+                    outcome.trace.write(Path(trace_dir) / _trace_name(labeled))
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
             fh.flush()
 

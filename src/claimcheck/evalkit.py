@@ -117,7 +117,10 @@ def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[Lab
         if claim_id in ids:
             raise SchemaError(f"record {i} repeats id {claim_id!r}")
         ids.add(claim_id)
-        text = str(_require(rec, "claim", i)).strip()
+        text = _require(rec, "claim", i)
+        if not isinstance(text, str):
+            raise SchemaError(f"record {i}: claim {text!r} is not a string")
+        text = text.strip()
         if not text:
             raise SchemaError(f"record {i} has an empty claim")
         raw_label = _require(rec, "label", i)

@@ -12,7 +12,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
@@ -51,18 +51,6 @@ class TerminationReason(Enum):
 class GatewayFatal(Exception):
     """An agent's LLM call failed, or a fixture is missing or unreadable;
     the run cannot continue."""
-
-
-@dataclass
-class PipelineState:
-    claim: Claim
-    trace: RunTrace
-    ablations: frozenset[Ablation] = frozenset()
-    evidence: EvidenceSet = field(default_factory=EvidenceSet)
-    pending_queries: deque[SearchQuery] = field(default_factory=deque)
-    deferred: list[Document] = field(default_factory=list)
-    issued_query_texts: set[str] = field(default_factory=set)
-    sufficient: bool = False
 
 
 @dataclass(frozen=True)
@@ -104,142 +92,130 @@ class Verifier:
         self._prefetch_pool = (ThreadPoolExecutor(thread_name_prefix="claimcheck-prefetch")
                                if gateway is not None and gateway.mode == "live" else None)
 
-    def verify(
-        self,
-        claim: Claim,
-        config: Optional[BudgetConfig] = None,
-        ablations: frozenset[Ablation] | set[Ablation] = frozenset(),
-    ) -> VerdictReport:
-        config = config or BudgetConfig()
-        trace = RunTrace(self.clock)
-        agents = self._agent_factory(config, trace)
-        state = PipelineState(claim=claim, trace=trace, ablations=frozenset(ablations))
+    def verify(self, claim: Claim, config: Optional[BudgetConfig] = None,
+               ablations: frozenset[Ablation] | set[Ablation] = frozenset()) -> VerdictReport:
+        return _ClaimRun(self, claim, config or BudgetConfig(), frozenset(ablations)).report()
+
+
+class _ClaimRun:
+    """One claim's loop: its budget, agents and lookahead, and the decisions
+    made so far.  Each query is queued once, case-insensitively, and only while
+    the budget has room: the queue's head is always the query searched next."""
+
+    def __init__(self, verifier: Verifier, claim: Claim, config: BudgetConfig,
+                 ablations: frozenset[Ablation]) -> None:
+        self.claim = claim
+        self.config = config
+        self.ablations = ablations
+        self.trace = RunTrace(verifier.clock)
+        self.agents = verifier._agent_factory(config, self.trace)
+        self.evidence = EvidenceSet()
+        self.deferred: list[Document] = []
+        self.sufficient = False
+        self.queries: deque[SearchQuery] = deque()
+        self.queued: set[str] = set()  # lower-cased texts of every query queued
+        self.lookahead = _Lookahead(verifier._prefetch_pool, verifier.search, verifier.reader,
+                                    config.max_results_per_query, self.trace, self.queries)
+
+    def report(self) -> VerdictReport:
         try:
-            state.pending_queries.extend(agents.initial_query_gen(claim))
-            self._search_loop(agents, state, config)
-            self._drain_deferred(agents, state)
-            verdict = agents.classify(claim, state.evidence)
+            self.queue(self.agents.initial_query_gen(self.claim))
+            try:
+                self.search_loop()
+            finally:
+                self.lookahead.close()
+            self.drain_deferred()
+            verdict = self.agents.classify(self.claim, self.evidence)
         except (TransportError, StorageError) as exc:
             # _Lookahead caught every search failure but a refused key: the rest are
             # LLM calls and fixtures, and the run cannot go on without them
             raise GatewayFatal(str(exc)) from exc
-        terminated_by = (
-            TerminationReason.SUFFICIENT_EVIDENCE
-            if state.sufficient
-            else TerminationReason.BUDGET_EXHAUSTED
-        )
-        trace.log(EventKind.VERDICT, verdict=verdict.value,
-                  terminated_by=terminated_by.value)
-        return VerdictReport(verdict=verdict, evidence=state.evidence,
-                             trace=trace, terminated_by=terminated_by)
+        terminated_by = (TerminationReason.SUFFICIENT_EVIDENCE if self.sufficient
+                         else TerminationReason.BUDGET_EXHAUSTED)
+        self.trace.log(EventKind.VERDICT, verdict=verdict.value,
+                       terminated_by=terminated_by.value)
+        return VerdictReport(verdict=verdict, evidence=self.evidence,
+                             trace=self.trace, terminated_by=terminated_by)
 
-    # -- main loop ------------------------------------------------------
+    def queue(self, queries: list[SearchQuery]) -> None:
+        for query in queries:
+            key = query.text.lower()
+            if key not in self.queued and len(self.queued) < self.config.max_search_queries:
+                self.queued.add(key)
+                self.queries.append(query)
 
-    def _search_loop(self, agents: AgentSuite, state: PipelineState,
-                     config: BudgetConfig) -> None:
-        k = config.max_results_per_query
-        lookahead = _Lookahead(self._prefetch_pool, self.search, self.reader, k)
+    def search_loop(self) -> None:
+        while True:
+            if not self.queries and len(self.queued) < self.config.max_search_queries:
+                self.queue(self.agents.additional_query_gen(self.claim, self.evidence))
+            if not self.queries:
+                # the budget is spent, or a follow-up reply held no new query:
+                # asking again on the same evidence would repeat it
+                return
+            query = self.queries.popleft()
+            ranked = self.lookahead.search(query)
+            if len(ranked) > 1 and Ablation.RM_SR not in self.ablations:
+                ranked = self.agents.search_rank(query, ranked)
+            for result in ranked:
+                self.read(result)
+                if self.sufficient:
+                    return
+
+    def read(self, result: SearchResultMeta) -> None:
         try:
-            while len(state.issued_query_texts) < config.max_search_queries:
-                if self._next_query(state, config) is None:
-                    state.pending_queries.extend(
-                        agents.additional_query_gen(state.claim, state.evidence))
-                    # a reply of issued queries ends the loop, where asking
-                    # again on the same evidence would repeat it
-                    if self._next_query(state, config) is None:
-                        return
-                query = state.pending_queries.popleft()
-                state.issued_query_texts.add(query.text.lower())
-                results, failure = lookahead.search(query)
-                state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
-                                n_results=len(results), **failure)
-                ranked = results
-                if len(results) > 1 and Ablation.RM_SR not in state.ablations:
-                    ranked = agents.search_rank(query, results)
-                for i, result in enumerate(ranked):
-                    if i == len(ranked) - 1:
-                        lookahead.hint_search(self._next_query(state, config))
-                    self._process_result(agents, state, lookahead, result)
-                    if state.sufficient:
-                        return
-        finally:
-            for query, results, failure in lookahead.close():
-                state.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
-                                n_results=len(results), unread=True, **failure)
-
-    @staticmethod
-    def _next_query(state: PipelineState, config: BudgetConfig) -> Optional[SearchQuery]:
-        """The query the loop pops next: the first pending one not yet
-        issued, once those before it are dropped; None when there is none
-        or the budget is spent.  Until the loop pops it, nothing changes it."""
-        if len(state.issued_query_texts) >= config.max_search_queries:
-            return None
-        pending = state.pending_queries
-        while pending and pending[0].text.lower() in state.issued_query_texts:
-            pending.popleft()
-        return pending[0] if pending else None
-
-    # -- per-result scenario dispatch ------------------------------------
-
-    def _process_result(self, agents: AgentSuite, state: PipelineState,
-                        lookahead: _Lookahead, result: SearchResultMeta) -> None:
-        try:
-            doc = lookahead.document(result)
+            doc = self.lookahead.document(result)
         except Unusable as exc:
-            state.trace.log(EventKind.SCENARIO_DECISION, url=result.url,
-                            scenario="unusable", detail=str(exc))
+            self.decide(result.url, "unusable", detail=str(exc))
             return
-        state.trace.log(EventKind.FETCH, url=result.url,
-                        acquisition=doc.acquisition.value)
-        if (Ablation.RM_SCC not in state.ablations
-                and not agents.self_contained_check(state.claim, state.evidence, doc)):
-            state.deferred.append(doc)
-            state.trace.log(EventKind.SCENARIO_DECISION, url=result.url, scenario="d")
+        if (Ablation.RM_SCC not in self.ablations
+                and not self.agents.self_contained_check(self.claim, self.evidence, doc)):
+            self.deferred.append(doc)
+            self.decide(result.url, "d")
             return
-        self._judge_document(agents, state, doc)
+        self.judge(doc)
 
-    def _judge_document(self, agents: AgentSuite, state: PipelineState,
-                        doc: Document) -> None:
+    def judge(self, doc: Document) -> None:
         """Shared tail of result processing and the deferred drain:
         helpfulness, evidence retention, sufficiency, and the document's
         one scenario decision."""
-        judgment = agents.det_helpful(state.claim, state.evidence, doc)
+        judgment = self.agents.det_helpful(self.claim, self.evidence, doc)
         scenario, detail = "c", {}
         if judgment.helpful:
-            state.evidence, added = state.evidence.add(
+            self.evidence, added = self.evidence.add(
                 EvidenceItem(note=judgment.note, source_url=doc.meta.url))
             if not added:
                 # a source already in evidence retains nothing new: irrelevant
                 detail = {"detail": "already_evidence"}
             else:
                 # the loop and the drain judge a document only while evidence is short
-                state.sufficient = agents.sufficient_evidence(state.claim, state.evidence)
-                scenario = "a" if state.sufficient else "b"
-        state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url, scenario=scenario,
-                        **detail)
+                self.sufficient = self.agents.sufficient_evidence(self.claim, self.evidence)
+                scenario = "a" if self.sufficient else "b"
+        self.decide(doc.meta.url, scenario, **detail)
 
-    # -- end-of-run drain --------------------------------------------------
+    def decide(self, url: str, scenario: str, **detail: str) -> None:
+        self.trace.log(EventKind.SCENARIO_DECISION, url=url, scenario=scenario, **detail)
 
-    def _drain_deferred(self, agents: AgentSuite, state: PipelineState) -> None:
+    def drain_deferred(self) -> None:
         """Single FIFO pass: re-check each deferred document against the
         grown evidence set; failures are dropped, never re-deferred."""
-        for doc in state.deferred:
-            if state.sufficient:
+        for doc in self.deferred:
+            if self.sufficient:
                 break
-            if not agents.self_contained_check(state.claim, state.evidence, doc):
-                state.trace.log(EventKind.SCENARIO_DECISION, url=doc.meta.url,
-                                scenario="dropped_after_recheck")
-                continue
-            self._judge_document(agents, state, doc)
+            if self.agents.self_contained_check(self.claim, self.evidence, doc):
+                self.judge(doc)
+            else:
+                self.decide(doc.meta.url, "dropped_after_recheck")
 
 
 class _Lookahead:
-    """Every request one claim sends ahead of need, on the Verifier's pool;
-    with no pool, each call runs only when the loop asks for it.
+    """Sends, takes and logs every search and page of one claim: each search
+    as a search_call, read or (at `close`) unread, each page as a fetch.
+    On the Verifier's pool it also sends them ahead of need; with no pool,
+    each call runs only when the loop asks for it.
     - A query's k result pages are fetched as soon as its search returns,
       while the ranking and the earlier results' agent calls wait.
-    - `hint_search`, called as the loop starts on a query's last result,
-      sends the next query's search, then its pages unless the claim has
+    - As `document` hands the loop a query's last result, it sends the
+      search of the query queued next, then its pages unless the claim has
       ended by the time it returns.
     - `search` and `document` take what was sent ahead, or run the call on
       the loop's thread when it was not sent or has not started.
@@ -247,8 +223,8 @@ class _Lookahead:
 
     A claim that stops mid-query has paid for up to k-1 unread page fetches;
     one that stops on a query's last result, also for an unread search
-    (`close` returns it for the trace) and its k page fetches if it returned
-    before the claim stopped.  `close` waits for what has started but stops
+    (logged by `close`) and its k page fetches if it returned before the
+    claim stopped.  `close` waits for what has started but stops
     retries and prefetches: at worst one search try (SearchClient.TIMEOUT,
     30 s) after its rate-limit wait, which queues behind other threads'
     searches; a back-off sleep (4 s); or page fetches (PageReader.TIMEOUT,
@@ -256,43 +232,55 @@ class _Lookahead:
     """
 
     def __init__(self, pool: Optional[ThreadPoolExecutor], search: SearchClient,
-                 reader: PageReader, k: int) -> None:
+                 reader: PageReader, k: int, trace: RunTrace,
+                 queries: deque[SearchQuery]) -> None:
         self._pool = pool
         self._search = search
         self._reader = reader
         self._k = k
+        self._trace = trace
+        self._queries = queries  # the claim's queue, whose head is searched next
         self._ended = threading.Event()  # set by close(): a read-ahead stops there
         self._ahead: dict[SearchQuery, Future] = {}
         self._pages: dict[int, Future] = {}  # by id(result), of the results in use
+        self._left = 0  # of the results in use, those not yet handed to the loop
 
-    def hint_search(self, query: Optional[SearchQuery]) -> None:
-        if self._pool is not None and query is not None:
-            self._ahead[query] = self._pool.submit(self._search_and_prefetch, query)
-
-    def search(self, query: SearchQuery) -> tuple[list[SearchResultMeta], dict]:
-        """The query's results and the search_call payload of its failure."""
+    def search(self, query: SearchQuery) -> list[SearchResultMeta]:
+        """The query's results, none when its search failed."""
         results, failure, self._pages = self._run_or_take(
             self._ahead.pop(query, None), lambda: self._search_and_prefetch(query))
-        return results, failure
+        self._log_search(query, results, failure)
+        self._left = len(results)
+        return results
 
     def document(self, result: SearchResultMeta) -> Document:
-        return self._run_or_take(self._pages.pop(id(result), None),
-                                 lambda: self._reader.acquire_document(result))
+        """The result's page, or Unusable."""
+        task = self._pages.pop(id(result), None)
+        self._left -= 1
+        if self._left == 0 and self._pool is not None and self._queries:
+            self._ahead[self._queries[0]] = self._pool.submit(self._search_and_prefetch,
+                                                              self._queries[0])
+        doc = self._run_or_take(task, lambda: self._reader.acquire_document(result))
+        self._trace.log(EventKind.FETCH, url=result.url, acquisition=doc.acquisition.value)
+        return doc
 
-    def close(self) -> list[tuple[SearchQuery, list[SearchResultMeta], dict]]:
-        """Cancel what has not started and wait for the rest.  Returns each search
-        sent but not taken, as (query, results, failure), with any error in failure."""
+    def close(self) -> None:
+        """Cancel what has not started, wait for the rest, and log each search
+        sent but not taken, with any error it raised."""
         self._ended.set()
         self._settle(self._pages)
-        unread = []
         for query, task in self._ahead.items():
             if not task.cancel():
                 error = task.exception()
                 results, failure, pages = (
                     ([], {"error": str(error)}, {}) if error else task.result())
                 self._settle(pages)
-                unread.append((query, results, failure))
-        return unread
+                self._log_search(query, results, failure, unread=True)
+
+    def _log_search(self, query: SearchQuery, results: list[SearchResultMeta],
+                    failure: dict, **unread: bool) -> None:
+        self._trace.log(EventKind.SEARCH_CALL, query=query.text, k=self._k,
+                        n_results=len(results), **unread, **failure)
 
     def _search_and_prefetch(self, query: SearchQuery
                              ) -> tuple[list[SearchResultMeta], dict, dict[int, Future]]:

@@ -1,5 +1,7 @@
 import json
+import os
 from pathlib import Path
+from urllib.parse import quote
 
 import pytest
 from click.testing import CliRunner
@@ -273,8 +275,9 @@ class TestBench:
         assert sorted(p.name for p in traces.iterdir()) == ["c0.jsonl", "c1.jsonl"]
 
     @pytest.mark.parametrize("body", [b'{"claim": "x", "label": true}\n{"claim": "y", "label": tru',
-                                      b'{"claim": "caf\xe9", "label": true}'],
-                             ids=["jsonl", "latin-1"])
+                                      b'{"claim": "caf\xe9", "label": true}',
+                                      b'{"claim": null, "label": true}'],
+                             ids=["jsonl", "latin-1", "null-claim"])
     def test_undecodable_dataset_is_config_error(self, runner, tmp_path, body):
         dataset = tmp_path / "bad.jsonl"
         dataset.write_bytes(body)
@@ -310,6 +313,23 @@ class TestBench:
         assert result.exit_code == 2, result.output
         assert "repeats id 'same'" in result.output
         assert scripted_world["llm_seen"] == []
+
+    def test_trace_name_too_long_is_config_error(self, runner, scripted_world, tmp_path):
+        long_id = "\u4e8b" * 30  # 30 CJK characters: 276 bytes as a quoted file name
+        traces, out = tmp_path / "traces", tmp_path / "out"
+        traces.mkdir()
+        assert len(quote(long_id, safe="")) + len(".jsonl") > os.pathconf(traces, "PC_NAME_MAX")
+        dataset = tmp_path / "claims.jsonl"
+        dataset.write_text("\n".join(
+            json.dumps({"claim": text, "label": label, "id": claim_id})
+            for claim_id, (text, label) in zip(["ok", long_id], FIVE_CLAIMS)),
+            encoding="utf-8")
+        result = runner.invoke(main, ["bench", "factool_kbqa", str(dataset), "--mode", "record",
+                                      "--out", str(out), "--trace-dir", str(traces),
+                                      *scripted_world["flags"]])
+        assert result.exit_code == 2, result.output
+        assert f"id {long_id!r} makes a trace file name longer than" in result.output
+        assert scripted_world["llm_seen"] == [] and not out.exists()
 
     def test_missing_dataset_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "factool_kbqa", "/nonexistent.jsonl"])

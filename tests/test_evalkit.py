@@ -115,8 +115,11 @@ class TestLoaders:
         (b"3\n", "record 0 is not an object"),
         (b'{"claim": "  ", "label": true}\n', "record 0 has an empty claim"),
         (b"[" * 100_000, "invalid JSON"),
+        (b'{"claim": null, "label": true}\n', "record 0: claim None is not a string"),
+        (b'{"claim": 1998, "label": true}\n', "record 0: claim 1998 is not a string"),
+        (b'{"claim": ["a"], "label": true}\n', r"record 0: claim \['a'\] is not a string"),
     ], ids=["jsonl", "array", "latin-1", "array-of-a-number", "jsonl-number", "empty-claim",
-            "nested-too-deep"])
+            "nested-too-deep", "null-claim", "number-claim", "list-claim"])
     def test_undecodable_file_is_schema_error(self, tmp_path, body, where):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(body)

@@ -227,10 +227,10 @@ class TestDrainDeferred:
         # two results, both deferred in the loop; in the drain the first
         # becomes readable and decisive, the second is never re-evaluated.
         first, second = "https://r0.example/q1", "https://r1.example/q1"
-        in_drain = {"flag": False}
 
         def scc(claim, evidence, doc):
-            return in_drain["flag"]
+            # a page is understood on its second check only: in the drain
+            return agents.scc_urls.count(doc.meta.url) == 2
 
         def helpful(claim, evidence, doc):
             return HelpfulnessJudgment(True, "decisive")
@@ -238,14 +238,6 @@ class TestDrainDeferred:
         agents = ScriptedAgents(initial=["q1"], scc=scc, helpful=helpful,
                                 sufficient=True)
         verifier, _, _ = build(agents, world("q1", 2))
-
-        orig_drain = verifier._drain_deferred
-
-        def drain(agents_arg, state):
-            in_drain["flag"] = True
-            orig_drain(agents_arg, state)
-
-        verifier._drain_deferred = drain
         report = verifier.verify(CLAIM, BudgetConfig())
         assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
         # loop: both checked; drain: only the first re-checked
