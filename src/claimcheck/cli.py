@@ -78,8 +78,15 @@ def _config_error(message: str) -> int:
     return 2
 
 
-def _trace_name(labeled: evalkit.LabeledClaim) -> str:
-    return f"{quote(labeled.claim.id, safe='')}.jsonl"
+def _trace_file(path: Path, what: str) -> Path:
+    """``path``, its directory made, once its name fits that directory: a name
+    the file system refuses would fail the write after every paid call."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    name_max = os.pathconf(path.parent, "PC_NAME_MAX")
+    if len(os.fsencode(path.name)) > name_max:
+        raise SystemExit(_config_error(
+            f"{what} makes a trace file name longer than {name_max} bytes"))
+    return path
 
 
 @click.group()
@@ -97,9 +104,7 @@ def cmd_verify(claim_text, trace_path, **options) -> None:
     if not claim_text.strip():
         raise click.UsageError("claim text must be non-empty")
     verifier, config, ablations = _build(**options)
-    if trace_path:
-        # before the run, which a missing directory would otherwise waste
-        Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
+    trace_file = _trace_file(Path(trace_path), f"--trace {trace_path!r}") if trace_path else None
     try:
         result = verifier.verify(Claim(text=claim_text), config, ablations)
     except GatewayFatal as exc:
@@ -112,8 +117,8 @@ def cmd_verify(claim_text, trace_path, **options) -> None:
             click.echo(f"  {i}. {item.note} (source: {item.source_url})")
     else:
         click.echo("evidence: none collected")
-    if trace_path:
-        result.trace.write(trace_path)
+    if trace_file:
+        result.trace.write(trace_file)
         click.echo(f"trace written to {trace_path}")
 
 
@@ -142,15 +147,10 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
     if limit is not None:
         claims = claims[:limit]
     verifier, config, ablations = _build(**options)
-    if trace_dir:
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
-        name_max = os.pathconf(trace_dir, "PC_NAME_MAX")
-        for labeled in claims:
-            # a name the file system refuses would end the run midway; quoted, it is ASCII
-            if len(_trace_name(labeled)) > name_max:
-                raise SystemExit(_config_error(
-                    f"id {labeled.claim.id!r} makes a trace file name longer than "
-                    f"{name_max} bytes"))
+    # by claim id, every name checked before the first claim runs
+    trace_files = {} if not trace_dir else {
+        c.claim.id: _trace_file(Path(trace_dir) / f"{quote(c.claim.id, safe='')}.jsonl",
+                                f"id {c.claim.id!r}") for c in claims}
 
     def run_one(labeled):
         try:
@@ -182,7 +182,7 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
                 preds.append(outcome.verdict)
                 golds.append(labeled.gold)
                 if trace_dir:
-                    outcome.trace.write(Path(trace_dir) / _trace_name(labeled))
+                    outcome.trace.write(trace_files[labeled.claim.id])
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
             fh.flush()
 

@@ -12,9 +12,9 @@ Loader input formats (JSON array or JSONL, one object per record):
   "Unknown"}``.  Unknown records are dropped; each class is subsampled to
   a configured count with a seeded sampler.
 
-Records may carry an optional ``"id"`` field; otherwise ids are assigned
-from the record position.  Ids must be unique.  A leading UTF-8 byte-order
-mark is ignored.
+Records may carry an optional ``"id"`` field, a string or an integer;
+otherwise ids are assigned from the record position.  Ids must be unique.
+A leading UTF-8 byte-order mark is ignored.
 """
 from __future__ import annotations
 
@@ -67,7 +67,8 @@ class LabeledClaim:
 def _decode(text: str, where: str) -> object:
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # ValueError: not JSON, or an integer over 4300 digits; RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{where}: invalid JSON: {exc}") from None
 
 
@@ -113,7 +114,10 @@ def load_dataset(kind: DatasetKind, path: str | Path, seed: int = 0) -> list[Lab
 
     for i, rec in enumerate(records):
         # the id names the claim's trace file and prediction row
-        claim_id = str(rec.get("id", f"{kind.value}-{i:04d}"))
+        claim_id = rec.get("id", f"{kind.value}-{i:04d}")
+        if isinstance(claim_id, bool) or not isinstance(claim_id, (str, int)):  # bool is an int
+            raise SchemaError(f"record {i}: id {claim_id!r} is not a string or an integer")
+        claim_id = str(claim_id)
         if claim_id in ids:
             raise SchemaError(f"record {i} repeats id {claim_id!r}")
         ids.add(claim_id)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import pytest
 
 from claimcheck.agents import HelpfulnessJudgment
-from claimcheck.llm import ChatRequest, ChatResponse
+from claimcheck.llm import ChatRequest, ChatResponse, LlmGateway
 from claimcheck.model import (
     Acquisition,
     Claim,
@@ -22,7 +22,9 @@ from claimcheck.model import (
     SearchResultMeta,
     Verdict,
 )
-from claimcheck.pages import Unusable
+from claimcheck.pages import PageReader, Unusable
+from claimcheck.pipeline import Verifier
+from claimcheck.websearch import SearchClient
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +254,22 @@ def scripted_llm_app(rules: list[tuple[str, str | Callable[[list], str]]],
         return openai_reply("I cannot help with that.")
 
     return app
+
+
+def stub_verifier(http_stub, tmp_path, mode, rules, pages, search_app):
+    """The pipeline as the CLI builds it for `mode`, over stub LLM and
+    search servers (in replay, the fixtures of an earlier record run).
+    `rules` are scripted_llm_app's, or the LLM stub app itself."""
+    fixtures = tmp_path / "fixtures"
+    stored = mode != "live"
+    llm_app = rules if callable(rules) else scripted_llm_app(rules)
+    gateway = LlmGateway(mode=mode, base_url=http_stub(llm_app), api_key="k",
+                         fixture_dir=str(fixtures / "llm") if stored else None)
+    search = SearchClient(mode=mode, endpoint=http_stub(search_app), api_key="k",
+                          fixture_dir=str(fixtures / "search") if stored else None,
+                          requests_per_second=0)
+    return Verifier(gateway=gateway, search=search, reader=PageReader(http_get=pages),
+                    clock=lambda: 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,15 @@ class TestVerify:
                      "--trace", str(trace_path), *scripted_world["flags"]])
         assert trace_path.read_text().splitlines()[-1].startswith('{"kind": "verdict"')
 
+    def test_trace_name_too_long_is_config_error(self, runner, scripted_world, tmp_path):
+        name = "t" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".jsonl") + 1) + ".jsonl"
+        trace_path = str(tmp_path / name)
+        result = runner.invoke(main, ["verify", "water boils at 100 C", "--mode", "record",
+                                      "--trace", trace_path, *scripted_world["flags"]])
+        assert result.exit_code == 2, result.output
+        assert f"--trace {trace_path!r} makes a trace file name longer than" in result.output
+        assert scripted_world["llm_seen"] == []
+
     def test_trace_file_ends_with_verdict(self, runner, scripted_world, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         run(runner, ["verify", "water boils at 100 C", "--mode", "record",
@@ -276,8 +285,9 @@ class TestBench:
 
     @pytest.mark.parametrize("body", [b'{"claim": "x", "label": true}\n{"claim": "y", "label": tru',
                                       b'{"claim": "caf\xe9", "label": true}',
-                                      b'{"claim": null, "label": true}'],
-                             ids=["jsonl", "latin-1", "null-claim"])
+                                      b'{"claim": null, "label": true}',
+                                      b'{"claim": "x", "label": true, "id": null}'],
+                             ids=["jsonl", "latin-1", "null-claim", "null-id"])
     def test_undecodable_dataset_is_config_error(self, runner, tmp_path, body):
         dataset = tmp_path / "bad.jsonl"
         dataset.write_bytes(body)

@@ -115,11 +115,21 @@ class TestLoaders:
         (b"3\n", "record 0 is not an object"),
         (b'{"claim": "  ", "label": true}\n', "record 0 has an empty claim"),
         (b"[" * 100_000, "invalid JSON"),
+        (b'{"claim": "x", "label": true, "id": ' + b"1" * 5000 + b"}\n", "invalid JSON"),
         (b'{"claim": null, "label": true}\n', "record 0: claim None is not a string"),
         (b'{"claim": 1998, "label": true}\n', "record 0: claim 1998 is not a string"),
         (b'{"claim": ["a"], "label": true}\n', r"record 0: claim \['a'\] is not a string"),
+        (b'{"claim": "x", "label": true, "id": null}\n',
+         "record 0: id None is not a string or an integer"),
+        (b'{"claim": "x", "label": true, "id": true}\n',
+         "record 0: id True is not a string or an integer"),
+        (b'{"claim": "x", "label": true, "id": 1.5}\n',
+         "record 0: id 1.5 is not a string or an integer"),
+        (b'{"claim": "x", "label": true, "id": ["a"]}\n',
+         r"record 0: id \['a'\] is not a string or an integer"),
     ], ids=["jsonl", "array", "latin-1", "array-of-a-number", "jsonl-number", "empty-claim",
-            "nested-too-deep", "null-claim", "number-claim", "list-claim"])
+            "nested-too-deep", "huge-integer", "null-claim", "number-claim", "list-claim",
+            "null-id", "bool-id", "float-id", "list-id"])
     def test_undecodable_file_is_schema_error(self, tmp_path, body, where):
         path = tmp_path / "bad.jsonl"
         path.write_bytes(body)
@@ -164,6 +174,12 @@ class TestLoaders:
         write_jsonl(path, records)
         with pytest.raises(SchemaError, match="repeats id"):
             load_dataset(DatasetKind.FACTOOL_KBQA, path)
+
+    def test_integer_id_loads_as_its_digits(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        write_jsonl(path, [{"claim": "a", "label": True, "id": 7},
+                           {"claim": "b", "label": False, "id": "x"}])
+        assert [c.claim.id for c in load_dataset(DatasetKind.FACTOOL_KBQA, path)] == ["7", "x"]
 
 
 class TestConfusion:

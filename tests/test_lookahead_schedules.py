@@ -6,26 +6,39 @@ a `ManualExecutor`, whose queued tasks run on the calling thread only when
 an agent call's turn in the drawn schedule comes.  Both runs must log the
 same trace but for unread searches, make the same agent calls and send
 their searches in the same order; the second must leave no task pending.
-The same draws check the loop's own contract.  A task that is running while
-`close` waits for it is not modelled here: the threaded tests in
-test_pipeline.py cover that case."""
+The same draws check the loop's own contract.  A second property runs
+worlds of the same strategy through AgentSuite, LlmGateway and SearchClient
+on the HTTP stubs, where both runs must also send the same chat-completion
+requests.  A task that is running while `close` waits for it is not
+modelled here: the threaded tests in test_pipeline.py cover that case."""
 from __future__ import annotations
 
 import itertools
+import json
+import re
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from claimcheck.agents import HelpfulnessJudgment
 from claimcheck.model import BudgetConfig, Claim, Document, EvidenceSet, SearchQuery
 from claimcheck.pipeline import Ablation, Verifier
+from claimcheck.replaystore import TransportError
 from claimcheck.trace import EventKind
 
-from conftest import FakeReader, FakeSearch, ScriptedAgents, make_result
+from conftest import (
+    FakeReader,
+    FakeSearch,
+    ScriptedAgents,
+    make_result,
+    scripted_llm_app,
+    stub_verifier,
+)
 
 CLAIM = Claim(text="X was founded in 1998")
 QUERIES = ["q0", "q1", "q2", "q3", "q4"]
@@ -218,3 +231,103 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
     # and one ranking; per result at most two checks, one helpfulness and one
     # sufficiency call
     assert len(calls) <= 2 + 2 * budget + 4 * budget * k
+
+
+# ---------------------------------------------------------------------------
+# the same worlds through AgentSuite, LlmGateway and SearchClient on the stubs
+
+
+class StubWorld:
+    """The LLM and search stub apps and the page reader's http_get for the
+    current `world`.  Each page and snippet names its URL as `[doc URL]`, and
+    the LLM replies as `World.agents` would, from the document and the
+    evidence notes that the prompt shows it."""
+
+    DOC, NOTE = re.compile(r"\[doc (\S+)\]"), re.compile(r"note from (\S+)")
+
+    def __init__(self) -> None:
+        self.world: World | None = None
+        self.llm_bodies: list[dict] = []
+
+    def llm_app(self):
+        return scripted_llm_app([
+            ("list of new web search queries", lambda m: self.numbered(self.world.additional)),
+            ("numbered list of web search queries", lambda m: self.numbered(self.world.initial)),
+            ("Sort the results", self.rank),
+            ("Is the document comprehensible", self.comprehensible),
+            ("adds helpful new information", self.helpful),
+            ("Is this evidence sufficient", self.sufficient),
+            ("Is the claim true or false", lambda m: "True"),
+        ], seen=self.llm_bodies)
+
+    @staticmethod
+    def numbered(texts: list[str]) -> str:
+        return "\n".join(f"{i}. {text}" for i, text in enumerate(texts, 1)) or "none"
+
+    def rank(self, messages) -> str:
+        order = list(range(1, len(re.findall(r"(?m)^\d+\. ", messages[-1]["content"])) + 1))
+        return str(order[::-1] if self.world.reverse else order)
+
+    def comprehensible(self, messages) -> str:
+        user = messages[-1]["content"]
+        answer = self.world.comprehensible[self.DOC.search(user)[1]]
+        return "YES" if answer == "yes" or (answer == "with evidence"
+                                            and self.NOTE.search(user)) else "NO"
+
+    def helpful(self, messages) -> str:
+        url = self.DOC.search(messages[-1]["content"])[1]
+        return f"HELPFUL: note from {url}" if url in self.world.helpful else "NOT HELPFUL"
+
+    def sufficient(self, messages) -> str:
+        notes = self.NOTE.findall(messages[-1]["content"])
+        return ("YES" if len(notes) >= self.world.enough or self.world.decisive in notes
+                else "NO")
+
+    def search_app(self, method, path, body, headers):
+        organic = [{"title": f"[doc {url}]", "link": url,
+                    "snippet": "" if url in self.world.unusable else f"about [doc {url}]"}
+                   for url in self.world.results.get(json.loads(body)["q"], [])]
+        return 200, {}, json.dumps({"organic": organic}).encode()
+
+    def http_get(self, url: str) -> tuple[str, str]:
+        if url in self.world.unusable:
+            raise TransportError(f"HTTP 404 for {url}")
+        return f"<p>[doc {url}] A page about the claim, long enough to keep.</p>", "text/html"
+
+
+@pytest.fixture
+def stub_world(http_stub, tmp_path):
+    world = StubWorld()
+    return world, stub_verifier(http_stub, tmp_path, "live", world.llm_app(),
+                                world.http_get, world.search_app)
+
+
+def verify_on_stubs(stub_world, world: World, executor: ManualExecutor | None = None,
+                    schedule=()):
+    """The claim's report and the chat-completion request bodies its agents sent."""
+    stubs, live = stub_world
+    stubs.world = world
+    stubs.llm_bodies.clear()
+    verifier = Verifier(agent_factory=lambda config, trace: ScheduledAgents(
+        live._agent_factory(config, trace), executor, list(schedule)),
+        search=live.search, reader=live.reader, clock=lambda: 0.0)
+    verifier._prefetch_pool = executor
+    return verifier.verify(CLAIM, world.config, world.ablations), list(stubs.llm_bodies)
+
+
+def read_jsonl(report) -> list[str]:
+    return [line for line in report.trace.to_jsonl(normalize_timestamps=True).splitlines()
+            if not json.loads(line)["payload"].get("unread")]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # stubs read `world`
+@given(world=worlds(), schedule=st.lists(st.integers(0, 3), min_size=1, max_size=8))
+def test_every_schedule_sends_the_sequential_loops_prompts(stub_world, world, schedule):
+    report, prompts = verify_on_stubs(stub_world, world)
+    executor = ManualExecutor()
+    ahead, ahead_prompts = verify_on_stubs(stub_world, world, executor, schedule)
+
+    assert read_jsonl(ahead) == read_jsonl(report)
+    assert ahead_prompts == prompts
+    assert all(future.done() for future in executor.futures)

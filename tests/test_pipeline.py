@@ -16,7 +16,6 @@ from claimcheck.agents import (
 )
 from claimcheck.llm import LlmGateway
 from claimcheck.model import BudgetConfig, Claim, Verdict
-from claimcheck.pages import PageReader
 from claimcheck.pipeline import Ablation, TerminationReason, Verifier
 from claimcheck.replaystore import TransportError
 from claimcheck.trace import EventKind
@@ -31,6 +30,7 @@ from conftest import (
     scripted_llm_app,
     serper_stub_app,
     standard_llm_rules,
+    stub_verifier,
 )
 
 CLAIM = Claim(text="X was founded in 1998")
@@ -562,22 +562,6 @@ class Pages:
 
     def urls(self) -> list[str]:
         return [url for url, _ in self.fetches]
-
-
-def stub_verifier(http_stub, tmp_path, mode, rules, pages, search_app):
-    """The pipeline as the CLI builds it for `mode`, over stub LLM and
-    search servers (in replay, the fixtures of an earlier record run).
-    `rules` are scripted_llm_app's, or the LLM stub app itself."""
-    fixtures = tmp_path / "fixtures"
-    stored = mode != "live"
-    llm_app = rules if callable(rules) else scripted_llm_app(rules)
-    gateway = LlmGateway(mode=mode, base_url=http_stub(llm_app), api_key="k",
-                         fixture_dir=str(fixtures / "llm") if stored else None)
-    search = SearchClient(mode=mode, endpoint=http_stub(search_app), api_key="k",
-                          fixture_dir=str(fixtures / "search") if stored else None,
-                          requests_per_second=0)
-    return Verifier(gateway=gateway, search=search, reader=PageReader(http_get=pages),
-                    clock=lambda: 0.0)
 
 
 def fetched_events(report) -> list[str]:
