@@ -15,7 +15,7 @@ from urllib.parse import quote
 import click
 
 from . import evalkit
-from .model import BudgetConfig, Claim
+from .model import BudgetConfig, Claim, Verdict
 from .pipeline import Ablation, GatewayFatal, Verifier, build_verifier
 
 log = logging.getLogger(__name__)
@@ -81,8 +81,11 @@ def _config_error(message: str) -> int:
 def _trace_file(path: Path, what: str) -> Path:
     """``path``, its directory made, once its name fits that directory: a name
     the file system refuses would fail the write after every paid call."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    name_max = os.pathconf(path.parent, "PC_NAME_MAX")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        name_max = os.pathconf(path.parent, "PC_NAME_MAX")
+    except OSError as exc:
+        raise SystemExit(_config_error(f"cannot write a trace to {str(path)!r}: {exc}"))
     if len(os.fsencode(path.name)) > name_max:
         raise SystemExit(_config_error(
             f"{what} makes a trace file name longer than {name_max} bytes"))
@@ -153,50 +156,48 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
                                 f"id {c.claim.id!r}") for c in claims}
 
     def run_one(labeled):
+        row = {"id": labeled.claim.id, "gold": labeled.gold.value,
+               "predicted": None, "terminated_by": None}
         try:
             outcome = verifier.verify(labeled.claim, config, ablations)
-            return labeled, outcome, None
         except GatewayFatal as exc:
-            return labeled, None, str(exc)
+            return {**row, "error": str(exc)}, None
         except Exception as exc:  # one failed claim must not lose the others' rows
             log.exception("claim %s failed", labeled.claim.id)
-            return labeled, None, f"{type(exc).__name__}: {exc}"
+            return {**row, "error": f"{type(exc).__name__}: {exc}"}, None
+        row.update(predicted=outcome.verdict.value, terminated_by=outcome.terminated_by.value)
+        return row, outcome.trace
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    preds, golds = [], []
-    errored = 0
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        predictions = (out / "predictions.jsonl").open("w", encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(_config_error(f"cannot write to --out {out_dir!r}: {exc}"))
+    rows = []
     # rows go out in dataset order as claims finish: a run that dies keeps the earlier ones
-    with (out / "predictions.jsonl").open("w", encoding="utf-8") as fh, \
-            ThreadPoolExecutor(max_workers=concurrency) as pool:
-        for labeled, outcome, error in pool.map(run_one, claims):
-            row = {"id": labeled.claim.id, "gold": labeled.gold.value}
-            if error is not None:
-                errored += 1
-                row.update({"predicted": None, "terminated_by": None, "error": error})
-            else:
-                row.update({
-                    "predicted": outcome.verdict.value,
-                    "terminated_by": outcome.terminated_by.value,
-                })
-                preds.append(outcome.verdict)
-                golds.append(labeled.gold)
-                if trace_dir:
-                    outcome.trace.write(trace_files[labeled.claim.id])
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-            fh.flush()
+    with predictions, ThreadPoolExecutor(max_workers=concurrency) as pool:
+        for row, trace in pool.map(run_one, claims):
+            if trace is not None and trace_dir:
+                trace.write(trace_files[row["id"]])
+            predictions.write(json.dumps(row, ensure_ascii=False) + "\n")
+            predictions.flush()
+            rows.append(row)
 
+    scored = [row for row in rows if "error" not in row]
+    errored = len(rows) - len(scored)
     if errored:
         click.echo(f"{errored} of {len(claims)} claims errored and were "
                    f"excluded from metrics", err=True)
-    if not preds:
+    if not scored:
         raise SystemExit(_config_error("no claims completed; nothing to score"))
 
-    rep = evalkit.report(evalkit.confusion(preds, golds))
+    rep = evalkit.report(evalkit.confusion([Verdict(row["predicted"]) for row in scored],
+                                           [Verdict(row["gold"]) for row in scored]))
     metrics = {
         "dataset": kind.value,
         "n_claims": len(claims),
-        "n_scored": len(preds),
+        "n_scored": len(scored),
         "n_errors": errored,
         "ablations": sorted(a.value for a in ablations),
         **rep.to_dict(),

@@ -241,25 +241,23 @@ class _Lookahead:
         self._trace = trace
         self._queries = queries  # the claim's queue, whose head is searched next
         self._ended = threading.Event()  # set by close(): a read-ahead stops there
-        self._ahead: dict[SearchQuery, Future] = {}
-        self._pages: dict[int, Future] = {}  # by id(result), of the results in use
-        self._left = 0  # of the results in use, those not yet handed to the loop
+        self._ahead: Optional[Future] = None  # the search of the queue's head
+        # by id(result), every result not yet handed to the loop: its page sent ahead, or None
+        self._pages: dict[int, Optional[Future]] = {}
 
     def search(self, query: SearchQuery) -> list[SearchResultMeta]:
         """The query's results, none when its search failed."""
+        task, self._ahead = self._ahead, None
         results, failure, self._pages = self._run_or_take(
-            self._ahead.pop(query, None), lambda: self._search_and_prefetch(query))
+            task, lambda: self._search_and_prefetch(query))
         self._log_search(query, results, failure)
-        self._left = len(results)
         return results
 
     def document(self, result: SearchResultMeta) -> Document:
         """The result's page, or Unusable."""
         task = self._pages.pop(id(result), None)
-        self._left -= 1
-        if self._left == 0 and self._pool is not None and self._queries:
-            self._ahead[self._queries[0]] = self._pool.submit(self._search_and_prefetch,
-                                                              self._queries[0])
+        if not self._pages and self._pool is not None and self._queries:
+            self._ahead = self._pool.submit(self._search_and_prefetch, self._queries[0])
         doc = self._run_or_take(task, lambda: self._reader.acquire_document(result))
         self._trace.log(EventKind.FETCH, url=result.url, acquisition=doc.acquisition.value)
         return doc
@@ -269,13 +267,12 @@ class _Lookahead:
         sent but not taken, with any error it raised."""
         self._ended.set()
         self._settle(self._pages)
-        for query, task in self._ahead.items():
-            if not task.cancel():
-                error = task.exception()
-                results, failure, pages = (
-                    ([], {"error": str(error)}, {}) if error else task.result())
-                self._settle(pages)
-                self._log_search(query, results, failure, unread=True)
+        if self._ahead is not None and not self._ahead.cancel():
+            error = self._ahead.exception()
+            results, failure, pages = (
+                ([], {"error": str(error)}, {}) if error else self._ahead.result())
+            self._settle(pages)
+            self._log_search(self._queries[0], results, failure, unread=True)
 
     def _log_search(self, query: SearchQuery, results: list[SearchResultMeta],
                     failure: dict, **unread: bool) -> None:
@@ -283,7 +280,7 @@ class _Lookahead:
                         n_results=len(results), **unread, **failure)
 
     def _search_and_prefetch(self, query: SearchQuery
-                             ) -> tuple[list[SearchResultMeta], dict, dict[int, Future]]:
+                             ) -> tuple[list[SearchResultMeta], dict, dict[int, Optional[Future]]]:
         failure = {}
         try:
             results = self._search.search(query, self._k, self._ended)
@@ -291,18 +288,18 @@ class _Lookahead:
             raise  # every later search would be refused too
         except TransportError as exc:
             results, failure = [], {"error": str(exc)}
-        pages = {} if self._pool is None or self._ended.is_set() else {
-            id(result): self._pool.submit(self._reader.acquire_document, result)
+        ahead = self._pool is not None and not self._ended.is_set()
+        return results, failure, {
+            id(result): self._pool.submit(self._reader.acquire_document, result) if ahead else None
             for result in results}
-        return results, failure, pages
 
     @staticmethod
     def _run_or_take(task: Optional[Future], run: Callable[[], T]) -> T:
         return run() if task is None or task.cancel() else task.result()
 
     @staticmethod
-    def _settle(tasks: dict[int, Future]) -> None:
-        wait([f for f in tasks.values() if not f.cancel()])
+    def _settle(tasks: dict[int, Optional[Future]]) -> None:
+        wait([f for f in tasks.values() if f is not None and not f.cancel()])
 
 
 def build_verifier(mode: str, fixtures: Optional[str | Path] = None, *,

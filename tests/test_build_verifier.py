@@ -1,11 +1,12 @@
 """pipeline.build_verifier: the one place in the package that wires the LLM
 gateway, the search client and the page reader, in every mode."""
 import ast
+import threading
 from pathlib import Path
 
 import pytest
 
-from claimcheck.model import BudgetConfig, Claim
+from claimcheck.model import BudgetConfig, Claim, Verdict
 from claimcheck.pipeline import build_verifier
 from claimcheck.trace import EventKind, RunTrace
 from claimcheck.websearch import DEFAULT_ENDPOINT
@@ -62,6 +63,33 @@ def test_each_client_backs_off_on_its_own_sleep(http_stub, busy):
     assert [s["query"] for s in searches] == ["query one", "query two"]
     assert all(s["n_results"] == 1 and "error" not in s for s in searches)
     assert sleeps == {"llm": [], "search": [], busy: [1.0]}
+
+
+def test_record_and_replay_start_no_thread(http_stub, tmp_path, monkeypatch):
+    """With no prefetch pool a record or replay claim runs on the caller's
+    thread alone: a thread it started could still use CPU after it returns.
+    A live claim, whose pool does start threads, shows the check works."""
+    llm = http_stub(scripted_llm_app(standard_llm_rules(n_results=2)))
+    search = http_stub(serper_stub_app(n_results=2))
+    caller = threading.get_ident()
+    start = threading.Thread.start
+
+    def refuse_on_the_caller(thread):
+        if threading.get_ident() == caller:  # the stub servers' threads may start threads
+            raise AssertionError(f"thread {thread.name} started")
+        start(thread)
+
+    claim = Claim(text="Paris is the capital of France")
+    for mode in ("record", "replay", "live"):
+        verifier = build_verifier(mode, tmp_path / "fx", llm_base_url=llm,
+                                  search_endpoint=search, search_rps=0)
+        with monkeypatch.context() as patched:
+            patched.setattr(threading.Thread, "start", refuse_on_the_caller)
+            if mode == "live":
+                with pytest.raises(AssertionError, match="claimcheck-prefetch"):
+                    verifier.verify(claim)
+            else:
+                assert verifier.verify(claim).verdict is Verdict.TRUE
 
 
 def constructions() -> set[tuple[str, str]]:

@@ -6,7 +6,9 @@ from urllib.parse import quote
 import pytest
 from click.testing import CliRunner
 
+from claimcheck import evalkit
 from claimcheck.cli import main
+from claimcheck.model import Verdict
 from claimcheck.pipeline import Verifier
 
 from conftest import scripted_llm_app, serper_stub_app, standard_llm_rules
@@ -166,6 +168,15 @@ class TestVerify:
         assert f"--trace {trace_path!r} makes a trace file name longer than" in result.output
         assert scripted_world["llm_seen"] == []
 
+    def test_trace_under_a_regular_file_is_config_error(self, runner, scripted_world, tmp_path):
+        (tmp_path / "afile").write_text("")
+        trace_path = str(tmp_path / "afile" / "t.jsonl")
+        result = runner.invoke(main, ["verify", "water boils at 100 C", "--mode", "record",
+                                      "--trace", trace_path, *scripted_world["flags"]])
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: cannot write a trace to {trace_path!r}" in result.output
+        assert scripted_world["llm_seen"] == []
+
     def test_trace_file_ends_with_verdict(self, runner, scripted_world, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         run(runner, ["verify", "water boils at 100 C", "--mode", "record",
@@ -258,6 +269,12 @@ class TestBench:
             "RuntimeError: claim blew up"]
         metrics = json.loads((out / "metrics.json").read_text())
         assert (metrics["n_claims"], metrics["n_errors"]) == (n_claims, 1)
+        # the metrics are the error-free rows' alone, recomputable from the file
+        scored = [row for row in rows if "error" not in row]
+        rep = evalkit.report(evalkit.confusion([Verdict(row["predicted"]) for row in scored],
+                                               [Verdict(row["gold"]) for row in scored]))
+        assert metrics == {**metrics, "n_scored": len(scored), "n_errors": len(rows) - len(scored),
+                           **json.loads(json.dumps(rep.to_dict()))}
 
     def test_rows_and_traces_are_written_as_claims_finish(self, runner, scripted_world,
                                                           tmp_path, monkeypatch):
@@ -341,6 +358,24 @@ class TestBench:
         assert f"id {long_id!r} makes a trace file name longer than" in result.output
         assert scripted_world["llm_seen"] == [] and not out.exists()
 
+    @pytest.mark.parametrize("option, path, message", [
+        ("--trace-dir", "afile/sub", "cannot write a trace to"),
+        ("--out", "afile/out", "cannot write to --out"),
+        ("--out", "o", "cannot write to --out"),  # o/predictions.jsonl is a directory
+    ], ids=["trace-dir-under-a-file", "out-under-a-file", "predictions-is-a-directory"])
+    def test_unusable_output_path_is_config_error(self, runner, scripted_world, tmp_path,
+                                                  option, path, message):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "o" / "predictions.jsonl").mkdir(parents=True)
+        paths = {"--out": str(tmp_path / "out"), option: str(tmp_path / path)}
+        result = runner.invoke(main, ["bench", "factool_kbqa",
+                                      str(factool_file(tmp_path, FIVE_CLAIMS[:2])),
+                                      "--mode", "record", *(x for kv in paths.items() for x in kv),
+                                      *scripted_world["flags"]])
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: {message}" in result.output
+        assert scripted_world["llm_seen"] == []
+
     def test_missing_dataset_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["bench", "factool_kbqa", "/nonexistent.jsonl"])
         assert result.exit_code == 1
@@ -420,3 +455,50 @@ class TestBudgetOptions:
         assert isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{option}'" in result.output
         assert not (tmp_path / "out").exists()
+
+
+COMMON_SURFACE = {
+    "model": (["--model"], "gpt-4.1", None),
+    "temperature": (["--temperature"], 1.0, None),
+    "max_queries": (["--max-queries"], 4, None),
+    "max_results": (["--max-results"], 2, None),
+    "mode": (["--mode"], "live", None),
+    "fixtures": (["--fixtures"], None, None),
+    "ablations": (["--ablate"], None, None),
+    "llm_base_url": (["--llm-base-url"], None, "CLAIMCHECK_LLM_BASE_URL"),
+    "llm_api_key": (["--llm-api-key"], None, "CLAIMCHECK_LLM_API_KEY"),
+    "search_endpoint": (["--search-endpoint"], None, "CLAIMCHECK_SEARCH_ENDPOINT"),
+    "search_api_key": (["--search-api-key"], None, "CLAIMCHECK_SEARCH_API_KEY"),
+}
+
+
+class TestSettableSurface:
+    """Each parameter's names, default and environment variable, read from the
+    click commands: a new or changed knob shows up here as a test edit."""
+
+    @staticmethod
+    def surface(command):
+        return {info["name"]: (info["opts"], info["default"], info["envvar"])
+                for info in (param.to_info_dict() for param in command.params)}
+
+    def test_the_commands(self):
+        assert sorted(main.commands) == ["bench", "verify"]
+
+    def test_verify(self):
+        assert self.surface(main.commands["verify"]) == {
+            "claim_text": (["claim_text"], None, None),
+            **COMMON_SURFACE,
+            "trace_path": (["--trace"], None, None),
+        }
+
+    def test_bench(self):
+        assert self.surface(main.commands["bench"]) == {
+            "dataset_kind": (["dataset_kind"], None, None),
+            "dataset_path": (["dataset_path"], None, None),
+            **COMMON_SURFACE,
+            "seed": (["--seed"], 0, None),
+            "limit": (["--limit"], None, None),
+            "concurrency": (["--concurrency"], 4, None),
+            "out_dir": (["--out"], "bench-out", None),
+            "trace_dir": (["--trace-dir"], None, None),
+        }
