@@ -334,7 +334,7 @@ class PageReader:
         """RobotFileParser.read() with a timeout and lenient decoding: 2xx is
         parsed, 401/403 disallow all, other 4xx, network errors and a body
         over MAX_BYTES (read no further) allow all; anything else leaves the
-        parser unread, so can_fetch is False."""
+        parser with nothing read, so can_fetch is False."""
         parser = urllib.robotparser.RobotFileParser()
         try:
             with open_url("GET", robots_url, {}, timeout=self.TIMEOUT) as resp:

@@ -8,14 +8,13 @@ the evidence set may have grown).
 """
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional
 
 from .agents import AgentSuite, load_prompts
 from .llm import LlmGateway
@@ -33,9 +32,6 @@ from .pages import PageReader, Unusable
 from .replaystore import AuthRejected, StorageError, TransportError
 from .trace import EventKind, RunTrace
 from .websearch import DEFAULT_ENDPOINT, SearchClient
-
-
-T = TypeVar("T")
 
 
 class Ablation(Enum):
@@ -64,8 +60,8 @@ class VerdictReport:
 class Verifier:
     """Wires agents, search, and page reading into the verification loop.
     With a live gateway it keeps a thread pool on which each claim's
-    `_Lookahead` fetches ahead of need; that docstring says when and at
-    what cost."""
+    `_Lookahead` fetches a query's result pages ahead of need; that
+    docstring says when and at what cost."""
 
     def __init__(
         self,
@@ -100,7 +96,7 @@ class Verifier:
 class _ClaimRun:
     """One claim's loop: its budget, agents and lookahead, and the decisions
     made so far.  Each query is queued once, case-insensitively, and only while
-    the budget has room: the queue's head is always the query searched next."""
+    the budget has room."""
 
     def __init__(self, verifier: Verifier, claim: Claim, config: BudgetConfig,
                  ablations: frozenset[Ablation]) -> None:
@@ -115,7 +111,7 @@ class _ClaimRun:
         self.queries: deque[SearchQuery] = deque()
         self.queued: set[str] = set()  # lower-cased texts of every query queued
         self.lookahead = _Lookahead(verifier._prefetch_pool, verifier.search, verifier.reader,
-                                    config.max_results_per_query, self.trace, self.queries)
+                                    config.max_results_per_query, self.trace)
 
     def report(self) -> VerdictReport:
         try:
@@ -209,97 +205,54 @@ class _ClaimRun:
 
 class _Lookahead:
     """Sends, takes and logs every search and page of one claim: each search
-    as a search_call, read or (at `close`) unread, each page as a fetch.
-    On the Verifier's pool it also sends them ahead of need; with no pool,
-    each call runs only when the loop asks for it.
-    - A query's k result pages are fetched as soon as its search returns,
-      while the ranking and the earlier results' agent calls wait.
-    - As `document` hands the loop a query's last result, it sends the
-      search of the query queued next, then its pages unless the claim has
-      ended by the time it returns.
-    - `search` and `document` take what was sent ahead, or run the call on
-      the loop's thread when it was not sent or has not started.
-    Reads stay in order: the trace is a sequential run's but for unread searches.
+    as a search_call, each page as a fetch.  A search runs on the loop's
+    thread when the loop reaches its query.  On the Verifier's pool, the
+    query's k result pages are then fetched at once, while the ranking and
+    the earlier results' agent calls wait; `document` takes a page sent
+    ahead, or fetches it on the loop's thread when it has not started.
+    With no pool, each page is fetched only when the loop reads it.  Reads
+    stay in order: the trace is a sequential run's.
 
-    A claim that stops mid-query has paid for up to k-1 unread page fetches;
-    one that stops on a query's last result, also for an unread search
-    (logged by `close`) and its k page fetches if it returned before the
-    claim stopped.  `close` waits for what has started but stops
-    retries and prefetches: at worst one search try (SearchClient.TIMEOUT,
-    30 s) after its rate-limit wait, which queues behind other threads'
-    searches; a back-off sleep (4 s); or page fetches (PageReader.TIMEOUT,
-    15 s, in parallel).  RecordedClient has the rest of the per-try policy.
-    """
+    A claim that stops mid-query has paid for up to k-1 page fetches it
+    never reads.  `close` cancels those not started and waits for the
+    rest: at worst PageReader.TIMEOUT (15 s), in parallel."""
 
     def __init__(self, pool: Optional[ThreadPoolExecutor], search: SearchClient,
-                 reader: PageReader, k: int, trace: RunTrace,
-                 queries: deque[SearchQuery]) -> None:
+                 reader: PageReader, k: int, trace: RunTrace) -> None:
         self._pool = pool
         self._search = search
         self._reader = reader
         self._k = k
         self._trace = trace
-        self._queries = queries  # the claim's queue, whose head is searched next
-        self._ended = threading.Event()  # set by close(): a read-ahead stops there
-        self._ahead: Optional[Future] = None  # the search of the queue's head
-        # by id(result), every result not yet handed to the loop: its page sent ahead, or None
-        self._pages: dict[int, Optional[Future]] = {}
+        self._pages: dict[int, Future] = {}  # by id(result), the pages sent ahead, not yet read
 
     def search(self, query: SearchQuery) -> list[SearchResultMeta]:
         """The query's results, none when its search failed."""
-        task, self._ahead = self._ahead, None
-        results, failure, self._pages = self._run_or_take(
-            task, lambda: self._search_and_prefetch(query))
-        self._log_search(query, results, failure)
+        failure = {}
+        try:
+            results = self._search.search(query, self._k)
+        except AuthRejected:
+            raise  # every later search would be refused too
+        except TransportError as exc:
+            results, failure = [], {"error": str(exc)}
+        self._trace.log(EventKind.SEARCH_CALL, query=query.text, k=self._k,
+                        n_results=len(results), **failure)
+        if self._pool is not None:
+            self._pages = {id(result): self._pool.submit(self._reader.acquire_document, result)
+                           for result in results}
         return results
 
     def document(self, result: SearchResultMeta) -> Document:
         """The result's page, or Unusable."""
         task = self._pages.pop(id(result), None)
-        if not self._pages and self._pool is not None and self._queries:
-            self._ahead = self._pool.submit(self._search_and_prefetch, self._queries[0])
-        doc = self._run_or_take(task, lambda: self._reader.acquire_document(result))
+        doc = (self._reader.acquire_document(result) if task is None or task.cancel()
+               else task.result())
         self._trace.log(EventKind.FETCH, url=result.url, acquisition=doc.acquisition.value)
         return doc
 
     def close(self) -> None:
-        """Cancel what has not started, wait for the rest, and log each search
-        sent but not taken, with any error it raised."""
-        self._ended.set()
-        self._settle(self._pages)
-        if self._ahead is not None and not self._ahead.cancel():
-            error = self._ahead.exception()
-            results, failure, pages = (
-                ([], {"error": str(error)}, {}) if error else self._ahead.result())
-            self._settle(pages)
-            self._log_search(self._queries[0], results, failure, unread=True)
-
-    def _log_search(self, query: SearchQuery, results: list[SearchResultMeta],
-                    failure: dict, **unread: bool) -> None:
-        self._trace.log(EventKind.SEARCH_CALL, query=query.text, k=self._k,
-                        n_results=len(results), **unread, **failure)
-
-    def _search_and_prefetch(self, query: SearchQuery
-                             ) -> tuple[list[SearchResultMeta], dict, dict[int, Optional[Future]]]:
-        failure = {}
-        try:
-            results = self._search.search(query, self._k, self._ended)
-        except AuthRejected:
-            raise  # every later search would be refused too
-        except TransportError as exc:
-            results, failure = [], {"error": str(exc)}
-        ahead = self._pool is not None and not self._ended.is_set()
-        return results, failure, {
-            id(result): self._pool.submit(self._reader.acquire_document, result) if ahead else None
-            for result in results}
-
-    @staticmethod
-    def _run_or_take(task: Optional[Future], run: Callable[[], T]) -> T:
-        return run() if task is None or task.cancel() else task.result()
-
-    @staticmethod
-    def _settle(tasks: dict[int, Optional[Future]]) -> None:
-        wait([f for f in tasks.values() if f is not None and not f.cancel()])
+        """Cancel the page fetches not started and wait for the rest."""
+        wait([task for task in self._pages.values() if not task.cancel()])
 
 
 def build_verifier(mode: str, fixtures: Optional[str | Path] = None, *,

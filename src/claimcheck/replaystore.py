@@ -235,10 +235,10 @@ def _send(method: str, url: str, headers: dict[str, str], body: Optional[bytes],
 
 
 class Response:
-    """An HTTP response whose body is still unread.  Leaving its ``with``
+    """An HTTP response whose body is not yet read.  Leaving its ``with``
     block keeps the connection for the thread's next call to the same
     origin only if the body was read to the end; otherwise it closes it,
-    so no unread bytes are taken for the next response."""
+    so no bytes left over are taken for the next response."""
 
     def __init__(self, url: str, conn: http.client.HTTPConnection,
                  raw: http.client.HTTPResponse) -> None:
@@ -269,7 +269,7 @@ class Response:
         """The body, gzip or deflate encoding undone.  TransportError when
         the call's deadline passes or a read fails, BodyOverCap when the
         decoded body grows over ``max_bytes``.  A body sent as it is, whose
-        Content-Length is over ``max_bytes``, is refused unread."""
+        Content-Length is over ``max_bytes``, is refused before it is read."""
         encoding = self.headers.get("Content-Encoding", "").strip().lower()
         inflate = (zlib.decompressobj(16 + zlib.MAX_WBITS) if encoding in ("gzip", "x-gzip")
                    else zlib.decompressobj() if encoding == "deflate" else None)
@@ -436,12 +436,12 @@ class RecordedClient:
     never the network).  Every subclass sets TIMEOUT and ``_malformed``,
     which names what is wrong with a stored record's fields (None when
     nothing is).  A live call (``_post``) makes 1 + len(RETRY_DELAYS) tries
-    at most.  A retry first sleeps the next of RETRY_DELAYS, then raises
-    instead if ``abandoned`` is set.  Every try then waits, holding the
-    client's lock, until 1/requests_per_second has passed since its last
-    try (a late wake-up pushes the next back; rate 0, the LLM's, never
-    waits), and may take TIMEOUT seconds.  Transport errors, HTTP 429 and
-    5xx are retried; a body over its cap, another 4xx or a non-object fails."""
+    at most.  A retry first sleeps the next of RETRY_DELAYS.  Every try
+    then waits, holding the client's lock, until 1/requests_per_second has
+    passed since its last try (a late wake-up pushes the next back; rate 0,
+    the LLM's, never waits), and may take TIMEOUT seconds.  Transport
+    errors, HTTP 429 and 5xx are retried; a body over its cap, another 4xx
+    or a non-object fails."""
 
     TIMEOUT: float
     _malformed: Callable[[dict[str, Any]], Optional[str]]
@@ -478,21 +478,15 @@ class RecordedClient:
             self.store.put(key(), record)
         return record
 
-    def _post(self, url: str, headers: dict[str, str], payload: dict[str, Any],
-              abandoned: Optional[threading.Event] = None) -> dict[str, Any]:
+    def _post(self, url: str, headers: dict[str, str], payload: dict[str, Any]) -> dict[str, Any]:
         """The JSON object in the body of the first answer that is not a 429
         or 5xx; TransportError (AuthRejected for 401 and 403) for any other
-        HTTP error, a body that is not a JSON object or is over its cap,
-        once the retries run out, or in place of a back-off or retry once
-        ``abandoned`` is set: the caller no longer needs the answer."""
-        abandoned = abandoned or threading.Event()
+        HTTP error, a body that is not a JSON object or is over its cap, or
+        once the retries run out."""
         last_error: object = None
         for attempt in range(1 + len(RETRY_DELAYS)):
             if attempt:
-                if not abandoned.is_set():
-                    self._sleep(RETRY_DELAYS[attempt - 1])
-                if abandoned.is_set():
-                    raise TransportError(f"not retried, answer no longer needed: {last_error}")
+                self._sleep(RETRY_DELAYS[attempt - 1])
             self._throttle()
             try:
                 status, body = self._transport(url, headers, payload, self.TIMEOUT)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from typing import Any, Callable, Optional
 
@@ -43,24 +42,21 @@ class SearchClient(RecordedClient):
         self.endpoint = endpoint
         self.api_key = api_key
 
-    def search(self, query: SearchQuery, k: int,
-               abandoned: Optional[threading.Event] = None) -> list[SearchResultMeta]:
-        """At most k results.  A live search's tries, rate limit and stop on
-        ``abandoned`` follow RecordedClient's per-try policy."""
+    def search(self, query: SearchQuery, k: int) -> list[SearchResultMeta]:
+        """At most k results.  A live search's tries and rate limit follow
+        RecordedClient's per-try policy."""
         if k < 1:
             raise ValueError("k must be >= 1")
         record = self._recorded(
             lambda: search_fixture_key(query.text, k),
             lambda: {"query": query.text, "k": k,
-                     "results": self._search_live(query, k, abandoned)},
+                     "results": self._search_live(query, k)},
             lambda: f"no search fixture for query {query.text!r} (k={k})")
         return self._parse_results(record["results"], k)
 
-    def _search_live(self, query: SearchQuery, k: int,
-                     abandoned: Optional[threading.Event]) -> list[dict[str, Any]]:
+    def _search_live(self, query: SearchQuery, k: int) -> list[dict[str, Any]]:
         headers = {"X-API-KEY": self.api_key} if self.api_key else {}
-        data = self._post(self.endpoint, headers, {"q": query.text, "num": k, "hl": "en"},
-                          abandoned)
+        data = self._post(self.endpoint, headers, {"q": query.text, "num": k, "hl": "en"})
         organic = data.get("organic", [])
         return organic if isinstance(organic, list) else []
 

@@ -318,7 +318,7 @@ class FakeSearch:
         self.worlds = worlds or {}
         self.calls: list[tuple[str, int]] = []
 
-    def search(self, query: SearchQuery, k: int, abandoned=None) -> list[SearchResultMeta]:
+    def search(self, query: SearchQuery, k: int) -> list[SearchResultMeta]:
         self.calls.append((query.text, k))
         return list(self.worlds.get(query.text, []))[:k]
 

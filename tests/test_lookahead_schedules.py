@@ -4,8 +4,9 @@ A claim runs twice over the same generated world: once with no pool, where
 each search and page is requested only when the loop reads it, and once on
 a `ManualExecutor`, whose queued tasks run on the calling thread only when
 an agent call's turn in the drawn schedule comes.  Both runs must log the
-same trace but for unread searches, make the same agent calls and send
-their searches in the same order; the second must leave no task pending.
+same trace, make the same agent calls and send the same searches in the
+same order; the second must hand the executor page fetches only, and leave
+no task pending.
 The same draws check the loop's own contract.  A second property runs
 worlds of the same strategy through AgentSuite, LlmGateway and SearchClient
 on the HTTP stubs, where both runs must also send the same chat-completion
@@ -47,16 +48,19 @@ URLS = [f"https://u{i}.example/" for i in range(6)]
 
 class ManualExecutor:
     """A prefetch pool whose tasks run only when `run` is called, on the
-    calling thread, in the order they were submitted."""
+    calling thread, in the order they were submitted.  Records the name of
+    every function it was handed."""
 
     def __init__(self) -> None:
         self.queued: deque[tuple[Future, Callable, tuple]] = deque()
         self.futures: list[Future] = []
+        self.handed: list[str] = []
 
     def submit(self, fn, *args) -> Future:
         future = Future()
         self.queued.append((future, fn, args))
         self.futures.append(future)
+        self.handed.append(fn.__name__)
         return future
 
     def run(self, n: int) -> None:
@@ -196,7 +200,7 @@ def queued(world: World, calls: list[tuple]) -> list[str]:
 
 
 def read_events(report) -> list[tuple]:
-    return [(e.kind, e.payload) for e in report.trace.events if not e.payload.get("unread")]
+    return [(e.kind, e.payload) for e in report.trace.events]
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,11 +213,11 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
     assert read_events(ahead) == read_events(report)
     assert ahead_calls == calls
     assert all(future.done() for future in executor.futures)
-    # searches go out in the loop's order; the next query's may be sent and not read
-    unread = [e.payload["query"] for e in ahead.trace.events if e.payload.get("unread")]
-    assert ahead_searched == searched + [(q, world.config.max_results_per_query) for q in unread]
-    assert [text for text, _ in ahead_searched] == queued(world, calls)[:len(ahead_searched)]
-    assert len(unread) <= 1
+    # searches stay on the loop's thread and go out in its order; the pool
+    # only ever fetches pages
+    assert set(executor.handed) <= {"acquire_document"}
+    assert ahead_searched == searched
+    assert [text for text, _ in searched] == queued(world, calls)[:len(searched)]
 
     # the loop's contract
     events = report.trace.events
@@ -316,8 +320,7 @@ def verify_on_stubs(stub_world, world: World, executor: ManualExecutor | None = 
 
 
 def read_jsonl(report) -> list[str]:
-    return [line for line in report.trace.to_jsonl(normalize_timestamps=True).splitlines()
-            if not json.loads(line)["payload"].get("unread")]
+    return report.trace.to_jsonl(normalize_timestamps=True).splitlines()
 
 
 @settings(max_examples=40, deadline=None,
@@ -331,3 +334,4 @@ def test_every_schedule_sends_the_sequential_loops_prompts(stub_world, world, sc
     assert read_jsonl(ahead) == read_jsonl(report)
     assert ahead_prompts == prompts
     assert all(future.done() for future in executor.futures)
+    assert set(executor.handed) <= {"acquire_document"}

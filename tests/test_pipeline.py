@@ -321,7 +321,7 @@ class TestBudgetAndQueries:
             def __init__(self):
                 self.calls = 0
 
-            def search(self, query, k, abandoned=None):
+            def search(self, query, k):
                 self.calls += 1
                 raise TransportError("boom")
 
@@ -617,6 +617,36 @@ class TestPrefetch:
         assert len(fetched_events(report)) == 1
         assert finished.is_set()
 
+    def test_running_prefetch_ends_before_verify_raises(self, http_stub, tmp_path):
+        from claimcheck.pipeline import GatewayFatal
+
+        reached = threading.Event()
+        llm = scripted_llm_app(llm_rules(2, sufficient=False))
+
+        def llm_app(method, path, body, headers):
+            if b"Is the document comprehensible" in body:
+                # the first result's check fails once the second page is being fetched
+                reached.wait(5)
+                return 400, {}, b"bad request"
+            return llm(method, path, body, headers)
+
+        started, finished = [], []
+
+        def http_get(url):
+            started.append(url)
+            if url.endswith("/1"):
+                reached.set()
+                time.sleep(0.2)
+            finished.append(url)
+            return PAGE, "text/html"
+
+        verifier = stub_verifier(http_stub, tmp_path, "live", llm_app, http_get,
+                                 serper_stub_app(2))
+        with pytest.raises(GatewayFatal, match="HTTP 400"):
+            verifier.verify(CLAIM, BudgetConfig())
+        assert len(started) == 2
+        assert sorted(finished) == sorted(started)
+
     def test_prefetch_not_started_is_fetched_inline(self, http_stub, tmp_path):
         held, released = threading.Event(), threading.Event()
 
@@ -661,7 +691,7 @@ class TestPrefetch:
 
 
 # ---------------------------------------------------------------------------
-# read-ahead of the next query's search (live mode)
+# live searches: each sent on the loop's thread when the loop reaches its query
 
 
 QUERIES = ("query one", "query two", "query three")
@@ -684,7 +714,7 @@ def searching(n_results: int, hooks=None, seen=None):
     return search_app
 
 
-class TestReadAhead:
+class TestLiveSearch:
     @pytest.mark.parametrize("sufficient", [False, "third"])
     def test_three_query_live_run_decides_as_record_run(self, http_stub, tmp_path,
                                                         sufficient):
@@ -709,208 +739,25 @@ class TestReadAhead:
         assert [e["query"] for e in search_events(live)] == list(QUERIES)
         assert [p["q"] for p in seen["live"]] == list(QUERIES)
 
-    def test_next_query_is_searched_while_the_last_result_is_judged(self, http_stub,
-                                                                     tmp_path):
+    def test_a_claim_that_stops_on_a_querys_last_result_searches_no_further(self, http_stub,
+                                                                              tmp_path):
         searched = threading.Event()
-        checks = []
-
-        def comprehensible(messages):
-            if len(checks) == 1:
-                # query 1's last result: answered once query 2 reaches the stub
-                searched.wait(5)
-            checks.append(searched.is_set())
-            return "YES, it is readable on its own."
-
-        verifier = stub_verifier(
-            http_stub, tmp_path, "live",
-            llm_rules(2, sufficient=False, queries=QUERIES[:2], comprehensible=comprehensible),
-            Pages(), searching(2, {QUERIES[1]: searched.set}))
-        report = verifier.verify(CLAIM, BudgetConfig())
-        assert checks == [False, True, True, True]
-        assert [e["query"] for e in search_events(report)] == list(QUERIES[:2])
-
-    def test_unread_read_ahead_ends_before_verify_returns(self, http_stub, tmp_path):
-        fetching, fetched = threading.Event(), threading.Event()
 
         def sufficient(messages):
-            # the claim stops on query 1's only result once query 2's page is
-            # being fetched
-            fetching.wait(5)
+            # the claim stops on query 1's only result with query 2 queued; a
+            # search of query 2 sent meanwhile would reach the stub first
+            searched.wait(0.5)
             return "YES, that settles it."
-
-        def http_get(url):
-            if "query-two" in url:
-                fetching.set()
-                time.sleep(0.2)
-                fetched.set()
-            return PAGE, "text/html"
-
-        seen = []
-        verifier = stub_verifier(http_stub, tmp_path, "live",
-                                 llm_rules(1, sufficient=sufficient, queries=QUERIES[:2]),
-                                 http_get, serper_stub_app(1, seen))
-        report = verifier.verify(CLAIM, BudgetConfig())
-        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
-        assert fetched.is_set()
-        assert [p["q"] for p in seen] == list(QUERIES[:2])
-        assert search_events(report) == [
-            {"query": QUERIES[0], "k": 2, "n_results": 1},
-            {"query": QUERIES[1], "k": 2, "n_results": 1, "unread": True}]
-        # logged when the loop ends, before the verdict
-        assert [e.kind for e in report.trace.events][-3:] == [
-            EventKind.SEARCH_CALL, EventKind.AGENT_CALL, EventKind.VERDICT]
-        assert all("query-two" not in url for url in fetched_events(report))
-
-    def test_read_ahead_answered_after_the_loop_ends_fetches_no_page(self, http_stub,
-                                                                      tmp_path):
-        stopped = threading.Event()
-
-        def sufficient(messages):
-            stopped.set()
-            return "YES, that settles it."
-
-        def late_search():
-            # query 2's search returns well after the claim stopped on query 1
-            stopped.wait(5)
-            time.sleep(0.3)
 
         seen, pages = [], Pages()
         verifier = stub_verifier(http_stub, tmp_path, "live",
                                  llm_rules(1, sufficient=sufficient, queries=QUERIES[:2]),
-                                 pages, searching(1, {QUERIES[1]: late_search}, seen))
+                                 pages, searching(1, {QUERIES[1]: searched.set}, seen))
         report = verifier.verify(CLAIM, BudgetConfig())
         assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
-        assert [p["q"] for p in seen] == list(QUERIES[:2])
-        assert search_events(report)[1] == {"query": QUERIES[1], "k": 2, "n_results": 1,
-                                            "unread": True}
+        assert [p["q"] for p in seen] == [QUERIES[0]]
         assert all("query-two" not in url for url in pages.urls())
-
-    def test_unread_read_ahead_is_not_retried_after_the_claim_stops(self, http_stub,
-                                                                      tmp_path):
-        stopped = threading.Event()
-        seen = []
-        app = serper_stub_app(1)
-
-        def search_app(method, path, body, headers):
-            seen.append(json.loads(body)["q"])
-            if seen[-1] == QUERIES[1]:
-                # query 2's provider fails only after the claim stopped on query 1
-                stopped.wait(5)
-                time.sleep(0.3)
-                return 503, {}, b"busy"
-            return app(method, path, body, headers)
-
-        def sufficient(messages):
-            stopped.set()
-            return "YES, that settles it."
-
-        verifier = stub_verifier(http_stub, tmp_path, "live",
-                                 llm_rules(1, sufficient=sufficient, queries=QUERIES[:2]),
-                                 Pages(), search_app)
-        sleeps = []
-        verifier.search._sleep = sleeps.append
-        report = verifier.verify(CLAIM, BudgetConfig())
-        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
-        # one try of query 2, answered 503, and no back-off or retry after it
-        assert sleeps == [] and seen == list(QUERIES[:2])
-        assert search_events(report)[1] == {
-            "query": QUERIES[1], "k": 2, "n_results": 0, "unread": True,
-            "error": "not retried, answer no longer needed: "
-                     f"HTTP 503 from {verifier.search.endpoint}"}
-
-    def test_unread_read_ahead_error_does_not_replace_the_verdict(self, http_stub, tmp_path):
-        searched = threading.Event()
-        verifier = stub_verifier(
-            http_stub, tmp_path, "live",
-            llm_rules(1, sufficient=lambda messages: searched.wait(5) and "YES",
-                      queries=QUERIES[:2]),
-            Pages(), serper_stub_app(1))
-        search = verifier.search.search
-
-        def failing_search(query, k, abandoned):
-            if query.text == QUERIES[1]:
-                searched.set()
-                raise RuntimeError("not a transport error")
-            return search(query, k, abandoned)
-
-        verifier.search.search = failing_search
-        report = verifier.verify(CLAIM, BudgetConfig())
-        assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
-        assert search_events(report)[1] == {"query": QUERIES[1], "k": 2, "n_results": 0,
-                                            "unread": True, "error": "not a transport error"}
-
-    @pytest.mark.parametrize("answered", [False, True])
-    def test_failed_claim_ends_its_read_ahead_before_verify_raises(self, http_stub, tmp_path,
-                                                                   answered):
-        from claimcheck.pipeline import GatewayFatal
-
-        reached = threading.Event()
-        llm = scripted_llm_app(llm_rules(1, sufficient=False, queries=QUERIES[:2]))
-
-        def llm_app(method, path, body, headers):
-            if b"Is the document comprehensible" in body:
-                # query 1's only result fails once query 2's read-ahead is under way
-                reached.wait(5)
-                return 400, {}, b"bad request"
-            return llm(method, path, body, headers)
-
-        seen, search = [], serper_stub_app(1)
-
-        def search_app(method, path, body, headers):
-            seen.append(json.loads(body)["q"])
-            if seen[-1] == QUERIES[1] and not answered:
-                # in flight when the claim fails, then answered 503
-                reached.set()
-                time.sleep(0.2)
-                return 503, {}, b"busy"
-            return search(method, path, body, headers)
-
-        started, finished = [], []
-
-        def http_get(url):
-            started.append(url)
-            if "query-two" in url:
-                # answered before the claim fails: its page is being fetched
-                reached.set()
-                time.sleep(0.2)
-            finished.append(url)
-            return PAGE, "text/html"
-
-        verifier = stub_verifier(http_stub, tmp_path, "live", llm_app, http_get, search_app)
-        sleeps = []
-        verifier.search._sleep = sleeps.append
-        with pytest.raises(GatewayFatal, match="HTTP 400"):
-            verifier.verify(CLAIM, BudgetConfig())
-        # query 2 searched once, with no back-off or retry once the claim failed
-        assert seen == list(QUERIES[:2]) and sleeps == []
-        assert finished == started
-        assert len(started) == (2 if answered else 1)
-
-    def test_read_ahead_refused_key_ends_the_claim(self, http_stub, tmp_path):
-        from claimcheck.pipeline import GatewayFatal
-
-        searched = threading.Event()
-        seen, app = [], serper_stub_app(1)
-
-        def search_app(method, path, body, headers):
-            seen.append(json.loads(body)["q"])
-            if seen[-1] == QUERIES[1]:
-                searched.set()
-                return 401, {}, b'{"message": "Unauthorized"}'
-            return app(method, path, body, headers)
-
-        def comprehensible(messages):
-            # query 1's only result is read once query 2's read-ahead reaches the stub
-            searched.wait(5)
-            return "YES, it is readable on its own."
-
-        verifier = stub_verifier(
-            http_stub, tmp_path, "live",
-            llm_rules(1, sufficient=False, queries=QUERIES[:2], comprehensible=comprehensible),
-            Pages(), search_app)
-        with pytest.raises(GatewayFatal, match="HTTP 401"):
-            verifier.verify(CLAIM, BudgetConfig())
-        assert seen == list(QUERIES[:2])
+        assert search_events(report) == [{"query": QUERIES[0], "k": 2, "n_results": 1}]
 
     def test_one_query_budget_searches_once(self, http_stub, tmp_path):
         seen = []
@@ -921,31 +768,7 @@ class TestReadAhead:
         assert [p["q"] for p in seen] == [QUERIES[0]]
         assert search_events(report) == [{"query": QUERIES[0], "k": 2, "n_results": 2}]
 
-    def test_read_ahead_not_started_is_searched_inline(self, http_stub, tmp_path):
-        released = threading.Event()
-        verifier = stub_verifier(http_stub, tmp_path, "live",
-                                 llm_rules(1, sufficient=False, queries=QUERIES[:2]),
-                                 Pages(), searching(1, {QUERIES[1]: released.set}))
-        threads = {}
-        search = verifier.search.search
-
-        def recording_search(query, k, abandoned):
-            threads[query.text] = threading.current_thread()
-            return search(query, k, abandoned)
-
-        verifier.search.search = recording_search
-        # the pool's one thread is held until query 2 is searched
-        verifier._prefetch_pool = ThreadPoolExecutor(max_workers=1)
-        held = verifier._prefetch_pool.submit(released.wait, 5)
-        try:
-            report = verifier.verify(CLAIM, BudgetConfig())
-        finally:
-            verifier._prefetch_pool.shutdown()
-        assert held.result() is True
-        assert threads == {q: threading.current_thread() for q in QUERIES[:2]}
-        assert [e["query"] for e in search_events(report)] == list(QUERIES[:2])
-
-    def test_failed_read_ahead_logs_the_sequential_search_call(self, http_stub, tmp_path):
+    def test_failed_search_logs_the_sequential_search_call(self, http_stub, tmp_path):
         app = serper_stub_app(1)
 
         def search_app(method, path, body, headers):

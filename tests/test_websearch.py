@@ -134,29 +134,6 @@ class TestLiveMode:
         assert len(client.search(SearchQuery("q"), 1)) == 1
         assert sleeps == [1.0, 2.0]
 
-    @pytest.mark.parametrize("during", ["try", "back-off"])
-    def test_no_retry_once_abandoned(self, during):
-        abandoned = threading.Event()
-        attempts, sleeps = [], []
-
-        def failing(*args, **kwargs):
-            attempts.append(1)
-            if during == "try" and len(attempts) == 2:
-                abandoned.set()
-            return 503, ""
-
-        def sleep(seconds):
-            sleeps.append(seconds)
-            if during == "back-off" and len(sleeps) == 2:
-                abandoned.set()
-
-        client = SearchClient(mode="live", transport=failing, sleep=sleep,
-                              requests_per_second=0)
-        with pytest.raises(TransportError, match="^not retried, answer no longer needed"):
-            client.search(SearchQuery("q"), 1, abandoned)
-        # the try or back-off under way when it was set ends; nothing follows it
-        assert (len(attempts), sleeps) == ((2, [1.0]) if during == "try" else (2, [1.0, 2.0]))
-
     def test_network_errors_become_transport_error(self):
         def unreachable(*args, **kwargs):
             raise TransportError("connection refused")
