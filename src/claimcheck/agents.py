@@ -8,6 +8,7 @@ defer, don't add evidence) rather than raising.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence, TypeVar
@@ -161,6 +162,7 @@ class AgentSuite:
         self.config = config
         self.prompts = prompts
         self.trace = trace
+        self.asked: Counter[tuple[tuple[str, str], ...]] = Counter()  # messages -> asks sent
 
     # -- plumbing -----------------------------------------------------------
 
@@ -176,11 +178,15 @@ class AgentSuite:
         return self.prompts[agent].render(claim=claim.text, **slots)
 
     def _complete(self, messages: tuple[tuple[str, str], ...]) -> str:
+        """The reply to `messages`; a repeat within the claim is keyed by
+        its occurrence, so replay plays back each recorded answer once."""
         req = ChatRequest(
             model_id=self.config.model_id,
             messages=messages,
             temperature=self.config.temperature,
+            occurrence=self.asked[messages],
         )
+        self.asked[messages] += 1
         return self.gateway.complete(req).text
 
     # -- agents -------------------------------------------------------------

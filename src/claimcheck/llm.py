@@ -16,6 +16,7 @@ class ChatRequest:
     model_id: str
     messages: tuple[tuple[str, str], ...]
     temperature: float
+    occurrence: int = 0  # earlier asks of the same messages within the claim
 
     def __post_init__(self) -> None:
         if not self.messages:
@@ -34,12 +35,14 @@ class ChatResponse:
 
 
 def canonical_form(req: ChatRequest) -> dict[str, Any]:
-    """Request form used for hashing; collapses trailing whitespace only."""
-    return {
+    """Request form used for hashing; collapses trailing whitespace only.
+    A repeated ask has its own key; a first ask has no occurrence."""
+    form = {
         "model": req.model_id,
         "temperature": req.temperature,
         "messages": [[role, content.rstrip()] for role, content in req.messages],
     }
+    return form | ({"occurrence": req.occurrence} if req.occurrence else {})
 
 
 def replay_key(req: ChatRequest) -> str:

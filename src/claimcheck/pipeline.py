@@ -60,7 +60,7 @@ class VerdictReport:
 class Verifier:
     """Wires agents, search, and page reading into the verification loop.
     With a live gateway it keeps a thread pool on which each claim's
-    `_Lookahead` fetches a query's result pages ahead of need; that
+    `_ClaimRun` fetches a query's result pages ahead of need; that
     docstring says when and at what cost."""
 
     def __init__(
@@ -94,12 +94,24 @@ class Verifier:
 
 
 class _ClaimRun:
-    """One claim's loop: its budget, agents and lookahead, and the decisions
-    made so far.  Each query is queued once, case-insensitively, and only while
-    the budget has room."""
+    """One claim's loop: its budget, agents and evidence, the decisions made
+    so far, and every search and page it sends, takes and logs: each search
+    as a search_call, each page as a fetch.  Each query is queued once,
+    case-insensitively, and only while the budget has room.  A search runs on
+    the loop's thread when the loop reaches its query.  On the Verifier's
+    pool, the query's k result pages are then fetched at once, while the
+    ranking and the earlier results' agent calls wait; `document` takes a page
+    sent ahead, or fetches it on the loop's thread when it has not started.
+    With no pool, each page is fetched only when the loop reads it.  Reads
+    stay in order: the trace is a sequential run's.
+
+    A claim that stops mid-query has paid for up to k-1 page fetches it
+    never reads.  `report` cancels those not started and waits for the
+    rest: at worst PageReader.TIMEOUT (15 s), in parallel."""
 
     def __init__(self, verifier: Verifier, claim: Claim, config: BudgetConfig,
                  ablations: frozenset[Ablation]) -> None:
+        self.verifier = verifier
         self.claim = claim
         self.config = config
         self.ablations = ablations
@@ -110,8 +122,7 @@ class _ClaimRun:
         self.sufficient = False
         self.queries: deque[SearchQuery] = deque()
         self.queued: set[str] = set()  # lower-cased texts of every query queued
-        self.lookahead = _Lookahead(verifier._prefetch_pool, verifier.search, verifier.reader,
-                                    config.max_results_per_query, self.trace)
+        self.pages: dict[int, Future] = {}  # by id(result), the pages sent ahead, not yet read
 
     def report(self) -> VerdictReport:
         try:
@@ -119,11 +130,11 @@ class _ClaimRun:
             try:
                 self.search_loop()
             finally:
-                self.lookahead.close()
+                wait([task for task in self.pages.values() if not task.cancel()])
             self.drain_deferred()
             verdict = self.agents.classify(self.claim, self.evidence)
         except (TransportError, StorageError) as exc:
-            # _Lookahead caught every search failure but a refused key: the rest are
+            # _ClaimRun.search caught every search failure but a refused key: the rest are
             # LLM calls and fixtures, and the run cannot go on without them
             raise GatewayFatal(str(exc)) from exc
         terminated_by = (TerminationReason.SUFFICIENT_EVIDENCE if self.sufficient
@@ -149,7 +160,7 @@ class _ClaimRun:
                 # asking again on the same evidence would repeat it
                 return
             query = self.queries.popleft()
-            ranked = self.lookahead.search(query)
+            ranked = self.search(query)
             if len(ranked) > 1 and Ablation.RM_SR not in self.ablations:
                 ranked = self.agents.search_rank(query, ranked)
             for result in ranked:
@@ -159,7 +170,7 @@ class _ClaimRun:
 
     def read(self, result: SearchResultMeta) -> None:
         try:
-            doc = self.lookahead.document(result)
+            doc = self.document(result)
         except Unusable as exc:
             self.decide(result.url, "unusable", detail=str(exc))
             return
@@ -169,6 +180,31 @@ class _ClaimRun:
             self.decide(result.url, "d")
             return
         self.judge(doc)
+
+    def search(self, query: SearchQuery) -> list[SearchResultMeta]:
+        """The query's results, none when its search failed."""
+        k, failure = self.config.max_results_per_query, {}
+        try:
+            results = self.verifier.search.search(query, k)
+        except AuthRejected:
+            raise  # every later search would be refused too
+        except TransportError as exc:
+            results, failure = [], {"error": str(exc)}
+        self.trace.log(EventKind.SEARCH_CALL, query=query.text, k=k,
+                       n_results=len(results), **failure)
+        pool, reader = self.verifier._prefetch_pool, self.verifier.reader
+        if pool is not None:
+            self.pages = {id(result): pool.submit(reader.acquire_document, result)
+                          for result in results}
+        return results
+
+    def document(self, result: SearchResultMeta) -> Document:
+        """The result's page, or Unusable."""
+        task = self.pages.pop(id(result), None)
+        doc = (self.verifier.reader.acquire_document(result) if task is None or task.cancel()
+               else task.result())
+        self.trace.log(EventKind.FETCH, url=result.url, acquisition=doc.acquisition.value)
+        return doc
 
     def judge(self, doc: Document) -> None:
         """Shared tail of result processing and the deferred drain:
@@ -201,58 +237,6 @@ class _ClaimRun:
                 self.judge(doc)
             else:
                 self.decide(doc.meta.url, "dropped_after_recheck")
-
-
-class _Lookahead:
-    """Sends, takes and logs every search and page of one claim: each search
-    as a search_call, each page as a fetch.  A search runs on the loop's
-    thread when the loop reaches its query.  On the Verifier's pool, the
-    query's k result pages are then fetched at once, while the ranking and
-    the earlier results' agent calls wait; `document` takes a page sent
-    ahead, or fetches it on the loop's thread when it has not started.
-    With no pool, each page is fetched only when the loop reads it.  Reads
-    stay in order: the trace is a sequential run's.
-
-    A claim that stops mid-query has paid for up to k-1 page fetches it
-    never reads.  `close` cancels those not started and waits for the
-    rest: at worst PageReader.TIMEOUT (15 s), in parallel."""
-
-    def __init__(self, pool: Optional[ThreadPoolExecutor], search: SearchClient,
-                 reader: PageReader, k: int, trace: RunTrace) -> None:
-        self._pool = pool
-        self._search = search
-        self._reader = reader
-        self._k = k
-        self._trace = trace
-        self._pages: dict[int, Future] = {}  # by id(result), the pages sent ahead, not yet read
-
-    def search(self, query: SearchQuery) -> list[SearchResultMeta]:
-        """The query's results, none when its search failed."""
-        failure = {}
-        try:
-            results = self._search.search(query, self._k)
-        except AuthRejected:
-            raise  # every later search would be refused too
-        except TransportError as exc:
-            results, failure = [], {"error": str(exc)}
-        self._trace.log(EventKind.SEARCH_CALL, query=query.text, k=self._k,
-                        n_results=len(results), **failure)
-        if self._pool is not None:
-            self._pages = {id(result): self._pool.submit(self._reader.acquire_document, result)
-                           for result in results}
-        return results
-
-    def document(self, result: SearchResultMeta) -> Document:
-        """The result's page, or Unusable."""
-        task = self._pages.pop(id(result), None)
-        doc = (self._reader.acquire_document(result) if task is None or task.cancel()
-               else task.result())
-        self._trace.log(EventKind.FETCH, url=result.url, acquisition=doc.acquisition.value)
-        return doc
-
-    def close(self) -> None:
-        """Cancel the page fetches not started and wait for the rest."""
-        wait([task for task in self._pages.values() if not task.cancel()])
 
 
 def build_verifier(mode: str, fixtures: Optional[str | Path] = None, *,

@@ -1,5 +1,6 @@
 """pipeline.build_verifier: the one place in the package that wires the LLM
-gateway, the search client and the page reader, in every mode."""
+gateway, the search client and the page reader, in every mode.  Also the
+one place that builds a chat request, AgentSuite._complete."""
 import ast
 import threading
 from pathlib import Path
@@ -92,8 +93,8 @@ def test_record_and_replay_start_no_thread(http_stub, tmp_path, monkeypatch):
                 assert verifier.verify(claim).verdict is Verdict.TRUE
 
 
-def constructions() -> set[tuple[str, str]]:
-    """(module.function, class) for each call of a client class in the package."""
+def constructions(names: set[str]) -> set[tuple[str, str]]:
+    """(module.function, class) for each call of a class in `names` in the package."""
     found = set()
 
     def visit(node: ast.AST, where: str) -> None:
@@ -104,7 +105,7 @@ def constructions() -> set[tuple[str, str]]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in WIRED:
+                if name in names:
                     found.add((where, name))
             visit(child, where)
 
@@ -114,4 +115,10 @@ def constructions() -> set[tuple[str, str]]:
 
 
 def test_the_clients_are_constructed_only_in_build_verifier():
-    assert constructions() == {("pipeline.build_verifier", name) for name in WIRED}
+    assert constructions(WIRED) == {("pipeline.build_verifier", name) for name in WIRED}
+
+
+def test_chat_requests_are_constructed_only_in_the_agent_suite():
+    """A request built anywhere else would escape the suite's count of
+    repeated asks, and replay would hand it another ask's answer."""
+    assert constructions({"ChatRequest"}) == {("agents.AgentSuite._complete", "ChatRequest")}

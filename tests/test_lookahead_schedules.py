@@ -1,4 +1,5 @@
-"""Every schedule of the lookahead's tasks decides as the sequential loop.
+"""Every schedule of the prefetch pool's page fetches decides as the
+sequential loop.
 
 A claim runs twice over the same generated world: once with no pool, where
 each search and page is requested only when the loop reads it, and once on
@@ -10,8 +11,10 @@ no task pending.
 The same draws check the loop's own contract.  A second property runs
 worlds of the same strategy through AgentSuite, LlmGateway and SearchClient
 on the HTTP stubs, where both runs must also send the same chat-completion
-requests.  A task that is running while `close` waits for it is not
-modelled here: the threaded tests in test_pipeline.py cover that case."""
+requests.  A fetch that is still running when the claim ends and waits for
+it is not modelled here: the threaded tests in test_pipeline.py cover that
+case.  Last, a claim's serial round-trips (the calls it waits for one after
+another) are counted with no pool and pinned under the eager schedule."""
 from __future__ import annotations
 
 import itertools
@@ -203,6 +206,17 @@ def read_events(report) -> list[tuple]:
     return [(e.kind, e.payload) for e in report.trace.events]
 
 
+def serial_round_trips(calls: list[tuple], searched: list, acquired: list[str],
+                       executor: ManualExecutor | None = None) -> int:
+    """A claim's LLM calls, plus its searches (each runs on the loop's
+    thread), plus the pages the loop fetched itself: with no pool every
+    page; on `executor`, those whose task never ran (no Future, or
+    `cancel()` succeeded), since a task that ran did so on an agent call's
+    turn."""
+    ran = 0 if executor is None else sum(not f.cancelled() for f in executor.futures)
+    return len(calls) + len(searched) + len(acquired) - ran
+
+
 @settings(max_examples=200, deadline=None)
 @given(world=worlds(), schedule=st.lists(st.integers(0, 3), min_size=1, max_size=8))
 def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
@@ -231,10 +245,39 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
     assert decided == acquired + rechecked
     assert [e.kind for e in events].count(EventKind.VERDICT) == 1
     assert events[-1].kind is EventKind.VERDICT
+    # with no pool, every call the claim makes is waited for in series; a
+    # page read is a fetch, or an unusable page's decision
+    unusable = [e for e in events if e.payload.get("scenario") == "unusable"]
+    assert (serial_round_trips(calls, searched, acquired)
+            == len(calls) + len(searched) + len(fetched) + len(unusable))
     # the initial queries and classify; per search at most one follow-up request
     # and one ranking; per result at most two checks, one helpfulness and one
     # sufficiency call
     assert len(calls) <= 2 + 2 * budget + 4 * budget * k
+
+
+EAGER = [len(URLS)]  # every queued task runs at the next agent call
+
+
+@pytest.mark.parametrize("k, inline_per_query", [(2, 0), (1, 1)])
+def test_eager_schedule_serial_round_trips(k, inline_per_query):
+    """Two queries of two results each, every page understood and unhelpful.
+    With k=2 the ranker's call runs both queued fetches first; with k=1 no
+    agent call comes between the search and the read, so the loop fetches
+    the page itself."""
+    world = World(BudgetConfig(max_search_queries=2, max_results_per_query=k), frozenset(),
+                  initial=["q0", "q1"], additional=[],
+                  results={"q0": URLS[:2], "q1": URLS[2:4]}, unusable=frozenset(),
+                  comprehensible=dict.fromkeys(URLS, "yes"), helpful=frozenset(),
+                  decisive=None, enough=5, reverse=False)
+    executor = ManualExecutor()
+    _, calls, searched, acquired = verify(world, executor, EAGER)
+    assert len(searched) == 2 and len(acquired) == 2 * k
+    # the initial queries and classify; per query a ranking when there is a
+    # choice, and a check and a helpfulness call per page
+    assert len(calls) == 2 + 2 * ((k > 1) + 2 * k)
+    assert (serial_round_trips(calls, searched, acquired, executor)
+            == len(calls) + len(searched) + 2 * inline_per_query)
 
 
 # ---------------------------------------------------------------------------

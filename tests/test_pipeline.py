@@ -788,3 +788,51 @@ class TestLiveSearch:
         assert failed["kind"] == "search_call"
         assert failed["payload"] == {"query": QUERIES[1], "k": 2, "n_results": 0,
                                      "error": "HTTP 400 from <search>: bad query"}
+
+
+# ---------------------------------------------------------------------------
+# replay of a claim that sends the same chat request twice
+
+
+def record_then_replay(http_stub, tmp_path, monkeypatch, rules) -> tuple:
+    """Record one claim over the stubs, then replay it from the fixtures
+    written; asserts both runs log the same normalized trace and send the
+    same chat requests in the same order.  The record run's report."""
+    sent = []
+    complete = LlmGateway.complete
+    monkeypatch.setattr(LlmGateway, "complete",
+                        lambda gateway, req: sent.append(req) or complete(gateway, req))
+    runs, reports = {}, {}
+    for mode in ("record", "replay"):
+        sent.clear()
+        reports[mode] = stub_verifier(http_stub, tmp_path, mode, rules, Pages(),
+                                      serper_stub_app(1)).verify(CLAIM, BudgetConfig())
+        runs[mode] = reports[mode].trace.to_jsonl(normalize_timestamps=True), list(sent)
+    assert runs["replay"] == runs["record"]
+    return reports["record"]
+
+
+class TestReplayOfRepeatedAsks:
+    def test_follow_ups_re_asked_on_unchanged_evidence(self, http_stub, tmp_path,
+                                                       monkeypatch):
+        follow_ups = iter(["1. alpha", "1. beta", "1. gamma"])
+        rules = dict(standard_llm_rules())
+        rules["adds helpful new information"] = "NOT HELPFUL"
+        rules["list of new web search queries"] = lambda messages: next(follow_ups)
+        record = record_then_replay(http_stub, tmp_path, monkeypatch, list(rules.items()))
+        assert [e["query"] for e in search_events(record)] == [
+            CLAIM.text, "alpha", "beta", "gamma"]
+
+    def test_a_deferred_page_rechecked_before_the_evidence_grew(self, http_stub, tmp_path,
+                                                                monkeypatch):
+        asked = set()
+
+        def comprehensible_when_asked_again(messages):
+            prompt = messages[-1]["content"]
+            answer = "YES" if prompt in asked else "NO"
+            asked.add(prompt)
+            return answer
+
+        record = record_then_replay(http_stub, tmp_path, monkeypatch,
+                                    llm_rules(1, comprehensible=comprehensible_when_asked_again))
+        assert scenarios(record) == ["d", "a"]
