@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence, TypeVar
@@ -163,6 +164,7 @@ class AgentSuite:
         self.prompts = prompts
         self.trace = trace
         self.asked: Counter[tuple[tuple[str, str], ...]] = Counter()  # messages -> asks sent
+        self.ahead: Optional[tuple[ChatRequest, Future]] = None  # sent ahead, not yet asked
 
     # -- plumbing -----------------------------------------------------------
 
@@ -177,17 +179,37 @@ class AgentSuite:
             slots["evidence"] = evidence.render(EVIDENCE_PROMPT_BUDGET)
         return self.prompts[agent].render(claim=claim.text, **slots)
 
-    def _complete(self, messages: tuple[tuple[str, str], ...]) -> str:
+    def _complete(self, messages: tuple[tuple[str, str], ...],
+                  ahead_on: Optional[Executor] = None) -> Optional[str]:
         """The reply to `messages`; a repeat within the claim is keyed by
-        its occurrence, so replay plays back each recorded answer once."""
+        its occurrence, so replay plays back each recorded answer once.  A
+        request sent ahead answers only an ask of exactly that request: if it
+        has started, its reply is taken, else it is cancelled and asked here.
+        With `ahead_on`, the request is only sent on that pool, not counted
+        as asked, and the reply is None."""
         req = ChatRequest(
             model_id=self.config.model_id,
             messages=messages,
             temperature=self.config.temperature,
             occurrence=self.asked[messages],
         )
+        if ahead_on is not None:
+            self.ahead = req, ahead_on.submit(self.gateway.complete, req)
+            return None
         self.asked[messages] += 1
+        if self.ahead is not None and self.ahead[0] == req:
+            (_, task), self.ahead = self.ahead, None
+            if not task.cancel():
+                return task.result().text
         return self.gateway.complete(req).text
+
+    def send_ahead(self, pool: Executor, agent: str, claim: Claim, evidence: EvidenceSet,
+                   doc: Optional[Document] = None) -> Future:
+        """Sends on `pool` the request that `agent` would make now on these
+        arguments, for the agent's next ask to take; its task."""
+        slots = {} if doc is None else {"document": doc.body}
+        self._complete(self._prompt(agent, claim, evidence, **slots), ahead_on=pool)
+        return self.ahead[1]
 
     # -- agents -------------------------------------------------------------
 

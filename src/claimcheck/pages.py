@@ -95,6 +95,7 @@ _BLANK_LINE = re.compile(r"\n[ \t\r]*\n")
 MIN_CHARS = 40
 
 _ACCEPTED_CONTENT_TYPES = ("text/html", "application/xhtml", "text/plain")
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 class EmptyExtraction(Exception):
@@ -275,8 +276,9 @@ class PageReader:
     ) -> None:
         self.respect_robots = respect_robots
         self._http_get = http_get or self._get
-        self._robots_cache: dict[str, urllib.robotparser.RobotFileParser] = {}
-        self._robots_locks: dict[str, threading.Lock] = {}
+        # by origin: (scheme, lower-cased host, port)
+        self._robots_cache: dict[tuple, urllib.robotparser.RobotFileParser] = {}
+        self._robots_locks: dict[tuple, threading.Lock] = {}
         self._robots_locks_guard = threading.Lock()
 
     def fetch(self, url: str) -> tuple[str, str]:
@@ -319,15 +321,20 @@ class PageReader:
         raise Unusable(f"no page text and no snippet for {result.url}")
 
     def _robots_allowed(self, url: str) -> bool:
-        netloc = urlparse(url).netloc
+        parts = urlparse(url)
+        try:
+            port = parts.port or _DEFAULT_PORTS.get(parts.scheme)
+        except ValueError as exc:  # a port that is not a number, or out of range
+            raise TransportError(f"malformed URL {url}: {exc}") from exc
+        origin = (parts.scheme, parts.hostname, port)  # a robots.txt's scope (RFC 9309)
         with self._robots_locks_guard:
-            lock = self._robots_locks.setdefault(netloc, threading.Lock())
-        # one request per host; threads reaching other hosts do not wait
+            lock = self._robots_locks.setdefault(origin, threading.Lock())
+        # one request per origin; threads reaching other origins do not wait
         with lock:
-            parser = self._robots_cache.get(netloc)
+            parser = self._robots_cache.get(origin)
             if parser is None:
-                parser = self._read_robots(f"{urlparse(url).scheme}://{netloc}/robots.txt")
-                self._robots_cache[netloc] = parser
+                parser = self._read_robots(f"{parts.scheme}://{parts.netloc}/robots.txt")
+                self._robots_cache[origin] = parser
         return parser.can_fetch(USER_AGENT, url)
 
     def _read_robots(self, robots_url: str) -> urllib.robotparser.RobotFileParser:

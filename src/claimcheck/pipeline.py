@@ -60,8 +60,11 @@ class VerdictReport:
 class Verifier:
     """Wires agents, search, and page reading into the verification loop.
     With a live gateway it keeps a thread pool on which each claim's
-    `_ClaimRun` fetches a query's result pages ahead of need; that
-    docstring says when and at what cost."""
+    `_ClaimRun` fetches a query's result pages ahead of need and, once no
+    search can follow, sends beside each sufficiency check the LLM call
+    that a "no" leads to.  At most one such request per claim goes unread,
+    and the claim waits for it at worst as long as for one sequential call;
+    the `_ClaimRun` docstring says when and at what cost."""
 
     def __init__(
         self,
@@ -83,8 +86,8 @@ class Verifier:
         self.search = search
         self.reader = reader
         self.clock = clock
-        # live only (a record run fetches only what it reads; a replayed LLM call
-        # leaves no wait to hide a fetch behind); long-lived, to keep connections
+        # live only (a record run sends only what it reads; a replayed LLM call
+        # leaves no wait to hide a fetch or a call behind); long-lived, to keep connections
         self._prefetch_pool = (ThreadPoolExecutor(thread_name_prefix="claimcheck-prefetch")
                                if gateway is not None and gateway.mode == "live" else None)
 
@@ -107,7 +110,22 @@ class _ClaimRun:
 
     A claim that stops mid-query has paid for up to k-1 page fetches it
     never reads.  `report` cancels those not started and waits for the
-    rest: at worst PageReader.TIMEOUT (15 s), in parallel."""
+    rest: at worst PageReader.TIMEOUT (15 s), in parallel.
+
+    The tail rule: once no search can follow (the budget is spent and no
+    query is queued, or the drain has begun), `send_ahead` puts on the pool,
+    just before each sufficiency check, the LLM call the loop makes next if
+    the check says no: the next result's check (its helpfulness call under
+    rm-scc) when its page is in and usable, the next deferred page's
+    recheck, or classify.  A "no" then waits for one round-trip fewer.  A
+    "yes" may leave that one request sent and never read, so a claim that
+    stops while a search could still follow sends exactly the sequential
+    requests, and any other claim at most one more.  The agents take a
+    reply sent ahead only for exactly that request, so prompts, verdicts
+    and the trace stay the sequential loop's.  `report` cancels an unread
+    send-ahead not started and waits for one running: at worst the
+    gateway's retry policy (4 tries of LlmGateway.TIMEOUT, 60 s, and 7 s of
+    back-off), as long as a sequential call may take."""
 
     def __init__(self, verifier: Verifier, claim: Claim, config: BudgetConfig,
                  ablations: frozenset[Ablation]) -> None:
@@ -118,11 +136,14 @@ class _ClaimRun:
         self.trace = RunTrace(verifier.clock)
         self.agents = verifier._agent_factory(config, self.trace)
         self.evidence = EvidenceSet()
-        self.deferred: list[Document] = []
+        self.deferred: deque[Document] = deque()  # not yet rechecked
+        self.draining = False
         self.sufficient = False
         self.queries: deque[SearchQuery] = deque()
         self.queued: set[str] = set()  # lower-cased texts of every query queued
+        self.unread: deque[SearchResultMeta] = deque()  # the current query's, in read order
         self.pages: dict[int, Future] = {}  # by id(result), the pages sent ahead, not yet read
+        self.ahead: list[Future] = []  # the LLM calls sent ahead
 
     def report(self) -> VerdictReport:
         try:
@@ -137,6 +158,8 @@ class _ClaimRun:
             # _ClaimRun.search caught every search failure but a refused key: the rest are
             # LLM calls and fixtures, and the run cannot go on without them
             raise GatewayFatal(str(exc)) from exc
+        finally:
+            wait([task for task in self.ahead if not task.cancel()])
         terminated_by = (TerminationReason.SUFFICIENT_EVIDENCE if self.sufficient
                          else TerminationReason.BUDGET_EXHAUSTED)
         self.trace.log(EventKind.VERDICT, verdict=verdict.value,
@@ -163,8 +186,9 @@ class _ClaimRun:
             ranked = self.search(query)
             if len(ranked) > 1 and Ablation.RM_SR not in self.ablations:
                 ranked = self.agents.search_rank(query, ranked)
-            for result in ranked:
-                self.read(result)
+            self.unread = deque(ranked)
+            while self.unread:
+                self.read(self.unread.popleft())
                 if self.sufficient:
                     return
 
@@ -220,6 +244,7 @@ class _ClaimRun:
                 detail = {"detail": "already_evidence"}
             else:
                 # the loop and the drain judge a document only while evidence is short
+                self.send_ahead()
                 self.sufficient = self.agents.sufficient_evidence(self.claim, self.evidence)
                 scenario = "a" if self.sufficient else "b"
         self.decide(doc.meta.url, scenario, **detail)
@@ -227,12 +252,32 @@ class _ClaimRun:
     def decide(self, url: str, scenario: str, **detail: str) -> None:
         self.trace.log(EventKind.SCENARIO_DECISION, url=url, scenario=scenario, **detail)
 
+    def send_ahead(self) -> None:
+        """In the claim's tail, with a pool, sends the LLM call that follows
+        a "no" from the sufficiency check about to be asked."""
+        pool = self.verifier._prefetch_pool
+        if pool is None or not (self.draining or (
+                not self.queries and len(self.queued) >= self.config.max_search_queries)):
+            return
+        if self.unread:
+            page = self.pages.get(id(self.unread[0]))
+            if page is None or not page.done() or page.exception() is not None:
+                return  # the next call waits on its page, or there is none
+            agent = ("det_helpful" if Ablation.RM_SCC in self.ablations
+                     else "self_contained_check")
+            doc = (page.result(),)
+        elif self.deferred:
+            agent, doc = "self_contained_check", (self.deferred[0],)
+        else:
+            agent, doc = "classify", ()
+        self.ahead.append(self.agents.send_ahead(pool, agent, self.claim, self.evidence, *doc))
+
     def drain_deferred(self) -> None:
         """Single FIFO pass: re-check each deferred document against the
         grown evidence set; failures are dropped, never re-deferred."""
-        for doc in self.deferred:
-            if self.sufficient:
-                break
+        self.draining = True
+        while self.deferred and not self.sufficient:
+            doc = self.deferred.popleft()
             if self.agents.self_contained_check(self.claim, self.evidence, doc):
                 self.judge(doc)
             else:

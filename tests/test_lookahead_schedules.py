@@ -1,26 +1,28 @@
-"""Every schedule of the prefetch pool's page fetches decides as the
-sequential loop.
+"""Every schedule of the prefetch pool's page fetches and LLM send-aheads
+decides as the sequential loop.
 
 A claim runs twice over the same generated world: once with no pool, where
-each search and page is requested only when the loop reads it, and once on
-a `ManualExecutor`, whose queued tasks run on the calling thread only when
-an agent call's turn in the drawn schedule comes.  Both runs must log the
-same trace, make the same agent calls and send the same searches in the
-same order; the second must hand the executor page fetches only, and leave
-no task pending.
+each search, page and LLM call is requested only when the loop reads it,
+and once on a `ManualExecutor`, whose queued tasks run on the calling thread
+only when an agent call's turn in the drawn schedule comes.  Both runs must
+log the same trace, make the same agent calls and send the same searches in
+the same order; the second must hand the executor page fetches and
+send-aheads only, send at most one request it never reads (and that only
+for a claim that ended sufficient in its tail), and leave no task pending.
 The same draws check the loop's own contract.  A second property runs
 worlds of the same strategy through AgentSuite, LlmGateway and SearchClient
-on the HTTP stubs, where both runs must also send the same chat-completion
-requests.  A fetch that is still running when the claim ends and waits for
-it is not modelled here: the threaded tests in test_pipeline.py cover that
-case.  Last, a claim's serial round-trips (the calls it waits for one after
-another) are counted with no pool and pinned under the eager schedule."""
+on the HTTP stubs, where the requests the second run sends must be the
+sequential run's plus at most that one.  A task that is still running when
+the claim ends and waits for it is not modelled here: the threaded tests in
+test_pipeline.py cover that case.  Last, a claim's serial round-trips (the
+calls it waits for one after another) are counted with no pool and pinned
+under the eager schedule."""
 from __future__ import annotations
 
 import itertools
 import json
 import re
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable
@@ -31,7 +33,7 @@ from hypothesis import strategies as st
 
 from claimcheck.agents import HelpfulnessJudgment
 from claimcheck.model import BudgetConfig, Claim, Document, EvidenceSet, SearchQuery
-from claimcheck.pipeline import Ablation, Verifier
+from claimcheck.pipeline import Ablation, TerminationReason, Verifier
 from claimcheck.replaystore import TransportError
 from claimcheck.trace import EventKind
 
@@ -92,9 +94,17 @@ def seen(arg) -> object:
     return arg
 
 
+def complete() -> None:
+    """Stands on the pool for the LLM request that a scripted agent's
+    send-ahead would make (AgentSuite's is LlmGateway.complete)."""
+
+
 class ScheduledAgents:
     """`agents`, but each call first runs as many of the executor's queued
-    tasks as the schedule's next number says; records every call."""
+    tasks as the schedule's next number says; records every call.  A
+    send-ahead goes to the wrapped AgentSuite; scripted agents have none,
+    so `complete` stands for its request, and the next call with the same
+    arguments cancels it or takes it, as AgentSuite._complete does."""
 
     def __init__(self, agents: ScriptedAgents, executor: ManualExecutor | None,
                  schedule: list[int]) -> None:
@@ -102,15 +112,37 @@ class ScheduledAgents:
         self._executor = executor
         self._schedule = itertools.cycle(schedule or [0])
         self.calls: list[tuple] = []
+        self.sent: list[Future] = []  # every send-ahead's task
+        self.taken: list[Future] = []  # those whose reply a call took
+        self.ready: list[Future] = []  # of those, the ones done before that call's turn
+        self._pending: tuple[tuple, Future] | None = None  # sent ahead, not yet asked
+
+    def send_ahead(self, pool, agent: str, *args) -> Future:
+        suite_sends = getattr(self._agents, "send_ahead", None)
+        task = suite_sends(pool, agent, *args) if suite_sends else pool.submit(complete)
+        self.sent.append(task)
+        self._pending = (agent, *map(seen, args)), task
+        return task
 
     def __getattr__(self, name: str):
         method = getattr(self._agents, name)
 
         def call(*args):
+            pending = self._pending
+            ready = pending is not None and pending[1].done()
             if self._executor is not None:
                 self._executor.run(next(self._schedule))
             self.calls.append((name, *map(seen, args)))
-            return method(*args)
+            reply = method(*args)
+            if pending is not None and pending[0] == self.calls[-1]:
+                self._pending, task = None, pending[1]
+                if not hasattr(self._agents, "send_ahead"):
+                    task.cancel()  # not started: asked inline
+                if not task.cancelled():
+                    self.taken.append(task)
+                    if ready:
+                        self.ready.append(task)
+            return reply
 
         return call
 
@@ -150,13 +182,18 @@ def worlds(draw) -> World:
     """Worlds biased toward claims that stop on a query's last result while
     another query is queued, and toward claims that stop on a query's first
     result with its other pages unread: the decisive URL is often the first
-    query's last or first result read, understood and kept."""
+    query's last or first result read, understood and kept.  Often one URL
+    is among the results of several queries."""
     budget = draw(st.integers(1, 4))
     k = draw(st.integers(1, 3))
     ablations = frozenset(draw(st.sets(st.sampled_from(list(Ablation)))))
     initial = draw(st.lists(st.sampled_from(QUERIES + ["Q0", "Q1"]), min_size=1, max_size=5))
     additional = draw(st.lists(st.sampled_from(QUERIES + ["Q2"]), max_size=3))
     results = {q: draw(st.lists(st.sampled_from(URLS), max_size=3)) for q in QUERIES}
+    # results whose URLs repeat across queries: one URL comes back in several
+    repeated = draw(st.sampled_from(URLS))
+    for q in sorted(draw(st.sets(st.sampled_from(QUERIES)))):
+        results[q].insert(draw(st.integers(0, len(results[q]))), repeated)
     results |= {q.upper(): results[q] for q in QUERIES}
     reverse = draw(st.booleans())
     unusable = set(draw(st.sets(st.sampled_from(URLS), max_size=2)))
@@ -188,7 +225,7 @@ def verify(world: World, executor: ManualExecutor | None = None, schedule=()):
                         reader=reader, clock=lambda: 0.0)
     verifier._prefetch_pool = executor
     report = verifier.verify(CLAIM, world.config, world.ablations)
-    return report, agents.calls, search.calls, reader.acquired
+    return report, agents, search.calls, reader.acquired
 
 
 def queued(world: World, calls: list[tuple]) -> list[str]:
@@ -206,31 +243,55 @@ def read_events(report) -> list[tuple]:
     return [(e.kind, e.payload) for e in report.trace.events]
 
 
-def serial_round_trips(calls: list[tuple], searched: list, acquired: list[str],
+def serial_round_trips(agents: ScheduledAgents, searched: list, acquired: list[str],
                        executor: ManualExecutor | None = None) -> int:
     """A claim's LLM calls, plus its searches (each runs on the loop's
     thread), plus the pages the loop fetched itself: with no pool every
-    page; on `executor`, those whose task never ran (no Future, or
-    `cancel()` succeeded), since a task that ran did so on an agent call's
-    turn."""
-    ran = 0 if executor is None else sum(not f.cancelled() for f in executor.futures)
-    return len(calls) + len(searched) + len(acquired) - ran
+    page and call; on `executor`, less the pages whose task ran (it did so
+    on an agent call's turn) and the send-aheads done before the turn of
+    the call that took them."""
+    ran = 0 if executor is None else sum(
+        not f.cancelled() for f, name in zip(executor.futures, executor.handed)
+        if name == "acquire_document")
+    return len(agents.calls) + len(searched) + len(acquired) - ran - len(agents.ready)
+
+
+def ended_sufficient_in_tail(report, world: World, searched: list) -> bool:
+    """The claim stopped on a sufficient check made once no search could
+    follow: every query of the budget searched, or the drain begun (a
+    decision after the loop's, which log one per result read)."""
+    events = report.trace.events
+    loop_reads = sum(e.kind is EventKind.FETCH or e.payload.get("scenario") == "unusable"
+                     for e in events)
+    decisions = sum(e.kind is EventKind.SCENARIO_DECISION for e in events)
+    return (report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+            and (len(searched) == world.config.max_search_queries or decisions > loop_reads))
 
 
 @settings(max_examples=200, deadline=None)
 @given(world=worlds(), schedule=st.lists(st.integers(0, 3), min_size=1, max_size=8))
 def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
-    report, calls, searched, acquired = verify(world)
+    report, agents, searched, acquired = verify(world)
+    calls = agents.calls
     executor = ManualExecutor()
-    ahead, ahead_calls, ahead_searched, _ = verify(world, executor, schedule)
+    ahead, ahead_agents, ahead_searched, _ = verify(world, executor, schedule)
 
     assert read_events(ahead) == read_events(report)
-    assert ahead_calls == calls
+    assert ahead_agents.calls == calls
     assert all(future.done() for future in executor.futures)
     # searches stay on the loop's thread and go out in its order; the pool
-    # only ever fetches pages
-    assert set(executor.handed) <= {"acquire_document"}
+    # only fetches pages and sends LLM calls ahead
+    assert set(executor.handed) <= {"acquire_document", "complete"}
     assert ahead_searched == searched
+    # a send-ahead is sent only in the tail; one that ran and was not read
+    # is at most one, and only when a sufficient check ended the claim there
+    unread = [t for t in ahead_agents.sent
+              if t not in ahead_agents.taken and not t.cancelled()]
+    assert len(unread) <= 1
+    assert not unread or ended_sufficient_in_tail(report, world, searched)
+    assert not agents.sent
+    assert (serial_round_trips(ahead_agents, ahead_searched, acquired, executor)
+            <= serial_round_trips(agents, searched, acquired))
     assert [text for text, _ in searched] == queued(world, calls)[:len(searched)]
 
     # the loop's contract
@@ -248,7 +309,7 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
     # with no pool, every call the claim makes is waited for in series; a
     # page read is a fetch, or an unusable page's decision
     unusable = [e for e in events if e.payload.get("scenario") == "unusable"]
-    assert (serial_round_trips(calls, searched, acquired)
+    assert (serial_round_trips(agents, searched, acquired)
             == len(calls) + len(searched) + len(fetched) + len(unusable))
     # the initial queries and classify; per search at most one follow-up request
     # and one ranking; per result at most two checks, one helpfulness and one
@@ -259,25 +320,33 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
 EAGER = [len(URLS)]  # every queued task runs at the next agent call
 
 
-@pytest.mark.parametrize("k, inline_per_query", [(2, 0), (1, 1)])
-def test_eager_schedule_serial_round_trips(k, inline_per_query):
-    """Two queries of two results each, every page understood and unhelpful.
-    With k=2 the ranker's call runs both queued fetches first; with k=1 no
-    agent call comes between the search and the read, so the loop fetches
-    the page itself."""
+@pytest.mark.parametrize("k, helpful, inline_per_query, saved", [
+    pytest.param(2, False, 0, 0, id="2-0"), pytest.param(1, False, 1, 0, id="1-1"),
+    pytest.param(2, True, 0, 2, id="2-0-tail-saves-2"),
+    pytest.param(1, True, 1, 1, id="1-1-tail-saves-1")])
+def test_eager_schedule_serial_round_trips(k, helpful, inline_per_query, saved):
+    """Two queries of k results each, every page understood, never enough
+    evidence.  With k=2 the ranker's call runs both queued fetches first;
+    with k=1 no agent call comes between the search and the read, so the
+    loop fetches the page itself.  With helpful pages the second query is
+    the tail: before each of its sufficiency checks the next call (the next
+    page's check, then classify) is sent, and the check's turn runs it."""
     world = World(BudgetConfig(max_search_queries=2, max_results_per_query=k), frozenset(),
                   initial=["q0", "q1"], additional=[],
                   results={"q0": URLS[:2], "q1": URLS[2:4]}, unusable=frozenset(),
-                  comprehensible=dict.fromkeys(URLS, "yes"), helpful=frozenset(),
+                  comprehensible=dict.fromkeys(URLS, "yes"),
+                  helpful=frozenset(URLS if helpful else ()),
                   decisive=None, enough=5, reverse=False)
     executor = ManualExecutor()
-    _, calls, searched, acquired = verify(world, executor, EAGER)
+    _, agents, searched, acquired = verify(world, executor, EAGER)
     assert len(searched) == 2 and len(acquired) == 2 * k
     # the initial queries and classify; per query a ranking when there is a
-    # choice, and a check and a helpfulness call per page
-    assert len(calls) == 2 + 2 * ((k > 1) + 2 * k)
-    assert (serial_round_trips(calls, searched, acquired, executor)
-            == len(calls) + len(searched) + 2 * inline_per_query)
+    # choice, and per page a check, a helpfulness call and, when helpful, a
+    # sufficiency call
+    assert len(agents.calls) == 2 + 2 * ((k > 1) + (2 + helpful) * k)
+    assert len(agents.sent) == len(agents.ready) == saved
+    assert (serial_round_trips(agents, searched, acquired, executor)
+            == len(agents.calls) + len(searched) + 2 * inline_per_query - saved)
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +420,31 @@ def stub_world(http_stub, tmp_path):
 
 def verify_on_stubs(stub_world, world: World, executor: ManualExecutor | None = None,
                     schedule=()):
-    """The claim's report and the chat-completion request bodies its agents sent."""
+    """The claim's report, the chat-completion request bodies its agents
+    sent, in the order the LLM stub got them, and the messages of each
+    request whose reply an agent read, in the order read."""
     stubs, live = stub_world
     stubs.world = world
     stubs.llm_bodies.clear()
-    verifier = Verifier(agent_factory=lambda config, trace: ScheduledAgents(
-        live._agent_factory(config, trace), executor, list(schedule)),
-        search=live.search, reader=live.reader, clock=lambda: 0.0)
+    read = []
+
+    def agents(config, trace):
+        suite = live._agent_factory(config, trace)
+        complete = suite._complete
+
+        def reading(messages, ahead_on=None):
+            if ahead_on is None:
+                read.append(messages)
+            return complete(messages, ahead_on)
+
+        suite._complete = reading
+        return ScheduledAgents(suite, executor, list(schedule))
+
+    verifier = Verifier(agent_factory=agents, search=live.search, reader=live.reader,
+                        clock=lambda: 0.0)
     verifier._prefetch_pool = executor
-    return verifier.verify(CLAIM, world.config, world.ablations), list(stubs.llm_bodies)
+    report = verifier.verify(CLAIM, world.config, world.ablations)
+    return report, list(stubs.llm_bodies), read
 
 
 def read_jsonl(report) -> list[str]:
@@ -370,11 +455,21 @@ def read_jsonl(report) -> list[str]:
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # stubs read `world`
 @given(world=worlds(), schedule=st.lists(st.integers(0, 3), min_size=1, max_size=8))
 def test_every_schedule_sends_the_sequential_loops_prompts(stub_world, world, schedule):
-    report, prompts = verify_on_stubs(stub_world, world)
+    report, prompts, read = verify_on_stubs(stub_world, world)
     executor = ManualExecutor()
-    ahead, ahead_prompts = verify_on_stubs(stub_world, world, executor, schedule)
+    ahead, ahead_prompts, ahead_read = verify_on_stubs(stub_world, world, executor, schedule)
 
     assert read_jsonl(ahead) == read_jsonl(report)
-    assert ahead_prompts == prompts
+    assert ahead_read == read
     assert all(future.done() for future in executor.futures)
-    assert set(executor.handed) <= {"acquire_document"}
+    assert set(executor.handed) <= {"acquire_document", "complete"}
+    # with nothing sent ahead, the same requests go out in the same order
+    assert ahead_prompts == prompts or "complete" in executor.handed
+    # every sequential request is sent, and at most one more: a send-ahead
+    # never read, only when a sufficient check ended the claim in its tail
+    sent, sequential = (Counter(json.dumps(body, sort_keys=True) for body in bodies)
+                        for bodies in (ahead_prompts, prompts))
+    assert not sequential - sent
+    assert sum((sent - sequential).values()) <= 1
+    assert sent == sequential or ended_sufficient_in_tail(
+        report, world, [e for e in report.trace.events if e.kind is EventKind.SEARCH_CALL])

@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 import time
+import urllib.robotparser
 from html.parser import HTMLParser
 from unittest import mock
 
@@ -575,6 +576,38 @@ class TestRobots:
                             http_get=lambda url: (f"<p>{LONG_PARA}</p>", "text/html"))
         text, _ = reader.fetch("http://127.0.0.1:9/page")
         assert LONG_PARA in text
+
+    def test_robots_txt_is_read_once_per_scheme_host_and_port(self, monkeypatch):
+        """RFC 9309 scopes a robots.txt to its scheme, host and port; host
+        names are case-insensitive, and a default port is the same origin."""
+        read = []
+
+        def read_robots(robots_url):
+            read.append(robots_url)
+            parser = urllib.robotparser.RobotFileParser()
+            parser.parse(["User-agent: *",
+                          "Disallow: /" if robots_url.startswith("http:") else "Allow: /"])
+            return parser
+
+        reader = PageReader(respect_robots=True,
+                            http_get=lambda url: (f"<p>{LONG_PARA}</p>", "text/html"))
+        monkeypatch.setattr(reader, "_read_robots", read_robots)
+        with pytest.raises(TransportError, match="robots"):
+            reader.fetch("http://example.com/a")
+        for url in ("https://example.com/a", "https://EXAMPLE.com/b",
+                    "https://example.com:443/c", "https://example.com:8443/d"):
+            assert LONG_PARA in reader.fetch(url)[0]
+        with pytest.raises(TransportError, match="robots"):
+            reader.fetch("HTTP://Example.COM:80/e")
+        assert read == ["http://example.com/robots.txt", "https://example.com/robots.txt",
+                        "https://example.com:8443/robots.txt"]
+
+    def test_a_port_that_is_no_number_is_a_transport_error(self):
+        """So the page falls back to its snippet, as a failed fetch does."""
+        reader = PageReader(respect_robots=True,
+                            http_get=lambda url: (f"<p>{LONG_PARA}</p>", "text/html"))
+        with pytest.raises(TransportError, match="malformed URL"):
+            reader.fetch("http://example.com:port/a")
 
     def test_robots_txt_fetched_once_per_host_under_concurrency(self, http_stub):
         robots_requests = []

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -836,3 +837,129 @@ class TestReplayOfRepeatedAsks:
         record = record_then_replay(http_stub, tmp_path, monkeypatch,
                                     llm_rules(1, comprehensible=comprehensible_when_asked_again))
         assert scenarios(record) == ["d", "a"]
+
+
+# ---------------------------------------------------------------------------
+# the tail's send-ahead: once no search can follow, the LLM call after a "no"
+# goes out beside the sufficiency check
+
+
+def sent_requests(monkeypatch) -> list:
+    """Every ChatRequest the gateway is asked to send, on any thread."""
+    sent = []
+    complete = LlmGateway.complete
+    monkeypatch.setattr(LlmGateway, "complete",
+                        lambda gateway, req: sent.append(req) or complete(gateway, req))
+    return sent
+
+
+def naming_its_url(url: str) -> tuple[str, str]:
+    """PageReader's http_get: PAGE, marked with its URL."""
+    return PAGE.replace("<p>", f"<p>[page {url}] ", 1), "text/html"
+
+
+class DrainWorld:
+    """One query, three results: the first two pages are understood only
+    once evidence exists, the third at once, and every page is helpful.  So
+    the loop defers pages 0 and 1 and keeps page 2, no follow-up query comes,
+    and the drain recovers page 0, whose sufficiency check is then asked
+    with page 1's recheck (a send-ahead in live mode) to follow.  `recheck`
+    answers that recheck (a reply, or an (status, headers, body) answer);
+    `sufficient` is the check's reply, given once the recheck has reached
+    the stub when `wait_for_recheck`."""
+
+    def __init__(self, sufficient: str, recheck="YES", wait_for_recheck=False) -> None:
+        self.arrived, self.answered = threading.Event(), threading.Event()
+        self.rechecks = 0
+        self.sufficient, self.recheck, self.wait = sufficient, recheck, wait_for_recheck
+        self.llm = scripted_llm_app(llm_rules(3, sufficient=self.sufficient_reply,
+                                              comprehensible=self.comprehensible))
+
+    def comprehensible(self, messages) -> str:
+        user = messages[-1]["content"]
+        return "YES" if "/2]" in user or "(source:" in user else "NO"
+
+    def sufficient_reply(self, messages) -> str:
+        if messages[-1]["content"].count("(source:") < 2:
+            return "NO, more is needed."
+        if self.wait:
+            self.arrived.wait(5)
+        return self.sufficient
+
+    def __call__(self, method, path, body, headers):
+        if b"Is the document comprehensible" in body and b"/1]" in body and b"(source:" in body:
+            self.rechecks += 1
+            self.arrived.set()
+            if not isinstance(self.recheck, str):
+                time.sleep(0.2)  # still running when the claim stops
+                self.answered.set()
+                return self.recheck
+        return self.llm(method, path, body, headers)
+
+
+class TestSendAhead:
+    def verify(self, http_stub, tmp_path, mode, llm, n_results=3, **config):
+        verifier = stub_verifier(http_stub, tmp_path, mode, llm, naming_its_url,
+                                 serper_stub_app(n_results))
+        return verifier.verify(CLAIM, BudgetConfig(max_results_per_query=n_results, **config))
+
+    @pytest.mark.parametrize("queries, budget, n_results", [
+        (QUERIES[:2], 4, 1),  # on query 1's only result, with query 2 queued
+        ((), 4, 2),  # on the first result of the only query, with the budget unspent
+        (QUERIES[:2], 2, 2),  # with the budget spent and query 2 queued
+    ], ids=["query-queued", "budget-unspent", "budget-spent-query-queued"])
+    def test_a_claim_that_stops_before_its_tail_sends_the_sequential_requests(
+            self, http_stub, tmp_path, monkeypatch, queries, budget, n_results):
+        sent = sent_requests(monkeypatch)
+        requests = {}
+        for mode in ("record", "live"):
+            sent.clear()
+            report = self.verify(http_stub, tmp_path, mode, llm_rules(n_results, queries=queries),
+                                 n_results, max_search_queries=budget)
+            assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+            requests[mode] = list(sent)
+        assert requests["live"] == requests["record"]
+
+    def test_a_claim_that_ends_sufficient_in_the_drain_sends_one_request_more(
+            self, http_stub, tmp_path, monkeypatch):
+        sent = sent_requests(monkeypatch)
+        reports, requests = {}, {}
+        for mode in ("record", "live"):
+            sent.clear()
+            world = DrainWorld("YES, that settles it.", wait_for_recheck=mode == "live")
+            reports[mode] = self.verify(http_stub, tmp_path, mode, world)
+            requests[mode] = Counter(sent)
+            assert world.rechecks == (mode == "live")
+        record, live = reports["record"], reports["live"]
+        assert scenarios(live) == ["d", "d", "b", "a"]
+        assert live.verdict is record.verdict
+        assert live.terminated_by is record.terminated_by
+        assert list(live.evidence) == list(record.evidence)
+        assert (live.trace.to_jsonl(normalize_timestamps=True)
+                == record.trace.to_jsonl(normalize_timestamps=True))
+        assert not requests["record"] - requests["live"]
+        (extra,) = requests["live"] - requests["record"]
+        assert "/1]" in extra.messages[-1][1] and "(source:" in extra.messages[-1][1]
+
+    def test_an_unread_send_ahead_that_fails_changes_nothing(self, http_stub, tmp_path):
+        record = self.verify(http_stub, tmp_path, "record", DrainWorld("YES, that settles it."))
+        world = DrainWorld("YES, that settles it.", recheck=(400, {}, b"bad request"),
+                           wait_for_recheck=True)
+        live = self.verify(http_stub, tmp_path, "live", world)
+        assert world.answered.is_set()  # ended before verify returned
+        assert world.rechecks == 1
+        assert live.verdict is record.verdict
+        assert list(live.evidence) == list(record.evidence)
+        assert (live.trace.to_jsonl(normalize_timestamps=True)
+                == record.trace.to_jsonl(normalize_timestamps=True))
+
+    @pytest.mark.parametrize("mode", ["record", "live"])
+    def test_a_failed_send_ahead_that_is_read_ends_the_claim(self, http_stub, tmp_path, mode):
+        from claimcheck.pipeline import GatewayFatal
+
+        world = DrainWorld("NO, more is needed.", recheck=(400, {}, b"bad request"),
+                           wait_for_recheck=mode == "live")
+        with pytest.raises(GatewayFatal, match="HTTP 400"):
+            self.verify(http_stub, tmp_path, mode, world)
+        # sent once: ahead of its ask in live mode, and taken there
+        assert world.rechecks == 1
