@@ -172,30 +172,31 @@ class AgentSuite:
         self.trace.log(EventKind.AGENT_CALL, agent=agent, **payload)
 
     def _prompt(self, agent: str, claim: Claim, evidence: Optional[EvidenceSet] = None,
-                **slots: str) -> tuple[tuple[str, str], ...]:
-        """The agent's messages: the claim slot holds claim.text, and the
-        evidence slot the evidence rendered within EVIDENCE_PROMPT_BUDGET."""
+                doc: Optional[Document] = None) -> tuple[tuple[str, str], ...]:
+        """The agent's messages: claim.text, the evidence rendered within
+        EVIDENCE_PROMPT_BUDGET and doc.body fill their slots."""
+        slots = {"claim": claim.text}
         if evidence is not None:
             slots["evidence"] = evidence.render(EVIDENCE_PROMPT_BUDGET)
-        return self.prompts[agent].render(claim=claim.text, **slots)
+        if doc is not None:
+            slots["document"] = doc.body
+        return self.prompts[agent].render(**slots)
 
-    def _complete(self, messages: tuple[tuple[str, str], ...],
-                  ahead_on: Optional[Executor] = None) -> Optional[str]:
-        """The reply to `messages`; a repeat within the claim is keyed by
-        its occurrence, so replay plays back each recorded answer once.  A
-        request sent ahead answers only an ask of exactly that request: if it
-        has started, its reply is taken, else it is cancelled and asked here.
-        With `ahead_on`, the request is only sent on that pool, not counted
-        as asked, and the reply is None."""
-        req = ChatRequest(
+    def _request(self, messages: tuple[tuple[str, str], ...]) -> ChatRequest:
+        """The request an ask of `messages` sends now, keyed by its occurrence
+        in the claim, so replay plays back each recorded answer once."""
+        return ChatRequest(
             model_id=self.config.model_id,
             messages=messages,
             temperature=self.config.temperature,
             occurrence=self.asked[messages],
         )
-        if ahead_on is not None:
-            self.ahead = req, ahead_on.submit(self.gateway.complete, req)
-            return None
+
+    def _complete(self, messages: tuple[tuple[str, str], ...]) -> str:
+        """The reply to `messages`.  A request sent ahead answers only an ask
+        of exactly that request: if it has started, its reply is taken, else
+        it is cancelled and asked here."""
+        req = self._request(messages)
         self.asked[messages] += 1
         if self.ahead is not None and self.ahead[0] == req:
             (_, task), self.ahead = self.ahead, None
@@ -207,8 +208,8 @@ class AgentSuite:
                    doc: Optional[Document] = None) -> Future:
         """Sends on `pool` the request that `agent` would make now on these
         arguments, for the agent's next ask to take; its task."""
-        slots = {} if doc is None else {"document": doc.body}
-        self._complete(self._prompt(agent, claim, evidence, **slots), ahead_on=pool)
+        req = self._request(self._prompt(agent, claim, evidence, doc))
+        self.ahead = req, pool.submit(self.gateway.complete, req)
         return self.ahead[1]
 
     # -- agents -------------------------------------------------------------
@@ -236,8 +237,7 @@ class AgentSuite:
 
     def self_contained_check(self, claim: Claim, evidence: EvidenceSet,
                              doc: Document) -> bool:
-        reply = self._complete(self._prompt("self_contained_check", claim, evidence,
-                                            document=doc.body))
+        reply = self._complete(self._prompt("self_contained_check", claim, evidence, doc))
         parsed = parse_yes_no(reply)
         self._log("self_contained_check", url=doc.meta.url,
                   result=bool(parsed), fallback=parsed is None)
@@ -245,7 +245,7 @@ class AgentSuite:
 
     def det_helpful(self, claim: Claim, evidence: EvidenceSet,
                     doc: Document) -> HelpfulnessJudgment:
-        reply = self._complete(self._prompt("det_helpful", claim, evidence, document=doc.body))
+        reply = self._complete(self._prompt("det_helpful", claim, evidence, doc))
         judgment = parse_helpfulness(reply)
         self._log("det_helpful", url=doc.meta.url, helpful=judgment.helpful)
         return judgment

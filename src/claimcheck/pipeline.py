@@ -59,12 +59,8 @@ class VerdictReport:
 
 class Verifier:
     """Wires agents, search, and page reading into the verification loop.
-    With a live gateway it keeps a thread pool on which each claim's
-    `_ClaimRun` fetches a query's result pages ahead of need and, once no
-    search can follow, sends beside each sufficiency check the LLM call
-    that a "no" leads to.  At most one such request per claim goes unread,
-    and the claim waits for it at worst as long as for one sequential call;
-    the `_ClaimRun` docstring says when and at what cost."""
+    With a live gateway it keeps the thread pool on which each claim's
+    `_ClaimRun` sends pages and LLM calls ahead; its docstring says when."""
 
     def __init__(
         self,
@@ -73,7 +69,6 @@ class Verifier:
         search: SearchClient,
         reader: PageReader,
         agent_factory: Optional[Callable[[BudgetConfig, RunTrace], AgentSuite]] = None,
-        clock: Callable[[], float] = time.time,
     ) -> None:
         if agent_factory is None:
             if gateway is None:
@@ -85,7 +80,6 @@ class Verifier:
         self._agent_factory = agent_factory
         self.search = search
         self.reader = reader
-        self.clock = clock
         # live only (a record run sends only what it reads; a replayed LLM call
         # leaves no wait to hide a fetch or a call behind); long-lived, to keep connections
         self._prefetch_pool = (ThreadPoolExecutor(thread_name_prefix="claimcheck-prefetch")
@@ -109,8 +103,7 @@ class _ClaimRun:
     stay in order: the trace is a sequential run's.
 
     A claim that stops mid-query has paid for up to k-1 page fetches it
-    never reads.  `report` cancels those not started and waits for the
-    rest: at worst PageReader.TIMEOUT (15 s), in parallel.
+    never reads.
 
     The tail rule: once no search can follow (the budget is spent and no
     query is queued, or the drain has begun), `send_ahead` puts on the pool,
@@ -122,10 +115,13 @@ class _ClaimRun:
     stops while a search could still follow sends exactly the sequential
     requests, and any other claim at most one more.  The agents take a
     reply sent ahead only for exactly that request, so prompts, verdicts
-    and the trace stay the sequential loop's.  `report` cancels an unread
-    send-ahead not started and waits for one running: at worst the
-    gateway's retry policy (4 tries of LlmGateway.TIMEOUT, 60 s, and 7 s of
-    back-off), as long as a sequential call may take."""
+    and the trace stay the sequential loop's.
+
+    `report` ends by cancelling each page and send-ahead never read that has
+    not started, and waiting for those running: at worst PageReader.TIMEOUT
+    (15 s) for a page, and for a send-ahead the gateway's retry policy (4
+    tries of LlmGateway.TIMEOUT, 60 s, and 7 s of back-off), as long as a
+    sequential call may take; all in parallel."""
 
     def __init__(self, verifier: Verifier, claim: Claim, config: BudgetConfig,
                  ablations: frozenset[Ablation]) -> None:
@@ -133,7 +129,7 @@ class _ClaimRun:
         self.claim = claim
         self.config = config
         self.ablations = ablations
-        self.trace = RunTrace(verifier.clock)
+        self.trace = RunTrace()
         self.agents = verifier._agent_factory(config, self.trace)
         self.evidence = EvidenceSet()
         self.deferred: deque[Document] = deque()  # not yet rechecked
@@ -148,10 +144,7 @@ class _ClaimRun:
     def report(self) -> VerdictReport:
         try:
             self.queue(self.agents.initial_query_gen(self.claim))
-            try:
-                self.search_loop()
-            finally:
-                wait([task for task in self.pages.values() if not task.cancel()])
+            self.search_loop()
             self.drain_deferred()
             verdict = self.agents.classify(self.claim, self.evidence)
         except (TransportError, StorageError) as exc:
@@ -159,7 +152,7 @@ class _ClaimRun:
             # LLM calls and fixtures, and the run cannot go on without them
             raise GatewayFatal(str(exc)) from exc
         finally:
-            wait([task for task in self.ahead if not task.cancel()])
+            wait([task for task in (*self.pages.values(), *self.ahead) if not task.cancel()])
         terminated_by = (TerminationReason.SUFFICIENT_EVIDENCE if self.sufficient
                          else TerminationReason.BUDGET_EXHAUSTED)
         self.trace.log(EventKind.VERDICT, verdict=verdict.value,

@@ -440,8 +440,8 @@ class RecordedClient:
     then waits, holding the client's lock, until 1/requests_per_second has
     passed since its last try (a late wake-up pushes the next back; rate 0,
     the LLM's, never waits), and may take TIMEOUT seconds.  Transport
-    errors, HTTP 429 and 5xx are retried; a body over its cap, another 4xx
-    or a non-object fails."""
+    errors, HTTP 429 and 5xx are retried; a body over its cap, any other
+    status outside 2xx or a non-object fails."""
 
     TIMEOUT: float
     _malformed: Callable[[dict[str, Any]], Optional[str]]
@@ -481,8 +481,8 @@ class RecordedClient:
     def _post(self, url: str, headers: dict[str, str], payload: dict[str, Any]) -> dict[str, Any]:
         """The JSON object in the body of the first answer that is not a 429
         or 5xx; TransportError (AuthRejected for 401 and 403) for any other
-        HTTP error, a body that is not a JSON object or is over its cap, or
-        once the retries run out."""
+        status outside 2xx (a POST follows no redirect), a body that is not a
+        JSON object or is over its cap, or once the retries run out."""
         last_error: object = None
         for attempt in range(1 + len(RETRY_DELAYS)):
             if attempt:
@@ -498,7 +498,7 @@ class RecordedClient:
             if status == 429 or status >= 500:
                 last_error = f"HTTP {status} from {url}"
                 continue
-            if status >= 400:
+            if not 200 <= status < 300:
                 error = AuthRejected if status in (401, 403) else TransportError
                 raise error(f"HTTP {status} from {url}: {body[:200]}")
             try:

@@ -268,8 +268,7 @@ def stub_verifier(http_stub, tmp_path, mode, rules, pages, search_app):
     search = SearchClient(mode=mode, endpoint=http_stub(search_app), api_key="k",
                           fixture_dir=str(fixtures / "search") if stored else None,
                           requests_per_second=0)
-    return Verifier(gateway=gateway, search=search, reader=PageReader(http_get=pages),
-                    clock=lambda: 0.0)
+    return Verifier(gateway=gateway, search=search, reader=PageReader(http_get=pages))
 
 
 # ---------------------------------------------------------------------------

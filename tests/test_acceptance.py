@@ -149,7 +149,7 @@ def test_criterion_3_pipeline_property_suite():
         search = FakeSearch(worlds)
         reader = FakeReader(unusable=unusable)
         verifier = Verifier(agent_factory=lambda c, t: agents, search=search,
-                            reader=reader, clock=lambda: 0.0)
+                            reader=reader)
         result = verifier.verify(Claim(text="some claim"), config, ablations)
         n_deferred = sum(1 for e in result.trace.events
                          if e.kind is EventKind.SCENARIO_DECISION and e.payload["scenario"] == "d")
@@ -187,8 +187,7 @@ def test_criterion_3_pipeline_property_suite():
     worlds = {"q": [make_result(contextless, query="q"),
                     make_result("https://s0-1.example/page", query="q")]}
     verifier = Verifier(agent_factory=lambda c, t: agents,
-                        search=FakeSearch(worlds), reader=FakeReader(),
-                        clock=lambda: 0.0)
+                        search=FakeSearch(worlds), reader=FakeReader())
     result = verifier.verify(Claim(text="flip"), BudgetConfig())
     assert any(i.source_url == contextless for i in result.evidence)
     assert agents.scc_urls.count(contextless) == 2  # deferred, re-checked once
@@ -199,8 +198,7 @@ def test_criterion_3_pipeline_property_suite():
     urls = [f"https://s0-{j}.example/page" for j in range(3)]
     worlds = {"q": [make_result(u, query="q") for u in urls]}
     verifier = Verifier(agent_factory=lambda c, t: agents,
-                        search=FakeSearch(worlds), reader=FakeReader(),
-                        clock=lambda: 0.0)
+                        search=FakeSearch(worlds), reader=FakeReader())
     verifier.verify(Claim(text="fifo"), BudgetConfig(max_results_per_query=3))
     assert agents.scc_urls == urls + urls  # loop order, then drain in FIFO order
 

@@ -1,6 +1,6 @@
 """pipeline.build_verifier: the one place in the package that wires the LLM
 gateway, the search client and the page reader, in every mode.  Also the
-one place that builds a chat request, AgentSuite._complete."""
+one place that builds a chat request, AgentSuite._request."""
 import ast
 import threading
 from pathlib import Path
@@ -121,4 +121,4 @@ def test_the_clients_are_constructed_only_in_build_verifier():
 def test_chat_requests_are_constructed_only_in_the_agent_suite():
     """A request built anywhere else would escape the suite's count of
     repeated asks, and replay would hand it another ask's answer."""
-    assert constructions({"ChatRequest"}) == {("agents.AgentSuite._complete", "ChatRequest")}
+    assert constructions({"ChatRequest"}) == {("agents.AgentSuite._request", "ChatRequest")}

@@ -255,6 +255,18 @@ class TestLiveTransport:
             gateway.complete(req())
         assert len(attempts) == 1
 
+    def test_redirect_reports_its_status(self, http_stub):
+        seen = []
+
+        def found(method, path, body, headers):
+            seen.append(path)
+            return 302, {"Location": "/elsewhere", "Content-Type": "text/html"}, b"<p>Found</p>"
+
+        gateway = LlmGateway(mode="live", base_url=http_stub(found), sleep=lambda s: None)
+        with pytest.raises(TransportError, match="HTTP 302 from "):
+            gateway.complete(req())
+        assert len(seen) == 1  # neither followed nor retried
+
     def test_mode_validation(self, tmp_path):
         with pytest.raises(ValueError):
             LlmGateway(mode="bogus")

@@ -222,7 +222,7 @@ def verify(world: World, executor: ManualExecutor | None = None, schedule=()):
     search = FakeSearch({q: [make_result(u) for u in urls] for q, urls in world.results.items()})
     reader = FakeReader(unusable=set(world.unusable))
     verifier = Verifier(agent_factory=lambda config, trace: agents, search=search,
-                        reader=reader, clock=lambda: 0.0)
+                        reader=reader)
     verifier._prefetch_pool = executor
     report = verifier.verify(CLAIM, world.config, world.ablations)
     return report, agents, search.calls, reader.acquired
@@ -432,16 +432,14 @@ def verify_on_stubs(stub_world, world: World, executor: ManualExecutor | None = 
         suite = live._agent_factory(config, trace)
         complete = suite._complete
 
-        def reading(messages, ahead_on=None):
-            if ahead_on is None:
-                read.append(messages)
-            return complete(messages, ahead_on)
+        def reading(messages):
+            read.append(messages)
+            return complete(messages)
 
         suite._complete = reading
         return ScheduledAgents(suite, executor, list(schedule))
 
-    verifier = Verifier(agent_factory=agents, search=live.search, reader=live.reader,
-                        clock=lambda: 0.0)
+    verifier = Verifier(agent_factory=agents, search=live.search, reader=live.reader)
     verifier._prefetch_pool = executor
     report = verifier.verify(CLAIM, world.config, world.ablations)
     return report, list(stubs.llm_bodies), read

@@ -41,7 +41,7 @@ def build(agents, worlds=None, unusable=None, bodies=None):
     search = FakeSearch(worlds or {})
     reader = FakeReader(bodies=bodies, unusable=unusable)
     verifier = Verifier(agent_factory=lambda config, trace: agents,
-                        search=search, reader=reader, clock=lambda: 0.0)
+                        search=search, reader=reader)
     return verifier, search, reader
 
 
@@ -329,7 +329,7 @@ class TestBudgetAndQueries:
         agents = ScriptedAgents(initial=["q1", "q2"])
         search = ExplodingSearch()
         verifier = Verifier(agent_factory=lambda c, t: agents, search=search,
-                            reader=FakeReader(), clock=lambda: 0.0)
+                            reader=FakeReader())
         report = verifier.verify(CLAIM, BudgetConfig())
         assert search.calls == 2
         assert report.trace.events[-1].kind is EventKind.VERDICT
@@ -344,7 +344,7 @@ class TestBudgetAndQueries:
         search = SearchClient(mode="live", transport=rate_limited,
                               sleep=lambda s: None, requests_per_second=0)
         verifier = Verifier(agent_factory=lambda c, t: ScriptedAgents(initial=["q1"]),
-                            search=search, reader=FakeReader(), clock=lambda: 0.0)
+                            search=search, reader=FakeReader())
         report = verifier.verify(CLAIM, BudgetConfig())
         assert attempts == ["q1"] * 4
         assert [e.kind for e in report.trace.events].count(EventKind.VERDICT) == 1
@@ -356,7 +356,7 @@ class TestBudgetAndQueries:
         search = SearchClient(mode="live", transport=lambda *a, **k: (200, "null"),
                               requests_per_second=0)
         verifier = Verifier(agent_factory=lambda c, t: ScriptedAgents(initial=["q1"]),
-                            search=search, reader=FakeReader(), clock=lambda: 0.0)
+                            search=search, reader=FakeReader())
         report = verifier.verify(CLAIM, BudgetConfig())
         assert report.verdict is Verdict.TRUE
         (event,) = [e for e in report.trace.events if e.kind is EventKind.SEARCH_CALL]
@@ -401,7 +401,7 @@ class TestQueriesWithAgentSuite:
         search = FakeSearch()
         verifier = Verifier(
             agent_factory=lambda config, trace: AgentSuite(gateway, config, load_prompts(), trace),
-            search=search, reader=FakeReader(), clock=lambda: 0.0)
+            search=search, reader=FakeReader())
         report = verifier.verify(CLAIM, BudgetConfig(max_search_queries=budget))
         return report, [text for text, _ in search.calls], asked
 

@@ -119,6 +119,22 @@ class TestLiveMode:
         assert len(attempts) == 4
         assert sleeps == [1.0, 2.0, 4.0]
 
+    def test_redirect_is_an_error_and_records_nothing(self, tmp_path, http_stub):
+        seen = []
+
+        def moved(method, path, body, headers):
+            seen.append(path)
+            return (301, {"Location": "/elsewhere", "Content-Type": "application/json"},
+                    b'{"message": "Moved Permanently"}')
+
+        client = SearchClient(mode="record", endpoint=f"{http_stub(moved)}/search",
+                              api_key="k", fixture_dir=tmp_path, sleep=lambda s: None,
+                              requests_per_second=0)
+        with pytest.raises(TransportError, match="HTTP 301 from .*Moved Permanently"):
+            client.search(SearchQuery("q"), 1)
+        assert seen == ["/search"]  # neither followed nor retried
+        assert not list(tmp_path.iterdir())
+
     def test_server_errors_become_transport_error(self):
         client = SearchClient(mode="live", transport=lambda *a, **k: (502, ""),
                               sleep=lambda s: None, requests_per_second=0)
