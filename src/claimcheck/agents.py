@@ -164,7 +164,7 @@ class AgentSuite:
         self.prompts = prompts
         self.trace = trace
         self.asked: Counter[tuple[tuple[str, str], ...]] = Counter()  # messages -> asks sent
-        self.ahead: Optional[tuple[ChatRequest, Future]] = None  # sent ahead, not yet asked
+        self.ahead: dict[ChatRequest, Future] = {}  # sent ahead, not yet asked
 
     # -- plumbing -----------------------------------------------------------
 
@@ -198,19 +198,20 @@ class AgentSuite:
         it is cancelled and asked here."""
         req = self._request(messages)
         self.asked[messages] += 1
-        if self.ahead is not None and self.ahead[0] == req:
-            (_, task), self.ahead = self.ahead, None
-            if not task.cancel():
-                return task.result().text
+        task = self.ahead.pop(req, None)
+        if task is not None and not task.cancel():
+            return task.result().text
         return self.gateway.complete(req).text
 
     def send_ahead(self, pool: Executor, agent: str, claim: Claim, evidence: EvidenceSet,
                    doc: Optional[Document] = None) -> Future:
         """Sends on `pool` the request that `agent` would make now on these
-        arguments, for the agent's next ask to take; its task."""
+        arguments, for the agent's next ask to take, unless that request is
+        already pending; its task."""
         req = self._request(self._prompt(agent, claim, evidence, doc))
-        self.ahead = req, pool.submit(self.gateway.complete, req)
-        return self.ahead[1]
+        if req not in self.ahead:
+            self.ahead[req] = pool.submit(self.gateway.complete, req)
+        return self.ahead[req]
 
     # -- agents -------------------------------------------------------------
 

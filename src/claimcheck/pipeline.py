@@ -106,16 +106,19 @@ class _ClaimRun:
     never reads.
 
     The tail rule: once no search can follow (the budget is spent and no
-    query is queued, or the drain has begun), `send_ahead` puts on the pool,
-    just before each sufficiency check, the LLM call the loop makes next if
-    the check says no: the next result's check (its helpfulness call under
-    rm-scc) when its page is in and usable, the next deferred page's
-    recheck, or classify.  A "no" then waits for one round-trip fewer.  A
-    "yes" may leave that one request sent and never read, so a claim that
-    stops while a search could still follow sends exactly the sequential
-    requests, and any other claim at most one more.  The agents take a
-    reply sent ahead only for exactly that request, so prompts, verdicts
-    and the trace stay the sequential loop's.
+    query is queued, or the drain has begun), `send_ahead` puts two kinds of
+    LLM call on the pool.  Just before each sufficiency check goes the call
+    the loop makes next if the check says no: the next result's check (its
+    helpfulness call under rm-scc) when its page is in and usable, the next
+    deferred page's recheck, or classify.  Just before each check of a page
+    read for the first time goes that page's helpfulness call, which a
+    "yes" then takes.  Each answer then waits for one round-trip fewer.  A
+    claim that stops while a search could still follow sends exactly the
+    sequential requests; any other claim may leave unread one helpfulness
+    call for each such check that says no (at most max_results_per_query),
+    plus one call sent beside a sufficiency check that says yes.  The agents
+    take a reply sent ahead only for exactly that request, so prompts,
+    verdicts and the trace stay the sequential loop's.
 
     `report` ends by cancelling each page and send-ahead never read that has
     not started, and waiting for those running: at worst PageReader.TIMEOUT
@@ -191,11 +194,14 @@ class _ClaimRun:
         except Unusable as exc:
             self.decide(result.url, "unusable", detail=str(exc))
             return
-        if (Ablation.RM_SCC not in self.ablations
-                and not self.agents.self_contained_check(self.claim, self.evidence, doc)):
-            self.deferred.append(doc)
-            self.decide(result.url, "d")
-            return
+        if Ablation.RM_SCC not in self.ablations:
+            # a "yes" takes it; a deferred page's recheck sends none, having
+            # said no once already
+            self.send_ahead("det_helpful", doc)
+            if not self.agents.self_contained_check(self.claim, self.evidence, doc):
+                self.deferred.append(doc)
+                self.decide(result.url, "d")
+                return
         self.judge(doc)
 
     def search(self, query: SearchQuery) -> list[SearchResultMeta]:
@@ -237,7 +243,7 @@ class _ClaimRun:
                 detail = {"detail": "already_evidence"}
             else:
                 # the loop and the drain judge a document only while evidence is short
-                self.send_ahead()
+                self.send_after_no()
                 self.sufficient = self.agents.sufficient_evidence(self.claim, self.evidence)
                 scenario = "a" if self.sufficient else "b"
         self.decide(doc.meta.url, scenario, **detail)
@@ -245,25 +251,29 @@ class _ClaimRun:
     def decide(self, url: str, scenario: str, **detail: str) -> None:
         self.trace.log(EventKind.SCENARIO_DECISION, url=url, scenario=scenario, **detail)
 
-    def send_ahead(self) -> None:
-        """In the claim's tail, with a pool, sends the LLM call that follows
-        a "no" from the sufficiency check about to be asked."""
-        pool = self.verifier._prefetch_pool
-        if pool is None or not (self.draining or (
-                not self.queries and len(self.queued) >= self.config.max_search_queries)):
-            return
+    def send_after_no(self) -> None:
+        """Sends ahead the LLM call that follows a "no" from the sufficiency
+        check about to be asked."""
         if self.unread:
             page = self.pages.get(id(self.unread[0]))
             if page is None or not page.done() or page.exception() is not None:
                 return  # the next call waits on its page, or there is none
             agent = ("det_helpful" if Ablation.RM_SCC in self.ablations
                      else "self_contained_check")
-            doc = (page.result(),)
+            self.send_ahead(agent, page.result())
         elif self.deferred:
-            agent, doc = "self_contained_check", (self.deferred[0],)
+            self.send_ahead("self_contained_check", self.deferred[0])
         else:
-            agent, doc = "classify", ()
-        self.ahead.append(self.agents.send_ahead(pool, agent, self.claim, self.evidence, *doc))
+            self.send_ahead("classify")
+
+    def send_ahead(self, agent: str, *doc: Document) -> None:
+        """With a pool, once no search can follow, sends `agent`'s call on
+        the current evidence (and `doc`) for the agent's next ask to take."""
+        pool = self.verifier._prefetch_pool
+        if pool is not None and (self.draining or (
+                not self.queries and len(self.queued) >= self.config.max_search_queries)):
+            self.ahead.append(self.agents.send_ahead(pool, agent, self.claim, self.evidence,
+                                                     *doc))
 
     def drain_deferred(self) -> None:
         """Single FIFO pass: re-check each deferred document against the

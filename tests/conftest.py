@@ -15,6 +15,7 @@ from claimcheck.agents import HelpfulnessJudgment
 from claimcheck.llm import ChatRequest, ChatResponse, LlmGateway
 from claimcheck.model import (
     Acquisition,
+    BudgetConfig,
     Claim,
     Document,
     EvidenceSet,
@@ -23,7 +24,8 @@ from claimcheck.model import (
     Verdict,
 )
 from claimcheck.pages import PageReader, Unusable
-from claimcheck.pipeline import Verifier
+from claimcheck.pipeline import TerminationReason, Verifier
+from claimcheck.trace import EventKind
 from claimcheck.websearch import SearchClient
 
 
@@ -269,6 +271,19 @@ def stub_verifier(http_stub, tmp_path, mode, rules, pages, search_app):
                           fixture_dir=str(fixtures / "search") if stored else None,
                           requests_per_second=0)
     return Verifier(gateway=gateway, search=search, reader=PageReader(http_get=pages))
+
+
+def ended_sufficient_in_tail(report, config: BudgetConfig) -> bool:
+    """The claim stopped on a sufficient check made once no search could
+    follow: every query of the budget searched, or the drain begun (a
+    decision after the loop's, which log one per result read)."""
+    events = report.trace.events
+    searches = sum(e.kind is EventKind.SEARCH_CALL for e in events)
+    loop_reads = sum(e.kind is EventKind.FETCH or e.payload.get("scenario") == "unusable"
+                     for e in events)
+    decisions = sum(e.kind is EventKind.SCENARIO_DECISION for e in events)
+    return (report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+            and (searches == config.max_search_queries or decisions > loop_reads))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ its verdict and termination reason; the LLM requests, searches and page
 fetches that reached the stub with the claim's id in them; the prompt
 characters of those LLM requests; and the sha256 of its normalized trace.
 A replay pass over the record fixtures, and a live pass with the real
-prefetch pool, must give the record pass's traces.
+prefetch pool, must give the record pass's traces.  The live pass must also
+send each claim's record searches, and its record LLM requests plus at most
+one, that one only for a claim that ended sufficient in its tail: on these
+worlds every page first read in the tail is understood, so the only request
+a claim may leave unread is the one sent beside the sufficiency check that
+said yes.
 
 The stub's URL, whose port changes from run to run, is replaced by
 PLACEHOLDER before characters are counted or a trace is hashed.
@@ -32,7 +37,7 @@ import pytest
 from claimcheck.model import BudgetConfig, Claim
 from claimcheck.pipeline import build_verifier
 
-from conftest import StubServer, _KeepAliveStubHandler
+from conftest import StubServer, _KeepAliveStubHandler, ended_sufficient_in_tail
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = Path(__file__).resolve().parent / "data" / "cost_golden.json"
@@ -86,7 +91,9 @@ def trace_digest(report, base: str) -> str:
 
 def run_passes(mix: str, fixtures: Path) -> dict:
     """{"costs": {claim id: pinned record-pass costs}, "record" / "replay" /
-    "live": {claim id: trace digest}} for the mix's world."""
+    "live": {claim id: trace digest}, "sent": {mode: {claim id: (LLM
+    requests, searches)}}, "tail_sufficient": {claim id: bool}} for the
+    mix's world."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import stub as stub_module
@@ -102,15 +109,21 @@ def run_passes(mix: str, fixtures: Path) -> dict:
     claims = [Claim(c["text"], c["id"]) for c in world["claims"]]
     urls = dict(llm_base_url=f"{base}/v1", llm_api_key="k",
                 search_endpoint=f"{base}/search", search_api_key="k", search_rps=0)
-    out: dict = {"costs": {}}
+    out: dict = {"costs": {}, "sent": {}, "tail_sufficient": {}}
     try:
         for mode in ("record", "replay", "live"):
             verifier = build_verifier(mode, fixtures if mode != "live" else None, **urls)
             digests = out[mode] = {}
+            sent = out["sent"][mode] = {}
             for claim in claims:
+                before = Counter(stub.counts[claim.id])
                 report = verifier.verify(claim, BudgetConfig())
                 digests[claim.id] = trace_digest(report, base)
+                sent[claim.id] = tuple(stub.counts[claim.id][key] - before[key]
+                                       for key in ("llm", "search"))
                 if mode == "record":
+                    out["tail_sufficient"][claim.id] = ended_sufficient_in_tail(
+                        report, BudgetConfig())
                     out["costs"][claim.id] = {
                         "verdict": report.verdict.value,
                         "terminated_by": report.terminated_by.value,
@@ -146,6 +159,15 @@ def test_replay_gives_the_record_traces(passes):
 def test_live_gives_the_record_traces(passes):
     _, out = passes
     assert out["live"] == out["record"]
+
+
+def test_live_sends_the_record_requests_and_at_most_one_more(passes):
+    _, out = passes
+    record, live = out["sent"]["record"], out["sent"]["live"]
+    for cid, (llm, searches) in record.items():
+        live_llm, live_searches = live[cid]
+        assert live_searches == searches, cid
+        assert llm <= live_llm <= llm + out["tail_sufficient"][cid], cid
 
 
 if __name__ == "__main__":

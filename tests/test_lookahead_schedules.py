@@ -7,12 +7,14 @@ and once on a `ManualExecutor`, whose queued tasks run on the calling thread
 only when an agent call's turn in the drawn schedule comes.  Both runs must
 log the same trace, make the same agent calls and send the same searches in
 the same order; the second must hand the executor page fetches and
-send-aheads only, send at most one request it never reads (and that only
-for a claim that ended sufficient in its tail), and leave no task pending.
-The same draws check the loop's own contract.  A second property runs
-worlds of the same strategy through AgentSuite, LlmGateway and SearchClient
-on the HTTP stubs, where the requests the second run sends must be the
-sequential run's plus at most that one.  A task that is still running when
+send-aheads only, and leave no task pending.  The requests it sends and
+never reads must be accounted for exactly: one helpfulness call for each
+page whose first check, made once no search could follow, said no, and at
+most one other, only for a claim that ended sufficient in its tail.  The
+same draws check the loop's own contract.  A second property runs worlds
+of the same strategy through AgentSuite, LlmGateway and SearchClient on the
+HTTP stubs, where the requests the second run sends must be the sequential
+run's plus at most those.  A task that is still running when
 the claim ends and waits for it is not modelled here: the threaded tests in
 test_pipeline.py cover that case.  Last, a claim's serial round-trips (the
 calls it waits for one after another) are counted with no pool and pinned
@@ -33,7 +35,7 @@ from hypothesis import strategies as st
 
 from claimcheck.agents import HelpfulnessJudgment
 from claimcheck.model import BudgetConfig, Claim, Document, EvidenceSet, SearchQuery
-from claimcheck.pipeline import Ablation, TerminationReason, Verifier
+from claimcheck.pipeline import Ablation, Verifier
 from claimcheck.replaystore import TransportError
 from claimcheck.trace import EventKind
 
@@ -41,6 +43,7 @@ from conftest import (
     FakeReader,
     FakeSearch,
     ScriptedAgents,
+    ended_sufficient_in_tail,
     make_result,
     scripted_llm_app,
     stub_verifier,
@@ -104,7 +107,8 @@ class ScheduledAgents:
     tasks as the schedule's next number says; records every call.  A
     send-ahead goes to the wrapped AgentSuite; scripted agents have none,
     so `complete` stands for its request, and the next call with the same
-    arguments cancels it or takes it, as AgentSuite._complete does."""
+    arguments cancels it or takes it, as AgentSuite._complete does.  A
+    send-ahead of a call already pending returns its task."""
 
     def __init__(self, agents: ScriptedAgents, executor: ManualExecutor | None,
                  schedule: list[int]) -> None:
@@ -112,30 +116,33 @@ class ScheduledAgents:
         self._executor = executor
         self._schedule = itertools.cycle(schedule or [0])
         self.calls: list[tuple] = []
-        self.sent: list[Future] = []  # every send-ahead's task
+        self.sent: dict[Future, tuple] = {}  # every send-ahead's task: the call it stands for
         self.taken: list[Future] = []  # those whose reply a call took
         self.ready: list[Future] = []  # of those, the ones done before that call's turn
-        self._pending: tuple[tuple, Future] | None = None  # sent ahead, not yet asked
+        self._pending: dict[tuple, Future] = {}  # sent ahead, not yet asked, by call
 
     def send_ahead(self, pool, agent: str, *args) -> Future:
+        call = (agent, *map(seen, args))
         suite_sends = getattr(self._agents, "send_ahead", None)
-        task = suite_sends(pool, agent, *args) if suite_sends else pool.submit(complete)
-        self.sent.append(task)
-        self._pending = (agent, *map(seen, args)), task
+        if suite_sends:
+            task = suite_sends(pool, agent, *args)
+        else:
+            task = self._pending.get(call) or pool.submit(complete)
+        self.sent[task] = call
+        self._pending[call] = task
         return task
 
     def __getattr__(self, name: str):
         method = getattr(self._agents, name)
 
         def call(*args):
-            pending = self._pending
-            ready = pending is not None and pending[1].done()
+            task = self._pending.pop((name, *map(seen, args)), None)
+            ready = task is not None and task.done()
             if self._executor is not None:
                 self._executor.run(next(self._schedule))
             self.calls.append((name, *map(seen, args)))
             reply = method(*args)
-            if pending is not None and pending[0] == self.calls[-1]:
-                self._pending, task = None, pending[1]
+            if task is not None:
                 if not hasattr(self._agents, "send_ahead"):
                     task.cancel()  # not started: asked inline
                 if not task.cancelled():
@@ -256,16 +263,15 @@ def serial_round_trips(agents: ScheduledAgents, searched: list, acquired: list[s
     return len(agents.calls) + len(searched) + len(acquired) - ran - len(agents.ready)
 
 
-def ended_sufficient_in_tail(report, world: World, searched: list) -> bool:
-    """The claim stopped on a sufficient check made once no search could
-    follow: every query of the budget searched, or the drain begun (a
-    decision after the loop's, which log one per result read)."""
-    events = report.trace.events
-    loop_reads = sum(e.kind is EventKind.FETCH or e.payload.get("scenario") == "unusable"
-                     for e in events)
-    decisions = sum(e.kind is EventKind.SCENARIO_DECISION for e in events)
-    return (report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
-            and (len(searched) == world.config.max_search_queries or decisions > loop_reads))
+def tail_deferrals(report, world: World) -> Counter:
+    """The URLs of the pages deferred on their first read once no search
+    could follow: every query of the budget searched."""
+    searches, deferred = 0, Counter()
+    for e in report.trace.events:
+        searches += e.kind is EventKind.SEARCH_CALL
+        if e.payload.get("scenario") == "d" and searches == world.config.max_search_queries:
+            deferred[e.payload["url"]] += 1
+    return deferred
 
 
 @settings(max_examples=200, deadline=None)
@@ -283,12 +289,18 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
     # only fetches pages and sends LLM calls ahead
     assert set(executor.handed) <= {"acquire_document", "complete"}
     assert ahead_searched == searched
-    # a send-ahead is sent only in the tail; one that ran and was not read
-    # is at most one, and only when a sufficient check ended the claim there
-    unread = [t for t in ahead_agents.sent
-              if t not in ahead_agents.taken and not t.cancelled()]
-    assert len(unread) <= 1
-    assert not unread or ended_sufficient_in_tail(report, world, searched)
+    # a send-ahead is sent only in the tail.  One that ran and was not read
+    # is the helpfulness call of a page whose first check there said no
+    # (one per such check), or the one call sent beside a sufficiency
+    # check, and that only when a sufficient check ended the claim there
+    unread = [call for task, call in ahead_agents.sent.items()
+              if task not in ahead_agents.taken and not task.cancelled()]
+    beside_check = [call for call in unread
+                    if call[0] != "det_helpful" or Ablation.RM_SCC in world.ablations]
+    helpfulness = Counter(call[3][0] for call in unread if call not in beside_check)
+    assert not helpfulness - tail_deferrals(report, world)
+    assert len(beside_check) <= 1
+    assert not beside_check or ended_sufficient_in_tail(report, world.config)
     assert not agents.sent
     assert (serial_round_trips(ahead_agents, ahead_searched, acquired, executor)
             <= serial_round_trips(agents, searched, acquired))
@@ -321,16 +333,17 @@ EAGER = [len(URLS)]  # every queued task runs at the next agent call
 
 
 @pytest.mark.parametrize("k, helpful, inline_per_query, saved", [
-    pytest.param(2, False, 0, 0, id="2-0"), pytest.param(1, False, 1, 0, id="1-1"),
-    pytest.param(2, True, 0, 2, id="2-0-tail-saves-2"),
-    pytest.param(1, True, 1, 1, id="1-1-tail-saves-1")])
+    pytest.param(2, False, 0, 2, id="2-0"), pytest.param(1, False, 1, 1, id="1-1"),
+    pytest.param(2, True, 0, 4, id="2-0-tail-saves-4"),
+    pytest.param(1, True, 1, 2, id="1-1-tail-saves-2")])
 def test_eager_schedule_serial_round_trips(k, helpful, inline_per_query, saved):
     """Two queries of k results each, every page understood, never enough
     evidence.  With k=2 the ranker's call runs both queued fetches first;
     with k=1 no agent call comes between the search and the read, so the
-    loop fetches the page itself.  With helpful pages the second query is
-    the tail: before each of its sufficiency checks the next call (the next
-    page's check, then classify) is sent, and the check's turn runs it."""
+    loop fetches the page itself.  The second query is the tail: before each
+    of its pages' checks that page's helpfulness call is sent, and with
+    helpful pages, before each sufficiency check the next call (the next
+    page's check, then classify); the next call's turn runs each."""
     world = World(BudgetConfig(max_search_queries=2, max_results_per_query=k), frozenset(),
                   initial=["q0", "q1"], additional=[],
                   results={"q0": URLS[:2], "q1": URLS[2:4]}, unusable=frozenset(),
@@ -463,11 +476,12 @@ def test_every_schedule_sends_the_sequential_loops_prompts(stub_world, world, sc
     assert set(executor.handed) <= {"acquire_document", "complete"}
     # with nothing sent ahead, the same requests go out in the same order
     assert ahead_prompts == prompts or "complete" in executor.handed
-    # every sequential request is sent, and at most one more: a send-ahead
-    # never read, only when a sufficient check ended the claim in its tail
+    # every sequential request is sent, and those never read are at most one
+    # helpfulness call per page whose first check in the tail said no, plus
+    # one more only when a sufficient check ended the claim in its tail
     sent, sequential = (Counter(json.dumps(body, sort_keys=True) for body in bodies)
                         for bodies in (ahead_prompts, prompts))
     assert not sequential - sent
-    assert sum((sent - sequential).values()) <= 1
-    assert sent == sequential or ended_sufficient_in_tail(
-        report, world, [e for e in report.trace.events if e.kind is EventKind.SEARCH_CALL])
+    assert (sum((sent - sequential).values())
+            <= sum(tail_deferrals(report, world).values())
+            + ended_sufficient_in_tail(report, world.config))

@@ -897,11 +897,100 @@ class DrainWorld:
         return self.llm(method, path, body, headers)
 
 
+class TailPage:
+    """One query and a budget of one, so its one result is read in the
+    claim's tail, and every page is helpful.  Its check replies
+    `comprehensible`; when `wait_for_helpfulness`, only once the page's
+    helpfulness request has reached the stub (or after 5 s).  The
+    helpfulness reply takes `helpfulness_s` seconds."""
+
+    HELPFULNESS = b"adds helpful new information"
+
+    def __init__(self, comprehensible: str, wait_for_helpfulness=False,
+                 helpfulness_s=0.0) -> None:
+        self.arrived, self.answered = threading.Event(), threading.Event()
+        self.helpfulness_asks = 0
+        self.before_check_reply: list[bool] = []  # per check: the request had arrived
+        self.wait, self.helpfulness_s = wait_for_helpfulness, helpfulness_s
+        self.llm = scripted_llm_app(llm_rules(1, comprehensible=comprehensible))
+
+    def __call__(self, method, path, body, headers):
+        if self.HELPFULNESS in body:
+            self.helpfulness_asks += 1
+            self.arrived.set()
+            time.sleep(self.helpfulness_s)
+            reply = self.llm(method, path, body, headers)
+            self.answered.set()
+            return reply
+        if b"Is the document comprehensible" in body:
+            self.before_check_reply.append(self.arrived.wait(5) if self.wait
+                                           else self.arrived.is_set())
+        return self.llm(method, path, body, headers)
+
+
 class TestSendAhead:
-    def verify(self, http_stub, tmp_path, mode, llm, n_results=3, **config):
+    def verify(self, http_stub, tmp_path, mode, llm, n_results=3, ablations=frozenset(),
+               **config):
         verifier = stub_verifier(http_stub, tmp_path, mode, llm, naming_its_url,
                                  serper_stub_app(n_results))
-        return verifier.verify(CLAIM, BudgetConfig(max_results_per_query=n_results, **config))
+        return verifier.verify(CLAIM, BudgetConfig(max_results_per_query=n_results, **config),
+                               ablations)
+
+    def test_a_tail_page_understood_sends_its_helpfulness_call_once_beside_its_check(
+            self, http_stub, tmp_path, monkeypatch):
+        sent = sent_requests(monkeypatch)
+        world = TailPage("YES", wait_for_helpfulness=True)
+        report = self.verify(http_stub, tmp_path, "live", world, n_results=1,
+                             max_search_queries=1)
+        assert scenarios(report) == ["a"]
+        assert world.helpfulness_asks == 1
+        assert world.before_check_reply == [True]
+        record = Counter(sent)
+        sent.clear()
+        self.verify(http_stub, tmp_path, "record", TailPage("YES"), n_results=1,
+                    max_search_queries=1)
+        assert Counter(sent) == record
+
+    def test_a_tail_check_that_says_no_leaves_its_helpfulness_call_unread(
+            self, http_stub, tmp_path, monkeypatch):
+        sent = sent_requests(monkeypatch)
+        reports, requests = {}, {}
+        for mode in ("record", "live"):
+            sent.clear()
+            world = TailPage("NO", wait_for_helpfulness=mode == "live", helpfulness_s=0.2)
+            reports[mode] = self.verify(http_stub, tmp_path, mode, world, n_results=1,
+                                        max_search_queries=1)
+            requests[mode] = Counter(sent)
+            # the helpfulness call was in flight when the claim ended, and
+            # verify waited for it
+            assert world.answered.is_set() == (mode == "live")
+            assert world.helpfulness_asks == (mode == "live")
+        record, live = reports["record"], reports["live"]
+        assert scenarios(live) == ["d", "dropped_after_recheck"]
+        assert live.verdict is record.verdict
+        assert list(live.evidence) == list(record.evidence) == []
+        assert (live.trace.to_jsonl(normalize_timestamps=True)
+                == record.trace.to_jsonl(normalize_timestamps=True))
+        assert not requests["record"] - requests["live"]
+        (extra,) = requests["live"] - requests["record"]
+        assert "adds helpful new information" in extra.messages[-1][1]
+
+    def test_under_rm_scc_a_tail_read_sends_nothing_extra(self, http_stub, tmp_path,
+                                                          monkeypatch):
+        sent = sent_requests(monkeypatch)
+        reports, requests = {}, {}
+        for mode in ("record", "live"):
+            sent.clear()
+            reports[mode] = self.verify(http_stub, tmp_path, mode, llm_rules(2, sufficient=False),
+                                        n_results=2, ablations={Ablation.RM_SCC},
+                                        max_search_queries=1)
+            requests[mode] = Counter(sent)
+        assert scenarios(reports["live"]) == ["b", "b"]
+        assert (reports["live"].trace.to_jsonl(normalize_timestamps=True)
+                == reports["record"].trace.to_jsonl(normalize_timestamps=True))
+        assert requests["live"] == requests["record"]
+        assert not any("Is the document comprehensible" in req.messages[-1][1]
+                       for req in requests["live"])
 
     @pytest.mark.parametrize("queries, budget, n_results", [
         (QUERIES[:2], 4, 1),  # on query 1's only result, with query 2 queued
