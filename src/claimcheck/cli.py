@@ -92,6 +92,16 @@ def _trace_file(path: Path, what: str) -> Path:
     return path
 
 
+def _remove_earlier(paths) -> None:
+    """Removes an earlier run's outputs at ``paths``: none may stand beside this
+    run's as if it were one of them."""
+    for path in paths:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise SystemExit(_config_error(f"cannot remove an earlier run's output: {exc}"))
+
+
 @click.group()
 def main() -> None:
     """Verify atomic claims against live web evidence."""
@@ -108,6 +118,7 @@ def cmd_verify(claim_text, trace_path, **options) -> None:
         raise click.UsageError("claim text must be non-empty")
     verifier, config, ablations = _build(**options)
     trace_file = _trace_file(Path(trace_path), f"--trace {trace_path!r}") if trace_path else None
+    _remove_earlier([trace_file] if trace_file else [])
     try:
         result = verifier.verify(Claim(text=claim_text), config, ablations)
     except GatewayFatal as exc:
@@ -177,6 +188,8 @@ def cmd_bench(dataset_kind, dataset_path, seed, limit, concurrency, out_dir, tra
     rows = []
     # rows go out in dataset order as claims finish: a run that dies keeps the earlier ones
     with predictions, ThreadPoolExecutor(max_workers=concurrency) as pool:
+        # only the claims this run verifies: another claim's trace stays
+        _remove_earlier([out / "metrics.json", out / "metrics.txt", *trace_files.values()])
         for row, trace in pool.map(run_one, claims):
             if trace is not None and trace_dir:
                 trace.write(trace_files[row["id"]])

@@ -105,26 +105,26 @@ class _ClaimRun:
     A claim that stops mid-query has paid for up to k-1 page fetches it
     never reads.
 
-    The tail rule: once no search can follow (the budget is spent and no
-    query is queued, or the drain has begun), `send_ahead` puts two kinds of
-    LLM call on the pool.  Just before each sufficiency check goes the call
-    the loop makes next if the check says no: the next result's check (its
-    helpfulness call under rm-scc) when its page is in and usable, the next
-    deferred page's recheck, or classify.  Just before each check of a page
-    read for the first time goes that page's helpfulness call, which a
-    "yes" then takes.  Each answer then waits for one round-trip fewer.  A
-    claim that stops while a search could still follow sends exactly the
-    sequential requests; any other claim may leave unread one helpfulness
-    call for each such check that says no (at most max_results_per_query),
-    plus one call sent beside a sufficiency check that says yes.  The agents
-    take a reply sent ahead only for exactly that request, so prompts,
-    verdicts and the trace stay the sequential loop's.
+    The tail rule: once no search can follow (`tail`: the budget is spent
+    and no query is queued, or the drain has begun), `send_ahead` puts two
+    kinds of LLM call on the pool.  Just before each sufficiency check goes
+    the call the loop makes next if the check says no: the next result's
+    check (its helpfulness call under rm-scc) when its page is in and
+    usable, the next deferred page's recheck, or classify.  Just before each
+    check of a page read for the first time goes that page's helpfulness
+    call, which a "yes" then takes.  Each answer then waits for one
+    round-trip fewer.  A claim that stops while a search could still follow
+    sends exactly the sequential requests; any other claim may leave unread
+    one helpfulness call for each such check that says no (at most
+    max_results_per_query), plus one call sent beside a sufficiency check
+    that says yes.  The agents take a reply sent ahead only for exactly that
+    request, so prompts, verdicts and the trace stay the sequential loop's.
 
-    `report` ends by cancelling each page and send-ahead never read that has
-    not started, and waiting for those running: at worst PageReader.TIMEOUT
-    (15 s) for a page, and for a send-ahead the gateway's retry policy (4
-    tries of LlmGateway.TIMEOUT, 60 s, and 7 s of back-off), as long as a
-    sequential call may take; all in parallel."""
+    `report` ends by settling `pages` and the suite's pending requests
+    (AgentSuite.ahead): it cancels each task not started and waits for the
+    rest, at worst PageReader.TIMEOUT (15 s) for a page and, for a request,
+    the gateway's retry policy (4 tries of LlmGateway.TIMEOUT, 60 s, and 7 s
+    of back-off), as long as a sequential call may take; all in parallel."""
 
     def __init__(self, verifier: Verifier, claim: Claim, config: BudgetConfig,
                  ablations: frozenset[Ablation]) -> None:
@@ -136,13 +136,12 @@ class _ClaimRun:
         self.agents = verifier._agent_factory(config, self.trace)
         self.evidence = EvidenceSet()
         self.deferred: deque[Document] = deque()  # not yet rechecked
-        self.draining = False
+        self.tail = False  # no search can follow
         self.sufficient = False
         self.queries: deque[SearchQuery] = deque()
         self.queued: set[str] = set()  # lower-cased texts of every query queued
         self.unread: deque[SearchResultMeta] = deque()  # the current query's, in read order
         self.pages: dict[int, Future] = {}  # by id(result), the pages sent ahead, not yet read
-        self.ahead: list[Future] = []  # the LLM calls sent ahead
 
     def report(self) -> VerdictReport:
         try:
@@ -155,7 +154,8 @@ class _ClaimRun:
             # LLM calls and fixtures, and the run cannot go on without them
             raise GatewayFatal(str(exc)) from exc
         finally:
-            wait([task for task in (*self.pages.values(), *self.ahead) if not task.cancel()])
+            wait([task for task in (*self.pages.values(), *self.agents.ahead.values())
+                  if not task.cancel()])
         terminated_by = (TerminationReason.SUFFICIENT_EVIDENCE if self.sufficient
                          else TerminationReason.BUDGET_EXHAUSTED)
         self.trace.log(EventKind.VERDICT, verdict=verdict.value,
@@ -179,6 +179,7 @@ class _ClaimRun:
                 # asking again on the same evidence would repeat it
                 return
             query = self.queries.popleft()
+            self.tail = not self.queries and len(self.queued) >= self.config.max_search_queries
             ranked = self.search(query)
             if len(ranked) > 1 and Ablation.RM_SR not in self.ablations:
                 ranked = self.agents.search_rank(query, ranked)
@@ -270,15 +271,13 @@ class _ClaimRun:
         """With a pool, once no search can follow, sends `agent`'s call on
         the current evidence (and `doc`) for the agent's next ask to take."""
         pool = self.verifier._prefetch_pool
-        if pool is not None and (self.draining or (
-                not self.queries and len(self.queued) >= self.config.max_search_queries)):
-            self.ahead.append(self.agents.send_ahead(pool, agent, self.claim, self.evidence,
-                                                     *doc))
+        if pool is not None and self.tail:
+            self.agents.send_ahead(pool, agent, self.claim, self.evidence, *doc)
 
     def drain_deferred(self) -> None:
         """Single FIFO pass: re-check each deferred document against the
         grown evidence set; failures are dropped, never re-deferred."""
-        self.draining = True
+        self.tail = True
         while self.deferred and not self.sufficient:
             doc = self.deferred.popleft()
             if self.agents.self_contained_check(self.claim, self.evidence, doc):

@@ -380,6 +380,7 @@ class ScriptedAgents:
         self.additional = additional if additional is not None else []
         self.calls: Counter[str] = Counter()
         self.scc_urls: list[str] = []
+        self.ahead: dict = {}  # none: scripted agents send nothing ahead
 
     @staticmethod
     def _value(behavior, *args):

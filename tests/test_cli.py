@@ -428,6 +428,47 @@ class TestMissingFixture:
         assert "configuration error" in result.output
 
 
+class TestEarlierOutputs:
+    """A run removes what an earlier run left where its own outputs go, so
+    none stands beside this run's as if it were one of them."""
+
+    def test_bench_that_scores_nothing_leaves_no_earlier_metrics_or_traces(self, runner,
+                                                                            tmp_path):
+        out, traces = tmp_path / "out", tmp_path / "traces"
+        for path in (out / "metrics.json", out / "metrics.txt", traces / "c0.jsonl",
+                     traces / "c1.jsonl", traces / "other.jsonl"):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("from an earlier run\n", encoding="utf-8")
+        dataset = factool_file(tmp_path, FIVE_CLAIMS[:2])
+        result = run(runner, ["bench", "factool_kbqa", str(dataset),
+                              "--mode", "replay", "--fixtures", str(tmp_path / "empty"),
+                              "--out", str(out), "--trace-dir", str(traces)],
+                     expect_exit=2)
+        assert "no claims completed" in result.output
+        assert sorted(path.name for path in out.iterdir()) == ["predictions.jsonl"]
+        # a claim this run does not verify keeps its trace
+        assert sorted(path.name for path in traces.iterdir()) == ["other.jsonl"]
+
+    def test_verify_that_fails_leaves_no_earlier_trace(self, runner, tmp_path):
+        trace_path = tmp_path / "t.jsonl"
+        trace_path.write_text("from an earlier run\n", encoding="utf-8")
+        run(runner, ["verify", "some claim", "--mode", "replay", "--fixtures",
+                     str(tmp_path / "empty"), "--trace", str(trace_path)], expect_exit=2)
+        assert not trace_path.exists()
+
+    def test_earlier_output_that_cannot_be_removed_is_config_error(self, runner,
+                                                                   scripted_world, tmp_path):
+        out = tmp_path / "out"
+        (out / "metrics.json").mkdir(parents=True)
+        result = runner.invoke(main, ["bench", "factool_kbqa",
+                                      str(factool_file(tmp_path, FIVE_CLAIMS[:2])),
+                                      "--mode", "record", "--out", str(out),
+                                      *scripted_world["flags"]])
+        assert result.exit_code == 2, result.output
+        assert "configuration error: cannot remove an earlier run's output" in result.output
+        assert scripted_world["llm_seen"] == []
+
+
 class TestBudgetOptions:
     @pytest.mark.parametrize("command", ["verify", "bench"])
     @pytest.mark.parametrize("option, value", [("--max-results", "0"),

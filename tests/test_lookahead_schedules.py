@@ -119,7 +119,7 @@ class ScheduledAgents:
         self.sent: dict[Future, tuple] = {}  # every send-ahead's task: the call it stands for
         self.taken: list[Future] = []  # those whose reply a call took
         self.ready: list[Future] = []  # of those, the ones done before that call's turn
-        self._pending: dict[tuple, Future] = {}  # sent ahead, not yet asked, by call
+        self.ahead: dict[tuple, Future] = {}  # as AgentSuite.ahead: sent, not yet asked; by call
 
     def send_ahead(self, pool, agent: str, *args) -> Future:
         call = (agent, *map(seen, args))
@@ -127,16 +127,16 @@ class ScheduledAgents:
         if suite_sends:
             task = suite_sends(pool, agent, *args)
         else:
-            task = self._pending.get(call) or pool.submit(complete)
+            task = self.ahead.get(call) or pool.submit(complete)
         self.sent[task] = call
-        self._pending[call] = task
+        self.ahead[call] = task
         return task
 
     def __getattr__(self, name: str):
         method = getattr(self._agents, name)
 
         def call(*args):
-            task = self._pending.pop((name, *map(seen, args)), None)
+            task = self.ahead.pop((name, *map(seen, args)), None)
             ready = task is not None and task.done()
             if self._executor is not None:
                 self._executor.run(next(self._schedule))

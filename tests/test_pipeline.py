@@ -975,6 +975,24 @@ class TestSendAhead:
         (extra,) = requests["live"] - requests["record"]
         assert "adds helpful new information" in extra.messages[-1][1]
 
+    def test_a_claim_that_raises_waits_for_its_unread_helpfulness_call(self, http_stub,
+                                                                        tmp_path):
+        from claimcheck.pipeline import GatewayFatal
+
+        world = TailPage("NO", helpfulness_s=0.2)
+
+        def llm(method, path, body, headers):
+            if b"Is the claim true or false" in body:
+                return 400, {}, b"bad request"
+            return world(method, path, body, headers)
+
+        with pytest.raises(GatewayFatal, match="HTTP 400"):
+            self.verify(http_stub, tmp_path, "live", llm, n_results=1, max_search_queries=1)
+        # still in flight when classify failed, and verify raised only once it
+        # had finished
+        assert world.helpfulness_asks == 1
+        assert world.answered.is_set()
+
     def test_under_rm_scc_a_tail_read_sends_nothing_extra(self, http_stub, tmp_path,
                                                           monkeypatch):
         sent = sent_requests(monkeypatch)
