@@ -110,15 +110,19 @@ class _ClaimRun:
     kinds of LLM call on the pool.  Just before each sufficiency check goes
     the call the loop makes next if the check says no: the next result's
     check (its helpfulness call under rm-scc) when its page is in and
-    usable, the next deferred page's recheck, or classify.  Just before each
-    check of a page read for the first time goes that page's helpfulness
-    call, which a "yes" then takes.  Each answer then waits for one
-    round-trip fewer.  A claim that stops while a search could still follow
-    sends exactly the sequential requests; any other claim may leave unread
-    one helpfulness call for each such check that says no (at most
-    max_results_per_query), plus one call sent beside a sufficiency check
-    that says yes.  The agents take a reply sent ahead only for exactly that
-    request, so prompts, verdicts and the trace stay the sequential loop's.
+    usable, the next deferred page's recheck, or classify; with the last
+    deferred page's recheck goes classify too, which a "yes" from the check,
+    or a "no" from the check and then the recheck, leaves asked on the same
+    evidence.  Just before each check of a page read for the first time
+    goes that page's helpfulness call, which a "yes" then takes.  Each
+    answer then waits for one round-trip fewer.  A claim that stops while a
+    search could still follow sends exactly the sequential requests; any
+    other claim may leave unread one helpfulness call for each such check
+    that says no (at most max_results_per_query), plus one call sent beside
+    a sufficiency check: any, when that check says yes, or classify, when
+    the last deferred page's recheck says yes and its page is added.  The
+    agents take a reply sent ahead only for exactly that request, so
+    prompts, verdicts and the trace stay the sequential loop's.
 
     `report` ends by settling `pages` and the suite's pending requests
     (AgentSuite.ahead): it cancels each task not started and waits for the
@@ -254,7 +258,8 @@ class _ClaimRun:
 
     def send_after_no(self) -> None:
         """Sends ahead the LLM call that follows a "no" from the sufficiency
-        check about to be asked."""
+        check about to be asked, and classify after the last deferred page's
+        recheck."""
         if self.unread:
             page = self.pages.get(id(self.unread[0]))
             if page is None or not page.done() or page.exception() is not None:
@@ -264,6 +269,8 @@ class _ClaimRun:
             self.send_ahead(agent, page.result())
         elif self.deferred:
             self.send_ahead("self_contained_check", self.deferred[0])
+            if len(self.deferred) == 1:
+                self.send_ahead("classify")  # rechecks mostly say no
         else:
             self.send_ahead("classify")
 

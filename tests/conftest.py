@@ -273,17 +273,21 @@ def stub_verifier(http_stub, tmp_path, mode, rules, pages, search_app):
     return Verifier(gateway=gateway, search=search, reader=PageReader(http_get=pages))
 
 
-def ended_sufficient_in_tail(report, config: BudgetConfig) -> bool:
-    """The claim stopped on a sufficient check made once no search could
-    follow: every query of the budget searched, or the drain begun (a
-    decision after the loop's, which log one per result read)."""
+def drain_decisions(report) -> list[dict]:
+    """The payloads of the decisions the deferred drain logged: those after
+    the loop's, which log one per result read."""
     events = report.trace.events
-    searches = sum(e.kind is EventKind.SEARCH_CALL for e in events)
     loop_reads = sum(e.kind is EventKind.FETCH or e.payload.get("scenario") == "unusable"
                      for e in events)
-    decisions = sum(e.kind is EventKind.SCENARIO_DECISION for e in events)
+    return [e.payload for e in events if e.kind is EventKind.SCENARIO_DECISION][loop_reads:]
+
+
+def ended_sufficient_in_tail(report, config: BudgetConfig) -> bool:
+    """The claim stopped on a sufficient check made once no search could
+    follow: every query of the budget searched, or the drain begun."""
+    searches = sum(e.kind is EventKind.SEARCH_CALL for e in report.trace.events)
     return (report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
-            and (searches == config.max_search_queries or decisions > loop_reads))
+            and (searches == config.max_search_queries or bool(drain_decisions(report))))
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ the same order; the second must hand the executor page fetches and
 send-aheads only, and leave no task pending.  The requests it sends and
 never reads must be accounted for exactly: one helpfulness call for each
 page whose first check, made once no search could follow, said no, and at
-most one other, only for a claim that ended sufficient in its tail.  The
-same draws check the loop's own contract.  A second property runs worlds
-of the same strategy through AgentSuite, LlmGateway and SearchClient on the
-HTTP stubs, where the requests the second run sends must be the sequential
-run's plus at most those.  A task that is still running when
-the claim ends and waits for it is not modelled here: the threaded tests in
-test_pipeline.py cover that case.  Last, a claim's serial round-trips (the
+most one other sent beside a sufficiency check: classify, sent with the
+last deferred page's recheck, only when that recheck said yes and its page
+was added; any other call, only for a claim that ended sufficient in its
+tail.  The same draws check the loop's own contract.  A second property
+runs worlds of the same strategy through AgentSuite, LlmGateway and
+SearchClient on the HTTP stubs, where the requests the second run sends
+must be the sequential run's plus at most those.  A task that is still
+running when the claim ends and waits for it is not modelled here: the
+threaded tests in test_pipeline.py cover that case.  Last, a claim's serial round-trips (the
 calls it waits for one after another) are counted with no pool and pinned
 under the eager schedule."""
 from __future__ import annotations
@@ -43,6 +45,7 @@ from conftest import (
     FakeReader,
     FakeSearch,
     ScriptedAgents,
+    drain_decisions,
     ended_sufficient_in_tail,
     make_result,
     scripted_llm_app,
@@ -189,7 +192,10 @@ def worlds(draw) -> World:
     """Worlds biased toward claims that stop on a query's last result while
     another query is queued, and toward claims that stop on a query's first
     result with its other pages unread: the decisive URL is often the first
-    query's last or first result read, understood and kept.  Often one URL
+    query's last or first result read, understood and kept.  Just as often,
+    the first query is the whole budget and its first page read is
+    understood only beside the note its last page read adds, so the drain
+    rechecks a page deferred in the tail and may recover it.  Often one URL
     is among the results of several queries."""
     budget = draw(st.integers(1, 4))
     k = draw(st.integers(1, 3))
@@ -208,11 +214,24 @@ def worlds(draw) -> World:
         st.sampled_from(["yes", "no", "with evidence"]), min_size=len(URLS),
         max_size=len(URLS)))))
     helpful = set(draw(st.sets(st.sampled_from(URLS))))
+    stop = draw(st.sampled_from([-1, 0, None, "drain"]))
+    if stop == "drain":
+        # the first query is the whole budget, and the first page it reads is
+        # understood only beside the note that the last adds
+        budget, k, ablations = 1, max(k, 2), ablations - {Ablation.RM_SCC}
+        ends = draw(st.lists(st.sampled_from(URLS), min_size=2, max_size=2, unique=True))
+        results[initial[0]][:] = [ends[0], *results[initial[0]][:k - 2], ends[1]]
     read = results[initial[0]][:k]
     if reverse and len(read) > 1 and Ablation.RM_SR not in ablations:
         read = read[::-1]
-    stop = draw(st.sampled_from([-1, 0, None])) if read else None
-    if stop is not None:
+    enough = 1
+    if stop == "drain":
+        unusable -= {read[0], read[-1]}
+        comprehensible |= {read[0]: "with evidence", read[-1]: "yes"}
+        helpful |= {read[0], read[-1]}
+        # neither that note alone nor a page read before the drain suffices
+        decisive, enough = draw(st.sampled_from([read[0], None])), 2
+    elif stop is not None and read:
         decisive = read[stop]
         unusable.discard(decisive)
         comprehensible[decisive] = "yes"
@@ -221,7 +240,7 @@ def worlds(draw) -> World:
         decisive = draw(st.sampled_from(URLS + [None]))
     return World(BudgetConfig(max_search_queries=budget, max_results_per_query=k), ablations,
                  initial, additional, results, frozenset(unusable), comprehensible,
-                 frozenset(helpful), decisive, draw(st.integers(1, 5)), reverse)
+                 frozenset(helpful), decisive, draw(st.integers(enough, 5)), reverse)
 
 
 def verify(world: World, executor: ManualExecutor | None = None, schedule=()):
@@ -274,6 +293,14 @@ def tail_deferrals(report, world: World) -> Counter:
     return deferred
 
 
+def recovered_last_deferral(report) -> bool:
+    """The drain rechecked every deferred page, and the last one's recheck
+    said yes and its page was added to the evidence."""
+    drained = drain_decisions(report)
+    deferred = sum(e.payload.get("scenario") == "d" for e in report.trace.events)
+    return len(drained) == deferred > 0 and drained[-1]["scenario"] in ("a", "b")
+
+
 @settings(max_examples=200, deadline=None)
 @given(world=worlds(), schedule=st.lists(st.integers(0, 3), min_size=1, max_size=8))
 def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
@@ -291,8 +318,10 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
     assert ahead_searched == searched
     # a send-ahead is sent only in the tail.  One that ran and was not read
     # is the helpfulness call of a page whose first check there said no
-    # (one per such check), or the one call sent beside a sufficiency
-    # check, and that only when a sufficient check ended the claim there
+    # (one per such check), or one call sent beside a sufficiency check:
+    # classify, on the evidence the last deferred page's recheck then said
+    # yes to and added its page to; any other, only when a sufficient check
+    # ended the claim there
     unread = [call for task, call in ahead_agents.sent.items()
               if task not in ahead_agents.taken and not task.cancelled()]
     beside_check = [call for call in unread
@@ -300,7 +329,12 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
     helpfulness = Counter(call[3][0] for call in unread if call not in beside_check)
     assert not helpfulness - tail_deferrals(report, world)
     assert len(beside_check) <= 1
-    assert not beside_check or ended_sufficient_in_tail(report, world.config)
+    for call in beside_check:
+        if call[0] == "classify":
+            assert recovered_last_deferral(report)
+            assert call[2] == seen(report.evidence)[:-1]
+        else:
+            assert ended_sufficient_in_tail(report, world.config)
     assert not agents.sent
     assert (serial_round_trips(ahead_agents, ahead_searched, acquired, executor)
             <= serial_round_trips(agents, searched, acquired))
@@ -360,6 +394,38 @@ def test_eager_schedule_serial_round_trips(k, helpful, inline_per_query, saved):
     assert len(agents.sent) == len(agents.ready) == saved
     assert (serial_round_trips(agents, searched, acquired, executor)
             == len(agents.calls) + len(searched) + 2 * inline_per_query - saved)
+
+
+def test_eager_schedule_sends_classify_beside_the_last_recheck():
+    """One query of three results and a budget of one, every page helpful,
+    never enough evidence.  Pages 0 and 1 are deferred in the tail and page
+    2 is kept; the drain recovers page 0, whose sufficiency check goes out
+    with page 1's recheck and classify sent beside it.  That recheck says
+    no, so classify's reply is ready at its turn, and the claim waits for
+    one round-trip fewer than with the recheck sent alone."""
+    world = World(BudgetConfig(max_search_queries=1, max_results_per_query=3), frozenset(),
+                  initial=["q0"], additional=[], results={"q0": URLS[:3]},
+                  unusable=frozenset(),
+                  comprehensible=dict.fromkeys(URLS, "yes") | {URLS[0]: "with evidence",
+                                                               URLS[1]: "no"},
+                  helpful=frozenset(URLS), decisive=None, enough=5, reverse=False)
+    executor = ManualExecutor()
+    report, agents, searched, acquired = verify(world, executor, EAGER)
+    assert [e.payload["scenario"] for e in report.trace.events
+            if e.kind is EventKind.SCENARIO_DECISION] == ["d", "d", "b", "b",
+                                                           "dropped_after_recheck"]
+    # the initial queries, the ranking, three checks, page 2's helpfulness and
+    # sufficiency calls, page 0's recheck, helpfulness and sufficiency calls,
+    # page 1's recheck and classify
+    assert len(agents.calls) == 12
+    # the deferred pages' helpfulness calls go unread; page 2's, both
+    # rechecks and classify are ready at their turns
+    assert [call[0] for call in agents.sent.values()] == (
+        ["det_helpful"] * 3 + ["self_contained_check"] * 2 + ["classify"])
+    assert [agents.sent[task][0] for task in agents.ready] == [
+        "det_helpful", "self_contained_check", "self_contained_check", "classify"]
+    assert (serial_round_trips(agents, searched, acquired, executor)
+            == len(agents.calls) + len(searched) - 4)
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +544,14 @@ def test_every_schedule_sends_the_sequential_loops_prompts(stub_world, world, sc
     assert ahead_prompts == prompts or "complete" in executor.handed
     # every sequential request is sent, and those never read are at most one
     # helpfulness call per page whose first check in the tail said no, plus
-    # one more only when a sufficient check ended the claim in its tail
+    # one more: classify, only when the last deferred page's recheck said
+    # yes and its page was added; any other, only when a sufficient check
+    # ended the claim in its tail
     sent, sequential = (Counter(json.dumps(body, sort_keys=True) for body in bodies)
                         for bodies in (ahead_prompts, prompts))
     assert not sequential - sent
-    assert (sum((sent - sequential).values())
-            <= sum(tail_deferrals(report, world).values())
-            + ended_sufficient_in_tail(report, world.config))
+    extra = sent - sequential
+    classify = sum(n for body, n in extra.items() if "Is the claim true or false" in body)
+    assert classify <= recovered_last_deferral(report)
+    assert (sum(extra.values()) <= sum(tail_deferrals(report, world).values())
+            + (classify or ended_sufficient_in_tail(report, world.config)))

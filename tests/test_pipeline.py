@@ -928,6 +928,59 @@ class TailPage:
         return self.llm(method, path, body, headers)
 
 
+class LastRecheck:
+    """One query of `n` results, no follow-up query, every page helpful and
+    evidence never sufficient.  The last page is understood at once and the
+    others only once evidence exists, except that page n-2 then replies
+    `last_recheck`.  So the drain's last recheck is page n-2's, and in the
+    tail classify goes out beside the sufficiency check on n-1 notes just
+    before it.  Each classify request's note count is kept, in arrival
+    order; one on n-1 notes takes `classify_s` seconds.  When
+    `wait_for_classify`, the check on n-1 notes replies only once such a
+    classify has reached the stub (or after 5 s)."""
+
+    CLASSIFY = b"Is the claim true or false"
+
+    def __init__(self, n: int, last_recheck: str, wait_for_classify=False,
+                 classify_s=0.0) -> None:
+        self.n, self.last_recheck = n, last_recheck
+        self.wait, self.classify_s = wait_for_classify, classify_s
+        self.arrived, self.answered = threading.Event(), threading.Event()
+        self.classify_notes: list[int] = []
+        self.arrived_before_check_reply: bool | None = None
+        self.llm = scripted_llm_app(llm_rules(n, sufficient=self.sufficient_reply,
+                                              comprehensible=self.comprehensible))
+
+    @staticmethod
+    def notes(messages) -> int:
+        return messages[-1]["content"].count("(source:")
+
+    def comprehensible(self, messages) -> str:
+        user = messages[-1]["content"]
+        if f"/{self.n - 1}]" in user:
+            return "YES"
+        if not self.notes(messages):
+            return "NO"
+        return self.last_recheck if f"/{self.n - 2}]" in user else "YES"
+
+    def sufficient_reply(self, messages) -> str:
+        if self.wait and self.notes(messages) == self.n - 1:
+            self.arrived_before_check_reply = self.arrived.wait(5)
+        return "NO, more is needed."
+
+    def __call__(self, method, path, body, headers):
+        if self.CLASSIFY in body:
+            notes = self.notes(json.loads(body)["messages"])
+            self.classify_notes.append(notes)
+            if notes == self.n - 1:
+                self.arrived.set()
+                time.sleep(self.classify_s)
+                reply = self.llm(method, path, body, headers)
+                self.answered.set()
+                return reply
+        return self.llm(method, path, body, headers)
+
+
 class TestSendAhead:
     def verify(self, http_stub, tmp_path, mode, llm, n_results=3, ablations=frozenset(),
                **config):
@@ -1047,6 +1100,58 @@ class TestSendAhead:
         assert not requests["record"] - requests["live"]
         (extra,) = requests["live"] - requests["record"]
         assert "/1]" in extra.messages[-1][1] and "(source:" in extra.messages[-1][1]
+
+    def test_classify_sent_beside_the_check_before_a_last_recheck_that_says_no_is_read(
+            self, http_stub, tmp_path, monkeypatch):
+        sent = sent_requests(monkeypatch)
+        reports, requests = {}, {}
+        for mode in ("record", "live"):
+            sent.clear()
+            world = LastRecheck(3, "NO", wait_for_classify=mode == "live")
+            # the drain is the tail: no page is first read there
+            reports[mode] = self.verify(http_stub, tmp_path, mode, world)
+            requests[mode] = Counter(sent)
+            # asked once, on the two notes the drain's last recheck saw
+            assert world.classify_notes == [2]
+        # sent beside the check before that recheck: the claim's ask took it
+        assert world.arrived_before_check_reply
+        record, live = reports["record"], reports["live"]
+        assert scenarios(live) == ["d", "d", "b", "b", "dropped_after_recheck"]
+        assert live.terminated_by is TerminationReason.BUDGET_EXHAUSTED
+        assert (live.trace.to_jsonl(normalize_timestamps=True)
+                == record.trace.to_jsonl(normalize_timestamps=True))
+        assert requests["live"] == requests["record"]
+
+    def test_classify_sent_beside_the_check_before_a_last_recheck_that_says_yes_goes_unread(
+            self, http_stub, tmp_path, monkeypatch):
+        sent = sent_requests(monkeypatch)
+        reports, requests = {}, {}
+        for mode in ("record", "live"):
+            sent.clear()
+            world = LastRecheck(2, "YES", wait_for_classify=mode == "live", classify_s=0.2)
+            reports[mode] = self.verify(http_stub, tmp_path, mode, world, n_results=2,
+                                        max_search_queries=1)
+            requests[mode] = Counter(sent)
+            # the classify on one note was in flight when the claim ended, and
+            # verify waited for it
+            assert world.answered.is_set() == (mode == "live")
+        assert world.arrived_before_check_reply
+        assert world.classify_notes == [1, 2]
+        record, live = reports["record"], reports["live"]
+        assert scenarios(live) == ["d", "b", "b"]
+        assert live.verdict is record.verdict
+        assert live.terminated_by is record.terminated_by is TerminationReason.BUDGET_EXHAUSTED
+        assert list(live.evidence) == list(record.evidence)
+        assert (live.trace.to_jsonl(normalize_timestamps=True)
+                == record.trace.to_jsonl(normalize_timestamps=True))
+        # unread: the deferred page's helpfulness call, sent beside its first
+        # check, and the classify on one note
+        assert not requests["record"] - requests["live"]
+        helpfulness, classify = sorted((requests["live"] - requests["record"]).elements(),
+                                       key=lambda req: req.messages[-1][1].count("(source:"))
+        assert "adds helpful new information" in helpfulness.messages[-1][1]
+        assert "Is the claim true or false" in classify.messages[-1][1]
+        assert classify.messages[-1][1].count("(source:") == 1
 
     def test_an_unread_send_ahead_that_fails_changes_nothing(self, http_stub, tmp_path):
         record = self.verify(http_stub, tmp_path, "record", DrainWorld("YES, that settles it."))
