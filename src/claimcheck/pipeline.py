@@ -105,24 +105,28 @@ class _ClaimRun:
     A claim that stops mid-query has paid for up to k-1 page fetches it
     never reads.
 
-    The tail rule: once no search can follow (`tail`: the budget is spent
-    and no query is queued, or the drain has begun), `send_ahead` puts two
-    kinds of LLM call on the pool.  Just before each sufficiency check goes
-    the call the loop makes next if the check says no: the next result's
-    check (its helpfulness call under rm-scc) when its page is in and
-    usable, the next deferred page's recheck, or classify; with the last
-    deferred page's recheck goes classify too, which a "yes" from the check,
-    or a "no" from the check and then the recheck, leaves asked on the same
-    evidence.  Just before each check of a page read for the first time
-    goes that page's helpfulness call, which a "yes" then takes.  Each
-    answer then waits for one round-trip fewer.  A claim that stops while a
-    search could still follow sends exactly the sequential requests; any
-    other claim may leave unread one helpfulness call for each such check
-    that says no (at most max_results_per_query), plus one call sent beside
-    a sufficiency check: any, when that check says yes, or classify, when
-    the last deferred page's recheck says yes and its page is added.  The
-    agents take a reply sent ahead only for exactly that request, so
-    prompts, verdicts and the trace stay the sequential loop's.
+    The send-ahead rule: just before each sufficiency check, `send_ahead`
+    puts on the pool the LLM call the loop makes next if the check says no,
+    when its prompt is known.  Before the tail that is only the follow-up
+    query call, sent when no result of the current query is unread and no
+    query is queued (the budget has room): a search or the next result's
+    check sent there would cost each claim that stops early.  Once no
+    search can follow (`tail`: the budget is spent and no query is queued,
+    or the drain has begun), it is the next result's check (its helpfulness
+    call under rm-scc) when its page is in and usable, the next deferred
+    page's recheck, or classify; with the last deferred page's recheck goes
+    classify too, which a "yes" from the check, or a "no" from the check
+    and then the recheck, leaves asked on the same evidence.  In the tail,
+    just before each check of a page read for the first time goes that
+    page's helpfulness call, which a "yes" then takes.  Each answer then
+    waits for one round-trip fewer.  Any claim may leave unread one call
+    sent beside a sufficiency check: any, when that check says yes, or
+    classify, when the last deferred page's recheck says yes and its page
+    is added; a claim that reaches its tail may also leave unread one
+    helpfulness call for each first check there that says no (at most
+    max_results_per_query).  The agents take a reply sent ahead only for
+    exactly that request, so prompts, verdicts and the trace stay the
+    sequential loop's.
 
     `report` ends by settling `pages` and the suite's pending requests
     (AgentSuite.ahead): it cancels each task not started and waits for the
@@ -200,9 +204,10 @@ class _ClaimRun:
             self.decide(result.url, "unusable", detail=str(exc))
             return
         if Ablation.RM_SCC not in self.ablations:
-            # a "yes" takes it; a deferred page's recheck sends none, having
-            # said no once already
-            self.send_ahead("det_helpful", doc)
+            if self.tail:
+                # a "yes" takes it; a deferred page's recheck sends none,
+                # having said no once already
+                self.send_ahead("det_helpful", doc)
             if not self.agents.self_contained_check(self.claim, self.evidence, doc):
                 self.deferred.append(doc)
                 self.decide(result.url, "d")
@@ -259,8 +264,12 @@ class _ClaimRun:
     def send_after_no(self) -> None:
         """Sends ahead the LLM call that follows a "no" from the sufficiency
         check about to be asked, and classify after the last deferred page's
-        recheck."""
-        if self.unread:
+        recheck.  Before the tail only the follow-up query call goes: a
+        search or a result's check sent there costs each early stopper."""
+        if not self.tail:
+            if not self.unread and not self.queries:  # the budget has room
+                self.send_ahead("additional_query_gen")
+        elif self.unread:
             page = self.pages.get(id(self.unread[0]))
             if page is None or not page.done() or page.exception() is not None:
                 return  # the next call waits on its page, or there is none
@@ -275,10 +284,10 @@ class _ClaimRun:
             self.send_ahead("classify")
 
     def send_ahead(self, agent: str, *doc: Document) -> None:
-        """With a pool, once no search can follow, sends `agent`'s call on
-        the current evidence (and `doc`) for the agent's next ask to take."""
+        """With a pool, sends `agent`'s call on the current evidence (and
+        `doc`) for the agent's next ask to take."""
         pool = self.verifier._prefetch_pool
-        if pool is not None and self.tail:
+        if pool is not None:
             self.agents.send_ahead(pool, agent, self.claim, self.evidence, *doc)
 
     def drain_deferred(self) -> None:

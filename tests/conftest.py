@@ -290,6 +290,21 @@ def ended_sufficient_in_tail(report, config: BudgetConfig) -> bool:
             and (searches == config.max_search_queries or bool(drain_decisions(report))))
 
 
+def ended_sufficient_before_follow_ups(report, config: BudgetConfig, queued: int) -> bool:
+    """The claim stopped on a sufficient check that the loop made on the
+    last result of its last search, with all `queued` queries it queued
+    searched and the budget not spent: a "no" there would have asked for
+    follow-up queries next."""
+    if report.terminated_by is not TerminationReason.SUFFICIENT_EVIDENCE:
+        return False
+    events = report.trace.events
+    searches = [i for i, e in enumerate(events) if e.kind is EventKind.SEARCH_CALL]
+    # the loop logs one decision per result it reads; a drain would log more
+    read = sum(e.kind is EventKind.SCENARIO_DECISION for e in events[searches[-1]:])
+    return (len(searches) == queued < config.max_search_queries
+            and read == events[searches[-1]].payload["n_results"])
+
+
 # ---------------------------------------------------------------------------
 # scripted gateway (no HTTP at all)
 

@@ -12,9 +12,11 @@ prefetch pool, and a live pass in virtual time must give the record pass's
 traces.  The live pass must also send each claim's record searches, and its
 record LLM requests plus at most one, that one only for a claim that ended
 sufficient in its tail: on these worlds every page first read in the tail
-is understood and no page a claim rechecks last is added, so the only
-request a claim may leave unread is the one sent beside the sufficiency
-check that said yes.
+is understood, no page a claim rechecks last is added, and no claim ends
+sufficient before its tail at a check made with no result unread and no
+query queued, the one check beside which the follow-up query call goes.
+So the only request a claim may leave unread is the one sent beside a
+sufficiency check in its tail that said yes.
 
 The virtual pass pins each claim's critical path: the time ``verify`` would
 take with perfbench's injected latency (``perfbench/run.py``'s ``REAL_*``

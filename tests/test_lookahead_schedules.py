@@ -12,15 +12,18 @@ never reads must be accounted for exactly: one helpfulness call for each
 page whose first check, made once no search could follow, said no, and at
 most one other sent beside a sufficiency check: classify, sent with the
 last deferred page's recheck, only when that recheck said yes and its page
-was added; any other call, only for a claim that ended sufficient in its
-tail.  The same draws check the loop's own contract.  A second property
-runs worlds of the same strategy through AgentSuite, LlmGateway and
-SearchClient on the HTTP stubs, where the requests the second run sends
-must be the sequential run's plus at most those.  A task that is still
-running when the claim ends and waits for it is not modelled here: the
-threaded tests in test_pipeline.py cover that case.  Last, a claim's serial round-trips (the
-calls it waits for one after another) are counted with no pool and pinned
-under the eager schedule."""
+was added; the follow-up query call on the claim's final evidence, only
+for a claim that ended sufficient at a check made with no result unread,
+no query queued and budget left; any other call, only for a claim that
+ended sufficient in its tail.  The same draws check the loop's own
+contract.  A second property runs worlds of the same strategy through
+AgentSuite, LlmGateway and SearchClient on the HTTP stubs, where the
+requests the second run sends must be the sequential run's plus at most
+those.  A task that is still running when the claim ends and waits for
+it is not modelled here: the threaded tests in test_pipeline.py cover that
+case.  Last, a claim's serial round-trips (the calls it waits for one
+after another) are counted with no pool and pinned under the eager
+schedule."""
 from __future__ import annotations
 
 import itertools
@@ -46,6 +49,7 @@ from conftest import (
     FakeSearch,
     ScriptedAgents,
     drain_decisions,
+    ended_sufficient_before_follow_ups,
     ended_sufficient_in_tail,
     make_result,
     scripted_llm_app,
@@ -195,8 +199,11 @@ def worlds(draw) -> World:
     query's last or first result read, understood and kept.  Just as often,
     the first query is the whole budget and its first page read is
     understood only beside the note its last page read adds, so the drain
-    rechecks a page deferred in the tail and may recover it.  Often one URL
-    is among the results of several queries."""
+    rechecks a page deferred in the tail and may recover it.  Just as often,
+    the first query is the only one queued, the budget has room for more,
+    and only its last result read suffices: the claim stops where a "no"
+    would ask for follow-up queries.  Often one URL is among the results of
+    several queries."""
     budget = draw(st.integers(1, 4))
     k = draw(st.integers(1, 3))
     ablations = frozenset(draw(st.sets(st.sampled_from(list(Ablation)))))
@@ -214,13 +221,16 @@ def worlds(draw) -> World:
         st.sampled_from(["yes", "no", "with evidence"]), min_size=len(URLS),
         max_size=len(URLS)))))
     helpful = set(draw(st.sets(st.sampled_from(URLS))))
-    stop = draw(st.sampled_from([-1, 0, None, "drain"]))
+    stop = draw(st.sampled_from([-1, 0, None, "drain", "follow-up"]))
     if stop == "drain":
         # the first query is the whole budget, and the first page it reads is
         # understood only beside the note that the last adds
         budget, k, ablations = 1, max(k, 2), ablations - {Ablation.RM_SCC}
         ends = draw(st.lists(st.sampled_from(URLS), min_size=2, max_size=2, unique=True))
         results[initial[0]][:] = [ends[0], *results[initial[0]][:k - 2], ends[1]]
+    elif stop == "follow-up":
+        # the first query is the only one queued, with budget left for more
+        initial, budget = initial[:1], max(budget, 2)
     read = results[initial[0]][:k]
     if reverse and len(read) > 1 and Ablation.RM_SR not in ablations:
         read = read[::-1]
@@ -232,7 +242,9 @@ def worlds(draw) -> World:
         # neither that note alone nor a page read before the drain suffices
         decisive, enough = draw(st.sampled_from([read[0], None])), 2
     elif stop is not None and read:
-        decisive = read[stop]
+        decisive = read[-1 if stop == "follow-up" else stop]
+        if stop == "follow-up":
+            enough = len(read) + 1  # the notes read before it fall short
         unusable.discard(decisive)
         comprehensible[decisive] = "yes"
         helpful.add(decisive)
@@ -316,12 +328,14 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
     # only fetches pages and sends LLM calls ahead
     assert set(executor.handed) <= {"acquire_document", "complete"}
     assert ahead_searched == searched
-    # a send-ahead is sent only in the tail.  One that ran and was not read
-    # is the helpfulness call of a page whose first check there said no
-    # (one per such check), or one call sent beside a sufficiency check:
-    # classify, on the evidence the last deferred page's recheck then said
-    # yes to and added its page to; any other, only when a sufficient check
-    # ended the claim there
+    # a send-ahead that ran and was not read is the helpfulness call of a
+    # page whose first check in the tail said no (one per such check), or
+    # one call sent beside a sufficiency check: classify, on the evidence
+    # the last deferred page's recheck then said yes to and added its page
+    # to; the follow-up query call, on the final evidence, only when a
+    # sufficient check ended the claim with no result unread, no query
+    # queued and budget left; any other, only when a sufficient check ended
+    # the claim in its tail
     unread = [call for task, call in ahead_agents.sent.items()
               if task not in ahead_agents.taken and not task.cancelled()]
     beside_check = [call for call in unread
@@ -333,6 +347,10 @@ def test_every_schedule_reads_as_the_sequential_loop(world, schedule):
         if call[0] == "classify":
             assert recovered_last_deferral(report)
             assert call[2] == seen(report.evidence)[:-1]
+        elif call[0] == "additional_query_gen":
+            assert ended_sufficient_before_follow_ups(report, world.config,
+                                                      len(queued(world, calls)))
+            assert call[2] == seen(report.evidence)
         else:
             assert ended_sufficient_in_tail(report, world.config)
     assert not agents.sent
@@ -426,6 +444,35 @@ def test_eager_schedule_sends_classify_beside_the_last_recheck():
         "det_helpful", "self_contained_check", "self_contained_check", "classify"]
     assert (serial_round_trips(agents, searched, acquired, executor)
             == len(agents.calls) + len(searched) - 4)
+
+
+def test_eager_schedule_sends_the_follow_up_call_beside_the_check_before_it():
+    """One initial query, follow-ups and a budget of two, one result per
+    query, every page helpful, never enough evidence.  The first page's
+    sufficiency check is made with no result unread and no query queued,
+    so the follow-up query call goes out beside it; the check says no, so
+    that reply is ready at its turn.  The follow-up query is the tail, as
+    in test_eager_schedule_serial_round_trips.  With k=1 the loop fetches
+    each page itself.  The claim waits for one round-trip fewer than with
+    the follow-up query call asked in series."""
+    world = World(BudgetConfig(max_search_queries=2, max_results_per_query=1), frozenset(),
+                  initial=["q0"], additional=["q1"], results={"q0": URLS[:1], "q1": URLS[1:2]},
+                  unusable=frozenset(), comprehensible=dict.fromkeys(URLS, "yes"),
+                  helpful=frozenset(URLS), decisive=None, enough=5, reverse=False)
+    _, sequential, searched, acquired = verify(world)
+    executor = ManualExecutor()
+    _, agents, ahead_searched, ahead_acquired = verify(world, executor, EAGER)
+    assert [text for text, _ in ahead_searched] == ["q0", "q1"]
+    assert [call[0] for call in agents.calls] == [
+        "initial_query_gen", "self_contained_check", "det_helpful", "sufficient_evidence",
+        "additional_query_gen", "self_contained_check", "det_helpful", "sufficient_evidence",
+        "classify"]
+    assert [call[0] for call in agents.sent.values()] == [
+        "additional_query_gen", "det_helpful", "classify"]
+    assert [agents.sent[task][0] for task in agents.ready] == [
+        "additional_query_gen", "det_helpful", "classify"]
+    assert (serial_round_trips(agents, ahead_searched, ahead_acquired, executor)
+            == serial_round_trips(sequential, searched, acquired) - 3)
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +592,22 @@ def test_every_schedule_sends_the_sequential_loops_prompts(stub_world, world, sc
     # every sequential request is sent, and those never read are at most one
     # helpfulness call per page whose first check in the tail said no, plus
     # one more: classify, only when the last deferred page's recheck said
-    # yes and its page was added; any other, only when a sufficient check
-    # ended the claim in its tail
+    # yes and its page was added; the follow-up query call, on the final
+    # evidence, only when a sufficient check ended the claim with no result
+    # unread, no query queued and budget left; any other, only when a
+    # sufficient check ended the claim in its tail
     sent, sequential = (Counter(json.dumps(body, sort_keys=True) for body in bodies)
                         for bodies in (ahead_prompts, prompts))
     assert not sequential - sent
     extra = sent - sequential
     classify = sum(n for body, n in extra.items() if "Is the claim true or false" in body)
+    follow_ups = [json.loads(body)["messages"][-1]["content"] for body in extra.elements()
+                  if "list of new web search queries" in body]
     assert classify <= recovered_last_deferral(report)
+    asked = [(e.payload["agent"],) for e in report.trace.events if e.kind is EventKind.AGENT_CALL]
+    assert len(follow_ups) <= ended_sufficient_before_follow_ups(
+        report, world.config, len(queued(world, asked)))
+    for prompt in follow_ups:
+        assert StubWorld.NOTE.findall(prompt) == [item.source_url for item in report.evidence]
     assert (sum(extra.values()) <= sum(tail_deferrals(report, world).values())
-            + (classify or ended_sufficient_in_tail(report, world.config)))
+            + (classify or len(follow_ups) or ended_sufficient_in_tail(report, world.config)))

@@ -27,7 +27,9 @@ from conftest import (
     FakeReader,
     FakeSearch,
     ScriptedAgents,
+    drain_decisions,
     make_result,
+    openai_reply,
     scripted_llm_app,
     serper_stub_app,
     standard_llm_rules,
@@ -840,8 +842,8 @@ class TestReplayOfRepeatedAsks:
 
 
 # ---------------------------------------------------------------------------
-# the tail's send-ahead: once no search can follow, the LLM call after a "no"
-# goes out beside the sufficiency check
+# the send-ahead: the LLM call after a "no" goes out beside the sufficiency
+# check, before the tail only when it asks for follow-up queries
 
 
 def sent_requests(monkeypatch) -> list:
@@ -890,42 +892,57 @@ class DrainWorld:
         if b"Is the document comprehensible" in body and b"/1]" in body and b"(source:" in body:
             self.rechecks += 1
             self.arrived.set()
-            if not isinstance(self.recheck, str):
-                time.sleep(0.2)  # still running when the claim stops
-                self.answered.set()
-                return self.recheck
+            if isinstance(self.recheck, str):
+                return openai_reply(self.recheck)
+            time.sleep(0.2)  # still running when the claim stops
+            self.answered.set()
+            return self.recheck
         return self.llm(method, path, body, headers)
 
 
 class TailPage:
     """One query and a budget of one, so its one result is read in the
-    claim's tail, and every page is helpful.  Its check replies
+    claim's tail, and every page is helpful.  Its check (CHECK) replies
     `comprehensible`; when `wait_for_helpfulness`, only once the page's
-    helpfulness request has reached the stub (or after 5 s).  The
+    helpfulness request (AHEAD) has reached the stub (or after 5 s).  The
     helpfulness reply takes `helpfulness_s` seconds."""
 
-    HELPFULNESS = b"adds helpful new information"
+    AHEAD, CHECK = b"adds helpful new information", b"Is the document comprehensible"
 
     def __init__(self, comprehensible: str, wait_for_helpfulness=False,
                  helpfulness_s=0.0) -> None:
         self.arrived, self.answered = threading.Event(), threading.Event()
-        self.helpfulness_asks = 0
+        self.asks = 0  # AHEAD requests
         self.before_check_reply: list[bool] = []  # per check: the request had arrived
         self.wait, self.helpfulness_s = wait_for_helpfulness, helpfulness_s
         self.llm = scripted_llm_app(llm_rules(1, comprehensible=comprehensible))
 
     def __call__(self, method, path, body, headers):
-        if self.HELPFULNESS in body:
-            self.helpfulness_asks += 1
+        if self.AHEAD in body:
+            self.asks += 1
             self.arrived.set()
             time.sleep(self.helpfulness_s)
             reply = self.llm(method, path, body, headers)
             self.answered.set()
             return reply
-        if b"Is the document comprehensible" in body:
+        if self.CHECK in body:
             self.before_check_reply.append(self.arrived.wait(5) if self.wait
                                            else self.arrived.is_set())
         return self.llm(method, path, body, headers)
+
+
+class FollowUp(TailPage):
+    """TailPage's waits, for the follow-up query request beside the
+    sufficiency check: one query of one result and a budget of two, so that
+    result is read while a search could still follow, its page is
+    understood and helpful, and the check replies yes when `sufficient`.
+    The follow-up reply names no query."""
+
+    AHEAD, CHECK = b"list of new web search queries", b"Is this evidence sufficient"
+
+    def __init__(self, sufficient: bool, wait_for_follow_up=False, follow_up_s=0.0) -> None:
+        super().__init__("YES", wait_for_follow_up, follow_up_s)
+        self.llm = scripted_llm_app(llm_rules(1, sufficient=sufficient))
 
 
 class LastRecheck:
@@ -996,7 +1013,7 @@ class TestSendAhead:
         report = self.verify(http_stub, tmp_path, "live", world, n_results=1,
                              max_search_queries=1)
         assert scenarios(report) == ["a"]
-        assert world.helpfulness_asks == 1
+        assert world.asks == 1
         assert world.before_check_reply == [True]
         record = Counter(sent)
         sent.clear()
@@ -1017,7 +1034,7 @@ class TestSendAhead:
             # the helpfulness call was in flight when the claim ended, and
             # verify waited for it
             assert world.answered.is_set() == (mode == "live")
-            assert world.helpfulness_asks == (mode == "live")
+            assert world.asks == (mode == "live")
         record, live = reports["record"], reports["live"]
         assert scenarios(live) == ["d", "dropped_after_recheck"]
         assert live.verdict is record.verdict
@@ -1043,7 +1060,7 @@ class TestSendAhead:
             self.verify(http_stub, tmp_path, "live", llm, n_results=1, max_search_queries=1)
         # still in flight when classify failed, and verify raised only once it
         # had finished
-        assert world.helpfulness_asks == 1
+        assert world.asks == 1
         assert world.answered.is_set()
 
     def test_under_rm_scc_a_tail_read_sends_nothing_extra(self, http_stub, tmp_path,
@@ -1079,6 +1096,58 @@ class TestSendAhead:
             assert report.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
             requests[mode] = list(sent)
         assert requests["live"] == requests["record"]
+
+    def test_a_check_that_says_no_takes_the_follow_up_call_sent_beside_it(
+            self, http_stub, tmp_path, monkeypatch):
+        sent = sent_requests(monkeypatch)
+        reports, requests = {}, {}
+        for mode in ("record", "live"):
+            sent.clear()
+            world = FollowUp(False, wait_for_follow_up=mode == "live")
+            reports[mode] = self.verify(http_stub, tmp_path, mode, world, n_results=1,
+                                        max_search_queries=2)
+            requests[mode] = Counter(sent)
+            assert world.asks == 1
+        # sent beside the check: it reached the stub before the check replied
+        assert world.before_check_reply == [True]
+        record, live = reports["record"], reports["live"]
+        assert scenarios(live) == ["b"]
+        assert live.terminated_by is TerminationReason.BUDGET_EXHAUSTED
+        assert (live.trace.to_jsonl(normalize_timestamps=True)
+                == record.trace.to_jsonl(normalize_timestamps=True))
+        assert requests["live"] == requests["record"]
+
+    def test_a_check_that_says_yes_leaves_the_follow_up_call_sent_beside_it_unread(
+            self, http_stub, tmp_path, monkeypatch):
+        sent = sent_requests(monkeypatch)
+        reports, requests = {}, {}
+        for mode in ("record", "live"):
+            sent.clear()
+            world = FollowUp(True, wait_for_follow_up=mode == "live", follow_up_s=0.2)
+            reports[mode] = self.verify(http_stub, tmp_path, mode, world, n_results=1,
+                                        max_search_queries=2)
+            requests[mode] = Counter(sent)
+            # the follow-up call was in flight when the claim ended, and
+            # verify waited for it
+            assert world.answered.is_set() == world.asks == (mode == "live")
+        assert world.before_check_reply == [True]
+        record, live = reports["record"], reports["live"]
+        assert scenarios(live) == ["a"]
+        assert live.verdict is record.verdict
+        assert live.terminated_by is record.terminated_by is TerminationReason.SUFFICIENT_EVIDENCE
+        assert list(live.evidence) == list(record.evidence)
+        assert (live.trace.to_jsonl(normalize_timestamps=True)
+                == record.trace.to_jsonl(normalize_timestamps=True))
+        assert not requests["record"] - requests["live"]
+        (extra,) = requests["live"] - requests["record"]
+        assert "list of new web search queries" in extra.messages[-1][1]
+
+    def test_drain_world_answers_page_1s_recheck_with_a_reply_it_is_given(self, http_stub,
+                                                                         tmp_path):
+        report = self.verify(http_stub, tmp_path, "record",
+                             DrainWorld("NO, more is needed.", recheck="NO"))
+        assert scenarios(report) == ["d", "d", "b", "b", "dropped_after_recheck"]
+        assert drain_decisions(report)[-1]["url"].endswith("/1")
 
     def test_a_claim_that_ends_sufficient_in_the_drain_sends_one_request_more(
             self, http_stub, tmp_path, monkeypatch):
