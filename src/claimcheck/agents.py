@@ -165,6 +165,7 @@ class AgentSuite:
         self.trace = trace
         self.asked: Counter[tuple[tuple[str, str], ...]] = Counter()  # messages -> asks sent
         self.ahead: dict[ChatRequest, Future] = {}  # sent ahead, not yet asked
+        self.scope = ""  # the claim every request names in its fixture key; _ClaimRun sets it
 
     # -- plumbing -----------------------------------------------------------
 
@@ -183,13 +184,15 @@ class AgentSuite:
         return self.prompts[agent].render(**slots)
 
     def _request(self, messages: tuple[tuple[str, str], ...]) -> ChatRequest:
-        """The request an ask of `messages` sends now, keyed by its occurrence
-        in the claim, so replay plays back each recorded answer once."""
+        """The request an ask of `messages` sends now, keyed by the claim and
+        by its occurrence in the claim, so replay plays back each answer the
+        claim recorded once."""
         return ChatRequest(
             model_id=self.config.model_id,
             messages=messages,
             temperature=self.config.temperature,
             occurrence=self.asked[messages],
+            scope=self.scope,
         )
 
     def _complete(self, messages: tuple[tuple[str, str], ...]) -> str:

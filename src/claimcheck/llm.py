@@ -17,6 +17,7 @@ class ChatRequest:
     messages: tuple[tuple[str, str], ...]
     temperature: float
     occurrence: int = 0  # earlier asks of the same messages within the claim
+    scope: str = ""  # the claim whose fixtures hold the request's record
 
     def __post_init__(self) -> None:
         if not self.messages:
@@ -35,18 +36,21 @@ class ChatResponse:
 
 
 def canonical_form(req: ChatRequest) -> dict[str, Any]:
-    """Request form used for hashing; collapses trailing whitespace only.
-    A repeated ask has its own key; a first ask has no occurrence."""
-    form = {
+    """The request as its fixture stores it: the fields replay_key hashes,
+    with each message's trailing whitespace collapsed."""
+    return {
         "model": req.model_id,
         "temperature": req.temperature,
+        "occurrence": req.occurrence,
+        "scope": req.scope,
         "messages": [[role, content.rstrip()] for role, content in req.messages],
     }
-    return form | ({"occurrence": req.occurrence} if req.occurrence else {})
 
 
 def replay_key(req: ChatRequest) -> str:
-    return fixture_key(canonical_form(req))
+    return fixture_key(req.model_id, repr(req.temperature), str(req.occurrence), req.scope,
+                       *(part for role, content in req.messages
+                         for part in (role, content.rstrip())))
 
 
 class LlmGateway(RecordedClient):
@@ -76,8 +80,8 @@ class LlmGateway(RecordedClient):
     def complete(self, req: ChatRequest) -> ChatResponse:
         record = self._recorded(
             lambda: replay_key(req), lambda: self._complete_live(req),
-            lambda: (f"no LLM fixture for key {replay_key(req)} (model={req.model_id}, "
-                     f"first message {req.messages[0][1][:80]!r})"))
+            lambda: (f"no LLM fixture for key {replay_key(req)} (claim {req.scope!r}, "
+                     f"model={req.model_id}, first message {req.messages[0][1][:80]!r})"))
         usage = record.get("usage")
         return ChatResponse(text=record["response_text"],
                             usage=tuple(usage) if usage else None)

@@ -141,7 +141,9 @@ class _ClaimRun:
         self.config = config
         self.ablations = ablations
         self.trace = RunTrace()
+        self.scope = claim.id or claim.text  # keys every fixture the claim's calls record
         self.agents = verifier._agent_factory(config, self.trace)
+        self.agents.scope = self.scope
         self.evidence = EvidenceSet()
         self.deferred: deque[Document] = deque()  # not yet rechecked
         self.tail = False  # no search can follow
@@ -218,7 +220,7 @@ class _ClaimRun:
         """The query's results, none when its search failed."""
         k, failure = self.config.max_results_per_query, {}
         try:
-            results = self.verifier.search.search(query, k)
+            results = self.verifier.search.search(query, k, self.scope)
         except AuthRejected:
             raise  # every later search would be refused too
         except TransportError as exc:

@@ -377,11 +377,16 @@ def post_json(url: str, headers: dict[str, str], payload: dict[str, Any],
         return resp.status, resp.text(MAX_RESPONSE_BYTES)
 
 
-def fixture_key(material: Any) -> str:
-    """The key of the fixture recorded for a request: the sha256 of
-    ``material``, the request's canonical form, as JSON."""
-    blob = json.dumps(material, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def fixture_key(*parts: str) -> str:
+    """The key of the fixture recorded for a request: the sha256 of the
+    request's parts, each as its UTF-8 length (8 bytes, big-endian) and
+    then its UTF-8 bytes, so two different lists of parts never share a key."""
+    digest = hashlib.sha256()
+    for part in parts:
+        data = part.encode("utf-8")
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 class FixtureStore:

@@ -13,8 +13,8 @@ log = logging.getLogger(__name__)
 DEFAULT_ENDPOINT = "https://google.serper.dev/search"
 
 
-def search_fixture_key(query_text: str, k: int) -> str:
-    return fixture_key([query_text, k])
+def search_fixture_key(query_text: str, k: int, scope: str) -> str:
+    return fixture_key(scope, query_text, str(k))
 
 
 class SearchClient(RecordedClient):
@@ -42,16 +42,17 @@ class SearchClient(RecordedClient):
         self.endpoint = endpoint
         self.api_key = api_key
 
-    def search(self, query: SearchQuery, k: int) -> list[SearchResultMeta]:
+    def search(self, query: SearchQuery, k: int, scope: str = "") -> list[SearchResultMeta]:
         """At most k results.  A live search's tries and rate limit follow
-        RecordedClient's per-try policy."""
+        RecordedClient's per-try policy.  ``scope`` names the claim whose
+        fixtures hold the search's record; the provider never sees it."""
         if k < 1:
             raise ValueError("k must be >= 1")
         record = self._recorded(
-            lambda: search_fixture_key(query.text, k),
-            lambda: {"query": query.text, "k": k,
+            lambda: search_fixture_key(query.text, k, scope),
+            lambda: {"query": query.text, "k": k, "scope": scope,
                      "results": self._search_live(query, k)},
-            lambda: f"no search fixture for query {query.text!r} (k={k})")
+            lambda: f"no search fixture for query {query.text!r} (k={k}, claim {scope!r})")
         return self._parse_results(record["results"], k)
 
     def _search_live(self, query: SearchQuery, k: int) -> list[dict[str, Any]]:

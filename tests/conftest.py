@@ -239,6 +239,24 @@ def serper_stub_app(n_results: int = 1, seen: Optional[list] = None) -> Callable
     return app
 
 
+def changing_search_app(seen: list) -> Callable:
+    """Search stub whose n-th call (from 0) answers two results of its own,
+    http://127.0.0.1:9/search-<n>/<i>, as a live search may answer one
+    query differently over time; `seen` gets each payload."""
+    lock = threading.Lock()
+
+    def app(method, path, body, headers):
+        with lock:
+            n = len(seen)
+            seen.append(json.loads(body))
+        organic = [{"title": f"Result {i} of search {n}",
+                    "link": f"http://127.0.0.1:9/search-{n}/{i}",
+                    "snippet": f"Result {i} of search {n}."} for i in range(2)]
+        return 200, {"Content-Type": "application/json"}, json.dumps({"organic": organic}).encode()
+
+    return app
+
+
 def scripted_llm_app(rules: list[tuple[str, str | Callable[[list], str]]],
                      seen: Optional[list] = None) -> Callable:
     """LLM stub: first rule whose substring occurs in any message wins."""
@@ -351,7 +369,7 @@ class FakeSearch:
         self.worlds = worlds or {}
         self.calls: list[tuple[str, int]] = []
 
-    def search(self, query: SearchQuery, k: int) -> list[SearchResultMeta]:
+    def search(self, query: SearchQuery, k: int, scope: str = "") -> list[SearchResultMeta]:
         self.calls.append((query.text, k))
         return list(self.worlds.get(query.text, []))[:k]
 

@@ -235,22 +235,22 @@ class TestPromptKeysPinned:
 
     KEYS = [
         ("initial_query_gen",
-         "33ba64f53d712afb0217c504f8f424178879fedbc69e58ed136e25fe3630f7c9"),
+         "cf717b1243ee880384764776a052da46a44f3ae1af4149ee4a5ad281dcafd5a4"),
         ("search_rank",
-         "bde52d1b07df9d65b190a8abc0829f666a65dc738dea2c62479608fa50b9d536"),
+         "56aca9ffa611108d0da911cbddf69d34f69ed8f6fa932e08008891d7d6f24f78"),
         ("self_contained_check",
-         "2bcd0d590c0a7148dcd0207af4f31b0362d06c232c3c00a3a519ee55ec4f2eaf"),
+         "813967546b55da8da51eb0f815f203e2afb6c65d98c1a2e01565f14b74e3346f"),
         ("det_helpful",
-         "bff4f2da6fb043216e76f0435037f91b92723cc4955db47d35e095d20898aff3"),
+         "5a790792421a542938d4f12c94d5120061dad9f8ca55afe78f7ddc5b8ade8814"),
         ("sufficient_evidence",
-         "883d119b699d30e4a518ea5df80506a2bd688e6167899d3618725f245812769e"),
+         "f60daeeae01b202ff269cda40cd131a925c8ef9f960e0173ff3d46506492af24"),
         ("classify",
-         "be7a299549b814b00576ff0ee1baad9583030eb7cb92c2e26c986d0092b86fc9"),
+         "e7b63488ecee9500dba54bb265586ecdf79aa79a04918b84389bf58f87e2ad1f"),
         # the retry, after an unparseable verdict
         ("classify",
-         "cf16b70cd5f25acb2a9bcd692ac0ce424fc248f9232236122714e7a1b632acf4"),
+         "499feb61aee50c9990aea690844e688f20d63c38dfd1a893771e23fb7be3937e"),
         ("additional_query_gen",
-         "e11544e5ba9da14efe57a494537dfcec4e41802b52678f3d7b30baaa7645398a"),
+         "d1bdd815c660c65a33ddc56d7970caac0f47ab0dffae457a5c5bfe3933af6df9"),
     ]
 
     def test_replay_keys_unchanged(self):

@@ -2,15 +2,18 @@
 gateway, the search client and the page reader, in every mode.  Also the
 one place that builds a chat request, AgentSuite._request."""
 import ast
+import itertools
+import json
 import threading
 from pathlib import Path
 
 import pytest
 
+from claimcheck.llm import ChatRequest, replay_key
 from claimcheck.model import BudgetConfig, Claim, Verdict
 from claimcheck.pipeline import build_verifier
 from claimcheck.trace import EventKind, RunTrace
-from claimcheck.websearch import DEFAULT_ENDPOINT
+from claimcheck.websearch import DEFAULT_ENDPOINT, search_fixture_key
 
 from conftest import scripted_llm_app, serper_stub_app, standard_llm_rules
 
@@ -91,6 +94,44 @@ def test_record_and_replay_start_no_thread(http_stub, tmp_path, monkeypatch):
                     verifier.verify(claim)
             else:
                 assert verifier.verify(claim).verdict is Verdict.TRUE
+
+
+def test_each_fixture_file_is_named_by_the_request_it_stores(http_stub, tmp_path):
+    """The key a fixture is filed under, rebuilt from the request stored in
+    it: so a reviewer reads in each file every field its key hashes.  Two
+    claims (one with an id, one without) search one query, and re-ask the
+    follow-up call on evidence that never grows."""
+    follow_ups = itertools.count()
+    rules = dict(standard_llm_rules())
+    rules["numbered list of web search queries"] = "1. shared topic"
+    rules["adds helpful new information"] = "NOT HELPFUL"
+    rules["list of new web search queries"] = lambda messages: f"1. follow-up {next(follow_ups)}"
+    fixtures = tmp_path / "fx"
+    verifier = build_verifier("record", fixtures,
+                              llm_base_url=http_stub(scripted_llm_app(list(rules.items()))),
+                              search_endpoint=http_stub(serper_stub_app()), search_rps=0)
+    for claim in (Claim(text="Alpha is first", id="a"), Claim(text="Beta is second")):
+        verifier.verify(claim)
+
+    requests = []
+    for path in (fixtures / "llm").glob("*.json"):
+        stored = json.loads(path.read_text(encoding="utf-8"))["request"]
+        req = ChatRequest(model_id=stored["model"], temperature=stored["temperature"],
+                          messages=tuple(map(tuple, stored["messages"])),
+                          occurrence=stored["occurrence"], scope=stored["scope"])
+        assert path.stem == replay_key(req)
+        requests.append(req)
+    assert {req.scope for req in requests} == {"a", "Beta is second"}
+    assert max(req.occurrence for req in requests) == 2
+    searches = []
+    for path in (fixtures / "search").glob("*.json"):
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        assert path.stem == search_fixture_key(stored["query"], stored["k"], stored["scope"])
+        searches.append((stored["scope"], stored["query"]))
+    # each claim's budget of 4 queries, the shared one recorded once for each
+    assert sorted(scope for scope, _ in searches) == ["Beta is second"] * 4 + ["a"] * 4
+    assert sorted(scope for scope, query in searches if query == "shared topic") == [
+        "Beta is second", "a"]
 
 
 def constructions(names: set[str]) -> set[tuple[str, str]]:

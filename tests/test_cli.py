@@ -11,7 +11,7 @@ from claimcheck.cli import main
 from claimcheck.model import Verdict
 from claimcheck.pipeline import Verifier
 
-from conftest import scripted_llm_app, serper_stub_app, standard_llm_rules
+from conftest import changing_search_app, scripted_llm_app, serper_stub_app, standard_llm_rules
 
 
 @pytest.fixture
@@ -381,11 +381,38 @@ class TestBench:
         assert result.exit_code == 1
 
 
+class TestClaimScopedFixtures:
+    def test_claims_sharing_a_query_replay_their_own_record_at_concurrency_4(
+            self, runner, http_stub, tmp_path):
+        """Every claim searches one query, and the search answers with new
+        results on each call, as a live one may over time; the claims record
+        in parallel, and each replays the results it recorded."""
+        searches = []
+        rules = dict(standard_llm_rules(2))
+        rules["numbered list of web search queries"] = "1. shared topic"
+        flags = ["--fixtures", str(tmp_path / "fixtures"),
+                 "--llm-base-url", http_stub(scripted_llm_app(list(rules.items()))),
+                 "--search-endpoint", http_stub(changing_search_app(searches))]
+        dataset = factool_file(tmp_path, FIVE_CLAIMS)
+        predictions = {}
+        for mode in ("record", "replay"):
+            run(runner, ["bench", "factool_kbqa", str(dataset), "--mode", mode,
+                         "--out", str(tmp_path / mode), "--concurrency", "4", *flags])
+            predictions[mode] = (tmp_path / mode / "predictions.jsonl").read_text()
+        assert predictions["replay"] == predictions["record"]
+        assert len(searches) == len(FIVE_CLAIMS)  # the record run's; replay sent none
+
+
 class TestMissingFixture:
     def test_bench_records_missing_fixture_as_claim_error(self, runner, scripted_world,
                                                           tmp_path):
         recorded, unrecorded = FIVE_CLAIMS[0][0], FIVE_CLAIMS[1][0]
-        run(runner, ["verify", recorded, "--mode", "record", *scripted_world["flags"]])
+        # a bench claim's fixtures are keyed by its id: c0 in both runs
+        (tmp_path / "record").mkdir()
+        run(runner, ["bench", "factool_kbqa",
+                     str(factool_file(tmp_path / "record", [(recorded, True)])),
+                     "--mode", "record", "--out", str(tmp_path / "record" / "out"),
+                     *scripted_world["flags"]])
         dataset = factool_file(tmp_path, [(recorded, True), (unrecorded, True)])
         out = tmp_path / "out"
         run(runner, ["bench", "factool_kbqa", str(dataset), "--mode", "replay",

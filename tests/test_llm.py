@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from claimcheck import llm, replaystore
 from claimcheck.llm import ChatRequest, LlmGateway, replay_key
 from claimcheck.replaystore import FixtureMiss, StorageError, TransportError
+from claimcheck.websearch import search_fixture_key
 
 from conftest import openai_reply
 
@@ -14,6 +15,10 @@ from conftest import openai_reply
 def req(content="hello there", model="m1", temperature=0.5):
     return ChatRequest(model_id=model, temperature=temperature,
                        messages=(("system", "sys"), ("user", content)))
+
+
+def chat(*messages, temperature=0.5, **fields):
+    return ChatRequest(model_id="m1", temperature=temperature, messages=messages, **fields)
 
 
 def recorder(fixture_dir, text="x"):
@@ -50,6 +55,23 @@ class TestReplayKey:
 
     def test_temperature_in_digest(self):
         assert replay_key(req(temperature=0.5)) != replay_key(req(temperature=1.0))
+
+    @pytest.mark.parametrize("keys", [
+        lambda: [replay_key(chat(("user", "ab"), ("user", "c"))),
+                 replay_key(chat(("user", "a"), ("user", "bc")))],
+        lambda: [replay_key(chat(("system", "x"), ("user", "y"))),
+                 replay_key(chat(("user", "x"), ("user", "y")))],
+        lambda: [replay_key(chat(("user", "x"), occurrence=0)),
+                 replay_key(chat(("user", "x"), occurrence=1))],
+        lambda: [replay_key(chat(("user", "x"), scope="a")),
+                 replay_key(chat(("user", "x"), scope="b"))],
+        lambda: [replay_key(chat(("user", "x"), temperature=1.0)),
+                 replay_key(chat(("user", "x"), temperature=0.5))],
+        lambda: [search_fixture_key("q", 12, "a"), search_fixture_key("q1", 2, "a")],
+    ], ids=["message-boundary", "role", "occurrence", "scope", "temperature", "search-k"])
+    def test_requests_that_differ_in_one_part_get_different_keys(self, keys):
+        first, second = keys()
+        assert first != second
 
 
 class TestReplayMode:
@@ -90,6 +112,12 @@ class TestReplayMode:
         gateway = LlmGateway(mode="replay", fixture_dir=tmp_path)
         with pytest.raises(FixtureMiss):
             gateway.complete(req("never recorded"))
+
+    def test_fixture_miss_names_the_claim(self, tmp_path):
+        recorder(tmp_path).complete(chat(("user", "x"), scope="claim-a"))
+        gateway = LlmGateway(mode="replay", fixture_dir=tmp_path)
+        with pytest.raises(FixtureMiss, match="claim 'claim-b'"):
+            gateway.complete(chat(("user", "x"), scope="claim-b"))
 
     def test_replay_performs_zero_network_calls(self, tmp_path):
         calls = []

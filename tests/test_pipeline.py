@@ -27,6 +27,7 @@ from conftest import (
     FakeReader,
     FakeSearch,
     ScriptedAgents,
+    changing_search_app,
     drain_decisions,
     make_result,
     openai_reply,
@@ -324,7 +325,7 @@ class TestBudgetAndQueries:
             def __init__(self):
                 self.calls = 0
 
-            def search(self, query, k):
+            def search(self, query, k, scope=""):
                 self.calls += 1
                 raise TransportError("boom")
 
@@ -839,6 +840,52 @@ class TestReplayOfRepeatedAsks:
         record = record_then_replay(http_stub, tmp_path, monkeypatch,
                                     llm_rules(1, comprehensible=comprehensible_when_asked_again))
         assert scenarios(record) == ["d", "a"]
+
+
+# ---------------------------------------------------------------------------
+# two claims that send one request: each replays the fixtures it recorded
+
+
+SHARING = [Claim("Alpha is first", id="a"), Claim("Beta is second", id="b")]
+
+
+def shared_query_rules(rank="[1, 2]") -> list:
+    """standard_llm_rules over two results, every claim searching "shared
+    topic" and ranking its results by `rank`."""
+    rules = dict(standard_llm_rules(2))
+    rules["numbered list of web search queries"] = "1. shared topic"
+    rules["Sort the results"] = rank
+    return list(rules.items())
+
+
+def record_then_replay_each(http_stub, tmp_path, rules, search_app) -> list:
+    """SHARING recorded one claim after the other, then replayed from the
+    fixtures written; asserts each claim's replay logs its record run's
+    normalized trace.  The record runs' reports, in claim order."""
+    reports, traces = {}, {}
+    for mode in ("record", "replay"):
+        verifier = stub_verifier(http_stub, tmp_path, mode, rules, naming_its_url, search_app)
+        reports[mode] = [verifier.verify(claim, BudgetConfig()) for claim in SHARING]
+        traces[mode] = [r.trace.to_jsonl(normalize_timestamps=True) for r in reports[mode]]
+    assert traces["replay"] == traces["record"]
+    return reports["record"]
+
+
+class TestClaimScopedFixtures:
+    def test_two_claims_ranking_one_query_replay_their_own_order(self, http_stub, tmp_path):
+        ranks = iter(["[1, 2]", "[2, 1]"])  # as a sampling model may answer one request
+        record = record_then_replay_each(
+            http_stub, tmp_path, shared_query_rules(rank=lambda messages: next(ranks)),
+            serper_stub_app(2))
+        assert [fetched_events(r) for r in record] == [
+            ["http://127.0.0.1:9/shared-topic/0"], ["http://127.0.0.1:9/shared-topic/1"]]
+
+    def test_two_claims_searching_one_query_replay_their_own_results(self, http_stub,
+                                                                     tmp_path):
+        record = record_then_replay_each(http_stub, tmp_path, shared_query_rules(),
+                                         changing_search_app([]))
+        assert [fetched_events(r) for r in record] == [
+            ["http://127.0.0.1:9/search-0/0"], ["http://127.0.0.1:9/search-1/0"]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from claimcheck.websearch import SearchClient, search_fixture_key
 
 def fixture_client(tmp_path, results, query="q", k=2):
     client = SearchClient(mode="replay", fixture_dir=tmp_path)
-    client.store.put(search_fixture_key(query, k),
-                     {"query": query, "k": k, "results": results})
+    client.store.put(search_fixture_key(query, k, ""),
+                     {"query": query, "k": k, "scope": "", "results": results})
     return client
 
 
@@ -46,9 +46,17 @@ class TestFixtureMode:
         with pytest.raises(FixtureMiss):
             client.search(SearchQuery("unknown"), 2)
 
+    def test_fixture_miss_names_the_claim(self, tmp_path):
+        client = SearchClient(mode="replay", fixture_dir=tmp_path)
+        client.store.put(search_fixture_key("q", 1, "claim-a"),
+                         {"query": "q", "k": 1, "scope": "claim-a", "results": [raw(0)]})
+        assert len(client.search(SearchQuery("q"), 1, "claim-a")) == 1
+        with pytest.raises(FixtureMiss, match="claim 'claim-b'"):
+            client.search(SearchQuery("q"), 1, "claim-b")
+
     @pytest.mark.parametrize("record", [[], {"query": "q"}, {"results": "x"}])
     def test_fixture_of_the_wrong_shape_is_storage_error(self, tmp_path, record):
-        path = tmp_path / f"{search_fixture_key('q', 2)}.json"
+        path = tmp_path / f"{search_fixture_key('q', 2, '')}.json"
         path.write_text(json.dumps(record), encoding="utf-8")
         with pytest.raises(StorageError, match=path.name):
             SearchClient(mode="replay", fixture_dir=tmp_path).search(SearchQuery("q"), 2)
@@ -60,14 +68,15 @@ class TestFixtureMode:
 
     def test_fixture_key_is_pinned(self):
         # a changed key would orphan every recorded search fixture
-        assert search_fixture_key("q", 2) == (
-            "fb1a3cfa213e01db3d66c9b8792c605cc58675cbda1ce8ecad307cbf0bf0336b")
+        assert search_fixture_key("q", 2, "claim-7") == (
+            "f035546bd82a0297d669a2e392c353be628fe2efefa6a34a828f00f45e6bb72e")
 
     def test_zero_network_operations(self, tmp_path):
         calls = []
         client = SearchClient(mode="replay", fixture_dir=tmp_path,
                               transport=lambda *a, **k: calls.append(a) or (200, "{}"))
-        client.store.put(search_fixture_key("q", 1), {"query": "q", "k": 1, "results": []})
+        client.store.put(search_fixture_key("q", 1, ""),
+                         {"query": "q", "k": 1, "scope": "", "results": []})
         client.search(SearchQuery("q"), 1)
         assert calls == []
 
